@@ -237,11 +237,16 @@ impl Sampler for Exponential {
 
 /// Zipf distribution over ranks `1..=n` with exponent `s` — the skewed access
 /// pattern of embedding lookups that makes platform-level caching effective.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Zipf {
     n: usize,
     s: f64,
     cdf: Vec<f64>,
+    /// Chen–Asau guide table over `n` equal buckets of `[0, 1)`: `guide[b]`
+    /// is the first rank index whose CDF value falls in a bucket at or above
+    /// `b` under [`Zipf::bucket`], and `guide[n]` is the last rank index.
+    /// `u32` entries keep the table at half the CDF's size.
+    guide: Vec<u32>,
 }
 
 impl Zipf {
@@ -249,8 +254,8 @@ impl Zipf {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidDistribution`] if `n == 0`, or `s` is negative
-    /// or non-finite.
+    /// Returns [`Error::InvalidDistribution`] if `n` is zero or above 2³²,
+    /// or `s` is negative or non-finite.
     pub fn new(n: usize, s: f64) -> Result<Zipf> {
         if n == 0 {
             return Err(Error::InvalidDistribution {
@@ -258,6 +263,12 @@ impl Zipf {
                 reason: "n must be positive",
             });
         }
+        let Ok(last) = u32::try_from(n - 1) else {
+            return Err(Error::InvalidDistribution {
+                distribution: "zipf",
+                reason: "n must be at most 2^32",
+            });
+        };
         if !s.is_finite() || s < 0.0 {
             return Err(Error::InvalidDistribution {
                 distribution: "zipf",
@@ -274,7 +285,39 @@ impl Zipf {
         for c in &mut cdf {
             *c /= total;
         }
-        Ok(Zipf { n, s, cdf })
+        // One bucket per rank, so a bucket holds one rank on average. The
+        // last CDF value is exactly 1.0 and lands in the last bucket, so
+        // every bucket gets a start; the sentinel ends the last bucket's
+        // search at the last rank.
+        let mut guide = Vec::with_capacity(n + 1);
+        for (i, &c) in (0..=last).zip(&cdf) {
+            while guide.len() <= Self::bucket(c, n) {
+                guide.push(i);
+            }
+        }
+        debug_assert_eq!(guide.len(), n, "the CDF must end at exactly 1.0");
+        guide.push(last);
+        Ok(Zipf { n, s, cdf, guide })
+    }
+
+    /// The guide bucket of a probability among `buckets` equal slices of
+    /// `[0, 1)`. Monotone in `u`, which is all the lookup relies on: a CDF
+    /// value at or above `u` never lands in an earlier bucket than `u`.
+    fn bucket(u: f64, buckets: usize) -> usize {
+        ((u * buckets as f64) as usize).min(buckets - 1)
+    }
+
+    /// The rank index (0-based) drawn by a uniform `u`: the first index
+    /// whose CDF value is at least `u`, or the last index when none is.
+    ///
+    /// Every index before `guide[b]` has a CDF value in an earlier bucket
+    /// than `u`'s, so below `u`; `guide[b + 1]` has one in a later bucket or
+    /// is the last rank, so at or above `u < 1`. The answer therefore lies
+    /// in `guide[b]..=guide[b + 1]`.
+    fn index_of(&self, u: f64) -> usize {
+        let b = Self::bucket(u, self.n);
+        let (start, end) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        start + self.cdf[start..end].partition_point(|&c| c < u)
     }
 
     /// Number of ranks.
@@ -287,13 +330,18 @@ impl Zipf {
         self.s
     }
 
-    /// Draws a rank in `1..=n` (1 is the most popular).
+    /// Draws a rank in `1..=n` (1 is the most popular) by inversion: one
+    /// uniform `u`, then the first rank whose CDF value is at least `u`.
+    ///
+    /// The lookup costs O(1) expected time: the guide table built in
+    /// [`Zipf::new`] maps `u` to one of `n` equal buckets of `[0, 1)`, and a
+    /// binary search covers only the ranks whose CDF values fall in that
+    /// bucket — one on average, so a steep tail crowding the last bucket
+    /// costs a logarithm, never a scan. The rank equals what a binary
+    /// search of the whole CDF returns whenever no two CDF values below 1.0
+    /// are equal, so a seeded stream draws the same ranks either way.
     pub fn sample_rank<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        match self.cdf.binary_search_by(|c| c.total_cmp(&u)) {
-            Ok(i) => i + 1,
-            Err(i) => (i + 1).min(self.n),
-        }
+        self.index_of(rng.gen()) + 1
     }
 
     /// Probability mass of rank `k` (1-based). Returns 0 outside `1..=n`.
@@ -674,6 +722,68 @@ mod tests {
         // Rank 1 should hold roughly 1/H(1000) ≈ 13% of the mass.
         let share = counts[1] as f64 / 100_000.0;
         assert!(share > 0.10 && share < 0.17, "share {share}");
+    }
+
+    /// The lookup the guide table replaced: a binary search of the whole
+    /// CDF. Kept as the spec the guide-table lookup is held to.
+    fn binary_search_rank(d: &Zipf, u: f64) -> usize {
+        match d.cdf.binary_search_by(|c| c.total_cmp(&u)) {
+            Ok(i) => i + 1,
+            Err(i) => (i + 1).min(d.n),
+        }
+    }
+
+    #[test]
+    fn zipf_guide_lookup_matches_binary_search() {
+        for n in [1, 2, 3, 50, 1_000, 100_000] {
+            for s in [0.0, 1.0, 1.2, 2.5, 30.0] {
+                let d = Zipf::new(n, s).unwrap();
+                // The binary search picks an arbitrary one of equal CDF
+                // values; below 1.0 there must be none for the two to agree.
+                assert!(
+                    d.cdf.windows(2).all(|w| w[0] < w[1] || w[0] == 1.0),
+                    "n={n} s={s}: repeated CDF value below 1.0"
+                );
+                // `u` at 0, at every CDF value and every bucket boundary,
+                // each ±1 ulp, within the `[0, 1)` range `gen` draws from.
+                let boundaries = (0..n).map(|b| b as f64 / n as f64);
+                let probes = d
+                    .cdf
+                    .iter()
+                    .copied()
+                    .chain(boundaries)
+                    .flat_map(|x| [x.next_down(), x, x.next_up()])
+                    .filter(|u| (0.0..1.0).contains(u));
+                for u in probes {
+                    assert_eq!(
+                        d.index_of(u) + 1,
+                        binary_search_rank(&d, u),
+                        "n={n} s={s} u={u:e}"
+                    );
+                }
+                let mut r = rng();
+                for _ in 0..10_000 {
+                    let u: f64 = r.clone().gen();
+                    assert_eq!(d.sample_rank(&mut r), binary_search_rank(&d, u));
+                }
+            }
+        }
+        // fig07's distribution: every rank is reachable and the binary
+        // search had no ties to break.
+        let fig07 = Zipf::new(100_000, 1.2).unwrap();
+        assert!(fig07.cdf.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn zipf_rejects_bad_params() {
+        assert!(Zipf::new(0, 1.0).is_err());
+        assert!(Zipf::new(10, -1.0).is_err());
+        assert!(Zipf::new(10, f64::NAN).is_err());
+        // One rank more than the `u32` guide table can index, rejected
+        // before anything is allocated.
+        if let Ok(n) = usize::try_from(u64::from(u32::MAX) + 2) {
+            assert!(Zipf::new(n, 1.0).is_err());
+        }
     }
 
     #[test]

@@ -107,9 +107,13 @@ enum Slot<T, U> {
 /// A fixed-width pool of scoped worker threads.
 ///
 /// The pool holds no threads between calls: each [`ParPool::map_indexed`]
-/// opens one [`std::thread::scope`], runs the whole batch, and joins. That
-/// keeps the type trivially `Send`/`Sync`-free and makes worker lifetime
-/// exactly the batch lifetime — no draining, no shutdown protocol.
+/// opens one [`std::thread::scope`], runs the whole batch, and joins every
+/// worker's handle before returning. That keeps the type trivially
+/// `Send`/`Sync`-free and makes worker lifetime exactly the batch lifetime
+/// — no draining, no shutdown protocol. The explicit joins matter: the
+/// scope by itself returns once the worker closures finish, while their
+/// threads may still be exiting, and a batch spawned meanwhile can push
+/// the allocator into fresh per-thread arenas that raise peak memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParPool {
     workers: usize,
@@ -161,7 +165,8 @@ impl ParPool {
     /// into a fork of the submitting thread's [`sustain_obs::handle`], and
     /// the forks are adopted back in submission order, parented under the
     /// span open at the call site — so traces are byte-identical across
-    /// thread counts except for the `worker` attribute.
+    /// thread counts except for the `worker` attribute. Every worker thread
+    /// has exited, thread-local destructors included, before this returns.
     ///
     /// # Panics
     ///
@@ -236,9 +241,20 @@ impl ParPool {
             run_worker(0);
         } else {
             thread::scope(|scope| {
-                for worker in 0..workers {
-                    let run_worker = &run_worker;
-                    scope.spawn(move || run_worker(worker));
+                let handles: Vec<_> = (0..workers)
+                    .map(|worker| {
+                        let run_worker = &run_worker;
+                        scope.spawn(move || run_worker(worker))
+                    })
+                    .collect();
+                // The scope alone waits only for the closures to finish; a
+                // join also waits for each thread to exit, thread-local
+                // destructors included. Task panics are caught inside
+                // `run_worker`, so a failed join is a pool bug, re-raised.
+                for handle in handles {
+                    if let Err(payload) = handle.join() {
+                        std::panic::resume_unwind(payload);
+                    }
                 }
             });
         }
