@@ -176,8 +176,10 @@ impl FleetSim {
     ///
     /// # Panics
     ///
-    /// Panics if `arrivals_per_day` is not positive or the horizon is not
-    /// positive.
+    /// Panics if the hourly arrival rate `arrivals_per_day / 24` is not a
+    /// valid Poisson mean (finite and positive; a daily rate so small that
+    /// the division underflows to zero counts as zero), or if the horizon
+    /// is not finite and positive.
     pub fn new(
         cluster: Cluster,
         datacenter: DataCenter,
@@ -186,8 +188,14 @@ impl FleetSim {
         arrivals_per_day: f64,
         horizon: TimeSpan,
     ) -> FleetSim {
-        assert!(arrivals_per_day > 0.0, "arrival rate must be positive");
-        assert!(horizon.as_secs() > 0.0, "horizon must be positive");
+        assert!(
+            Poisson::new(arrivals_per_day / 24.0).is_ok(),
+            "hourly arrival rate must be finite and positive"
+        );
+        assert!(
+            horizon.as_secs().is_finite() && horizon.as_secs() > 0.0,
+            "horizon must be finite and positive"
+        );
         FleetSim {
             cluster,
             datacenter,
@@ -435,7 +443,7 @@ impl FleetSim {
         let step = TimeSpan::from_hours(1.0);
         let steps = self.horizon.as_hours().ceil() as usize;
         let total_gpus = self.cluster.total_gpus() as f64;
-        // lint:allow(panic-discipline) documented panic on a non-positive arrival rate
+        // lint:allow(panic-discipline) unreachable: `new` checks this exact λ
         let arrivals = Poisson::new(self.arrivals_per_day / 24.0).expect("positive arrival rate");
 
         let mut queue: VecDeque<RunningJob> = VecDeque::new();
@@ -702,7 +710,7 @@ impl FleetSim {
     ) -> (FleetSimReport, Co2e, Option<AutoscaleOutcome>) {
         let step = TimeSpan::from_hours(1.0);
         let steps = self.horizon.as_hours().ceil() as usize;
-        // lint:allow(panic-discipline) documented panic on a non-positive arrival rate
+        // lint:allow(panic-discipline) unreachable: `new` checks this exact λ
         let arrivals = Poisson::new(self.arrivals_per_day / 24.0).expect("positive arrival rate");
 
         // Chaos machinery — every piece is inert (no scheduled events, no
@@ -1307,6 +1315,25 @@ mod tests {
             arrivals_per_day,
             TimeSpan::from_days(days),
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "hourly arrival rate must be finite and positive")]
+    fn infinite_arrival_rate_is_rejected_at_construction() {
+        sim(10, f64::INFINITY, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "hourly arrival rate must be finite and positive")]
+    fn arrival_rate_underflowing_per_hour_is_rejected_at_construction() {
+        // Positive per day, but `1e-323 / 24.0` rounds to 0.0 per hour.
+        sim(10, 1e-323, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon must be finite and positive")]
+    fn infinite_horizon_is_rejected_at_construction() {
+        sim(10, 10.0, f64::INFINITY);
     }
 
     #[test]

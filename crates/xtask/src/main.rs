@@ -10,12 +10,6 @@
 //!   every finding. `--baseline <path>` compares per-rule counts against a
 //!   committed `lint --json` report and fails only on increases, so a
 //!   grandfathered count can burn down without blocking unrelated PRs.
-//! - `perf --check [--baseline <path>] [--current <path>]` — the
-//!   perf-trajectory regression gate. Compares a bench report against the
-//!   committed `BENCH_par.json` with noise-aware per-row thresholds (see
-//!   [`xtask::perf`]). Without `--current` it reruns `bench_suite` via
-//!   cargo and compares the fresh measurement. Skips (and passes) when the
-//!   baseline was recorded on a different host or schema version.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -24,7 +18,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::{lint_workspace, parse_baseline_counts, perf, render_fix_allow, Diagnostic, Rule};
+use xtask::{lint_workspace, parse_baseline_counts, render_fix_allow, Diagnostic, Rule};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -52,40 +46,6 @@ fn main() -> ExitCode {
             }
             lint(json, fix_allow, baseline)
         }
-        Some("perf") => {
-            let mut check = false;
-            let mut baseline: Option<PathBuf> = None;
-            let mut current: Option<PathBuf> = None;
-            let mut rest = args[1..].iter();
-            while let Some(arg) = rest.next() {
-                match arg.as_str() {
-                    "--check" => check = true,
-                    "--baseline" => match rest.next() {
-                        Some(path) => baseline = Some(PathBuf::from(path)),
-                        None => {
-                            eprintln!("xtask perf: --baseline needs a path");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--current" => match rest.next() {
-                        Some(path) => current = Some(PathBuf::from(path)),
-                        None => {
-                            eprintln!("xtask perf: --current needs a path");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    unknown => {
-                        eprintln!("xtask perf: unknown flag `{unknown}`");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            if !check {
-                eprintln!("xtask perf: only `--check` mode exists; pass --check");
-                return ExitCode::from(2);
-            }
-            perf_check(baseline, current)
-        }
         Some(other) => {
             eprintln!("xtask: unknown command `{other}`");
             eprintln!("{USAGE}");
@@ -98,8 +58,7 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: cargo xtask lint [--json] [--fix-allow] [--baseline <path>]\n       \
-                     cargo xtask perf --check [--baseline <path>] [--current <path>]";
+const USAGE: &str = "usage: cargo xtask lint [--json] [--fix-allow] [--baseline <path>]";
 
 fn lint(json: bool, fix_allow: bool, baseline: Option<PathBuf>) -> ExitCode {
     let root = workspace_root();
@@ -185,121 +144,6 @@ fn gate_on_baseline(path: &PathBuf, diags: &[Diagnostic]) -> ExitCode {
             path.display()
         );
         ExitCode::SUCCESS
-    }
-}
-
-/// Runs the perf-trajectory gate: measures (or loads) a current bench
-/// report and compares it row by row against the committed baseline.
-fn perf_check(baseline: Option<PathBuf>, current: Option<PathBuf>) -> ExitCode {
-    let root = workspace_root();
-    let baseline_path = baseline.unwrap_or_else(|| root.join("BENCH_par.json"));
-    let baseline_text = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!(
-                "xtask perf: cannot read baseline {}: {err}",
-                baseline_path.display()
-            );
-            return ExitCode::from(2);
-        }
-    };
-    let current_path = match current {
-        Some(path) => path,
-        None => {
-            let out_dir = root.join("target").join("perf");
-            if let Err(err) = std::fs::create_dir_all(&out_dir) {
-                eprintln!("xtask perf: cannot create {}: {err}", out_dir.display());
-                return ExitCode::from(2);
-            }
-            let out = out_dir.join("BENCH_current.json");
-            eprintln!("xtask perf: measuring (bench_suite --reps 3)...");
-            let status = std::process::Command::new(
-                std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string()),
-            )
-            .args([
-                "run",
-                "--release",
-                "-p",
-                "sustain-bench",
-                "--bin",
-                "bench_suite",
-                "--",
-            ])
-            .args(["--reps", "3", "--out"])
-            .arg(&out)
-            .current_dir(&root)
-            .status();
-            match status {
-                Ok(status) if status.success() => {}
-                Ok(status) => {
-                    eprintln!("xtask perf: bench_suite failed with {status}");
-                    return ExitCode::from(2);
-                }
-                Err(err) => {
-                    eprintln!("xtask perf: cannot launch bench_suite: {err}");
-                    return ExitCode::from(2);
-                }
-            }
-            out
-        }
-    };
-    let current_text = match std::fs::read_to_string(&current_path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!(
-                "xtask perf: cannot read current report {}: {err}",
-                current_path.display()
-            );
-            return ExitCode::from(2);
-        }
-    };
-    let (baseline_report, current_report) = match (
-        perf::parse_bench(&baseline_text),
-        perf::parse_bench(&current_text),
-    ) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(err), _) => {
-            eprintln!(
-                "xtask perf: bad baseline {}: {err}",
-                baseline_path.display()
-            );
-            return ExitCode::from(2);
-        }
-        (_, Err(err)) => {
-            eprintln!("xtask perf: bad report {}: {err}", current_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    match perf::compare(&baseline_report, &current_report) {
-        perf::PerfCheck::Skipped(reason) => {
-            eprintln!("perf check: skipped ({reason}); nothing to gate on");
-            ExitCode::SUCCESS
-        }
-        perf::PerfCheck::Compared(rows) => {
-            let mut regressed = 0usize;
-            for (name, verdict) in &rows {
-                if matches!(verdict, perf::RowVerdict::Regressed { .. }) {
-                    regressed += 1;
-                }
-                println!("{name:<32} {verdict}");
-            }
-            if regressed == 0 {
-                eprintln!(
-                    "perf check: {} row(s) within noise of {}",
-                    rows.len(),
-                    baseline_path.display()
-                );
-                ExitCode::SUCCESS
-            } else {
-                eprintln!(
-                    "perf check: {regressed} row(s) regressed vs {}; investigate with \
-                     `all_figures --obs <dir>` (profile.txt / flame.folded) or re-bless \
-                     the baseline by committing the new report",
-                    baseline_path.display()
-                );
-                ExitCode::FAILURE
-            }
-        }
     }
 }
 

@@ -107,12 +107,9 @@ const FS_WRITE_PRIMITIVES: &[&str] = &[
 ];
 
 /// The sanctioned write sites outside `crates/cache` (rule 8): the obs
-/// exporter in `all_figures` and the benchmark report in `bench_suite`.
-/// Both write *derived* artifacts a rerun regenerates byte-identically.
-const FS_SANCTIONED_FILES: &[&str] = &[
-    "crates/bench/src/bin/all_figures.rs",
-    "crates/bench/src/bin/bench_suite.rs",
-];
+/// exporter in `all_figures`, which writes *derived* artifacts a rerun
+/// regenerates byte-identically.
+const FS_SANCTIONED_FILES: &[&str] = &["crates/bench/src/bin/all_figures.rs"];
 
 /// An in-progress `pub fn` signature (may span multiple lines).
 struct FnSig {
