@@ -13,7 +13,7 @@ use sustain_fleet::chaos::ChaosConfig;
 use sustain_fleet::cluster::Cluster;
 use sustain_fleet::datacenter::DataCenter;
 use sustain_fleet::scheduler::IntensitySeries;
-use sustain_fleet::sim::{FleetSim, FleetSimReport, ReplicaSummary};
+use sustain_fleet::sim::{FleetSim, FleetSimReport, ReplicaSummary, Scenario};
 use sustain_fleet::utilization::UtilizationModel;
 use sustain_par::ParPool;
 use sustain_telemetry::device::DeviceSpec;
@@ -173,17 +173,14 @@ fn fleet_row(name: &str, r: &FleetSimReport) -> Vec<String> {
 pub fn chaos_fleet() -> Table {
     // The undisturbed and chaos baselines are independent whole sims — run
     // them as two pool tasks.
-    let mut runs = ParPool::current().map_indexed(vec![false, true], |_, chaos_on| {
-        let mut rng = StdRng::seed_from_u64(SEED);
-        if chaos_on {
-            fleet().run_with_chaos(&mut rng, &ChaosConfig::datacenter_default())
-        } else {
-            fleet().run(&mut rng)
-        }
-    });
+    let chaotic = Scenario::default().with_chaos(ChaosConfig::datacenter_default());
+    let mut runs = ParPool::current()
+        .map_indexed(vec![Scenario::default(), chaotic.clone()], |_, scenario| {
+            fleet().simulate(&scenario, &mut StdRng::seed_from_u64(SEED))
+        });
     let chaos = runs.pop().expect("chaos run");
     let plain = runs.pop().expect("undisturbed run");
-    let replicas = fleet().run_replicas_with_chaos(8, SEED, &ChaosConfig::datacenter_default());
+    let replicas = fleet().simulate_replicas(&chaotic, 8, SEED);
     let summary = ReplicaSummary::from_reports(&replicas).expect("eight replicas");
     let mut table = Table::new(
         "Appendix B: fleet chaos harness (20 servers, 30 days, OPT-logbook failure rates)",
@@ -237,9 +234,10 @@ pub fn renewable_gaps() -> Table {
     );
     // One gap rate per pool task; the ordered join keeps sweep order.
     let rows = ParPool::current().map_indexed(vec![0.0, 0.02, 0.10, 0.30], |_, rate| {
-        let chaos = ChaosConfig::none().with_intensity_gap(Fraction::saturating(rate));
-        let r =
-            fleet().run_with_chaos_and_intensity(&mut StdRng::seed_from_u64(SEED), &series, &chaos);
+        let scenario = Scenario::default()
+            .with_chaos(ChaosConfig::none().with_intensity_gap(Fraction::saturating(rate)))
+            .with_intensity(series.clone());
+        let r = fleet().simulate(&scenario, &mut StdRng::seed_from_u64(SEED));
         vec![
             format!("{:.0}%", rate * 100.0),
             r.intensity_gap_hours.to_string(),

@@ -1,6 +1,8 @@
 //! Observability smoke tests for the bench harness: the committed
-//! `figures_output.txt` tracks `figs::all()` exactly, and an obs-enabled
-//! run produces parseable exports covering every instrumented subsystem.
+//! `figures_output.txt`, `faults_output.txt` and `stream_output.txt` track
+//! `figs::all()`, `figs::faults::all()` and `figs::stream::all()` exactly,
+//! and an obs-enabled run produces parseable exports covering every
+//! instrumented subsystem.
 
 use sustain_bench::figs;
 
@@ -14,6 +16,38 @@ fn committed_figures_output_is_current() {
         actual == expected,
         "figures_output.txt is stale; regenerate with \
          `cargo run --release -p sustain-bench --bin all_figures > figures_output.txt`"
+    );
+}
+
+/// The committed fault-injection tables must match what `fig_faults`
+/// prints today.
+#[test]
+fn committed_faults_output_is_current() {
+    let expected = include_str!("../../../faults_output.txt");
+    let actual: String = figs::faults::all()
+        .iter()
+        .map(|t| format!("{t}\n"))
+        .collect();
+    assert!(
+        actual == expected,
+        "faults_output.txt is stale; regenerate with \
+         `cargo run --release -p sustain-bench --bin fig_faults > faults_output.txt`"
+    );
+}
+
+/// The committed streaming-ingestion tables must match what `fig_stream`
+/// prints today.
+#[test]
+fn committed_stream_output_is_current() {
+    let expected = include_str!("../../../stream_output.txt");
+    let actual: String = figs::stream::all()
+        .iter()
+        .map(|t| format!("{t}\n"))
+        .collect();
+    assert!(
+        actual == expected,
+        "stream_output.txt is stale; regenerate with \
+         `cargo run --release -p sustain-bench --bin fig_stream > stream_output.txt`"
     );
 }
 

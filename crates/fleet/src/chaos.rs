@@ -5,8 +5,9 @@
 //! corruption ([`WearoutModel`]) triggering job re-runs, gaps in the
 //! grid-intensity feed degrading market-based accounting, and telemetry
 //! faults ([`FaultPlan`]) corrupting the fleet's own power metering.
-//! [`crate::sim::FleetSim::run_with_chaos`] threads it through the hourly
-//! loop; [`ChaosConfig::none`] reproduces the undisturbed simulation exactly.
+//! [`crate::sim::Scenario::with_chaos`] hands it to a fleet simulation;
+//! [`ChaosConfig::none`], the default, reproduces the undisturbed
+//! simulation exactly.
 
 use serde::{Deserialize, Serialize};
 
@@ -86,9 +87,11 @@ impl ChaosConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `rate` is negative.
+    /// Panics if `rate` is negative, infinite or NaN: the crash process
+    /// would otherwise be dropped without a word. A fleet simulation makes
+    /// the same check on the public field before it runs.
     pub fn with_crash_rate(mut self, rate: f64) -> ChaosConfig {
-        assert!(rate >= 0.0, "crash rate must be non-negative");
+        assert_valid_crash_rate(rate);
         self.crash_rate_per_server_day = rate;
         self
     }
@@ -147,6 +150,14 @@ impl ChaosConfig {
             && self.intensity_gap == Fraction::ZERO
             && self.telemetry.is_none()
     }
+}
+
+/// Panics unless `rate` is a finite, non-negative crash rate per server-day.
+pub(crate) fn assert_valid_crash_rate(rate: f64) {
+    assert!(
+        rate.is_finite() && rate >= 0.0,
+        "crash rate must be non-negative and finite"
+    );
 }
 
 impl CacheKey for ChaosConfig {
@@ -234,5 +245,11 @@ mod tests {
     #[should_panic(expected = "crash rate must be non-negative")]
     fn rejects_negative_crash_rate() {
         let _ = ChaosConfig::none().with_crash_rate(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "crash rate must be non-negative and finite")]
+    fn rejects_infinite_crash_rate() {
+        let _ = ChaosConfig::none().with_crash_rate(f64::INFINITY);
     }
 }

@@ -7,6 +7,12 @@
 //! [`CarbonFootprint`] (operational under both accounting bases + amortized
 //! embodied carbon) plus queueing/utilization statistics.
 //!
+//! A [`Scenario`] holds what a run adds to the fleet: the chaos harness
+//! ([`ChaosConfig::none`] unless set) and an optional hourly intensity feed.
+//! [`FleetSim::simulate`] runs one scenario and
+//! [`FleetSim::simulate_replicas`] runs a Monte Carlo batch of it; both go
+//! through one event-driven core.
+//!
 //! The run loop sits on the [`sustain_des`] discrete-event engine: each
 //! simulated hour is a train of events at the hour boundary — `JobArrival`,
 //! `HostCrash`/`SdcDetected` (chaos runs only), `CheckpointTick` (progress
@@ -34,10 +40,10 @@ use sustain_telemetry::faults::{FaultInjector, ImputationPolicy};
 use sustain_telemetry::meter::FaultTolerantIntegrator;
 use sustain_workload::training::JobGenerator;
 
-use crate::autoscale::{AutoScaler, DiurnalLoad};
 use crate::chaos::ChaosConfig;
 use crate::cluster::Cluster;
 use crate::datacenter::DataCenter;
+use crate::scheduler::IntensitySeries;
 use crate::utilization::UtilizationModel;
 
 /// Seconds per simulated hour — the event-time granularity of the hourly
@@ -142,10 +148,10 @@ pub struct ReplicaSummary {
 }
 
 impl ReplicaSummary {
-    /// Reduces replica reports (e.g. from [`FleetSim::run_replicas`]).
+    /// Reduces replica reports (e.g. from [`FleetSim::simulate_replicas`]).
     /// Returns `None` for an empty batch.
     // lint:allow(obs-coverage) pure in-memory fold over at most a few hundred
-    // replica reports; the producing run_replicas span already brackets it
+    // replica reports; the producing simulate_replicas span already brackets it
     pub fn from_reports(reports: &[FleetSimReport]) -> Option<ReplicaSummary> {
         let first = reports.first()?;
         let n = reports.len() as f64;
@@ -168,6 +174,56 @@ impl ReplicaSummary {
             total_host_crashes: reports.iter().map(|r| r.host_crashes).sum(),
             total_sdc_events: reports.iter().map(|r| r.sdc_events).sum(),
         })
+    }
+}
+
+/// What a run adds to the fleet: the failure processes the chaos harness
+/// injects ([`ChaosConfig::none`] unless set) and, optionally, an hourly
+/// grid-intensity feed. Without a feed, energy is converted at the
+/// datacenter region's static intensity.
+#[derive(Debug, Clone, Default)]
+pub struct Scenario {
+    chaos: ChaosConfig,
+    intensity: Option<IntensitySeries>,
+}
+
+impl Scenario {
+    /// Injects `chaos`: host crashes (recovered via the configured
+    /// checkpoint policy — the recomputed GPU-hours are real extra energy
+    /// and carbon), wear-out SDC re-runs, intensity-feed gaps, and telemetry
+    /// faults on the fleet's power metering. [`ChaosConfig::none`]
+    /// reproduces the undisturbed run exactly.
+    #[must_use]
+    pub fn with_chaos(mut self, chaos: ChaosConfig) -> Scenario {
+        self.chaos = chaos;
+        self
+    }
+
+    /// Converts each hour's energy at that hour's intensity in `series`
+    /// (e.g. from [`crate::renewable::VariableIntensity`]), which is how
+    /// carbon-aware operation is actually accounted. Hours where the chaos
+    /// harness opens a feed gap fall back to the region's static intensity
+    /// and — because renewable matching cannot be proven without the feed —
+    /// are charged at full location intensity in the market basis.
+    #[must_use]
+    pub fn with_intensity(mut self, series: IntensitySeries) -> Scenario {
+        self.intensity = Some(series);
+        self
+    }
+}
+
+impl CacheKey for Scenario {
+    fn namespace(&self) -> &'static str {
+        "scenario"
+    }
+
+    /// Encodes the chaos config field by field, then the intensity series
+    /// by its value rendering (absence encoded distinctly).
+    fn encode_key(&self, enc: &mut KeyEncoder) {
+        self.chaos.encode_key(enc);
+        enc.write_option(self.intensity.as_ref(), |enc, series| {
+            enc.write_debug(series)
+        });
     }
 }
 
@@ -218,85 +274,31 @@ impl FleetSim {
         self
     }
 
-    /// Attaches a `sustain-cache` handle: [`FleetSim::run_replicas`] and
-    /// [`FleetSim::run_replicas_with_chaos`] then serve unchanged replicas
-    /// content-addressed by (simulation config, chaos config, derived
-    /// seed). Like the obs handle, the cache is orthogonal to the
-    /// simulation itself — a cached replica report is byte-for-byte the
-    /// report a fresh run would produce — and is excluded from the
-    /// [`CacheKey`] encoding.
+    /// Attaches a `sustain-cache` handle: [`FleetSim::simulate_replicas`]
+    /// then serves unchanged replicas content-addressed by (simulation
+    /// config, scenario, derived seed). Like the obs handle, the cache is
+    /// orthogonal to the simulation itself — a cached replica report is
+    /// byte-for-byte the report a fresh run would produce — and is excluded
+    /// from the [`CacheKey`] encoding.
     #[must_use]
     pub fn with_cache(mut self, cache: &Cache) -> FleetSim {
         self.cache = Some(cache.clone());
         self
     }
 
-    /// Runs the simulation under a *time-varying* grid intensity (e.g. from
-    /// [`crate::renewable::VariableIntensity`] or an
-    /// [`IntensitySeries`](crate::scheduler::IntensitySeries)): each hour's
-    /// energy is converted at that hour's intensity, which is how
-    /// carbon-aware operation is actually accounted.
-    pub fn run_with_intensity<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        series: &crate::scheduler::IntensitySeries,
-    ) -> FleetSimReport {
-        let (mut report, _, _) = self.run_event_driven(rng, Some(series), None, None);
-        report.operational_market = report.operational_location
-            * self
-                .datacenter
-                .account()
-                .renewable_matching()
-                .complement()
-                .value();
-        report
-    }
-
-    /// Runs the simulation over the horizon, one event-driven hour at a
-    /// time.
-    pub fn run<R: Rng + ?Sized>(&self, rng: &mut R) -> FleetSimReport {
-        self.run_event_driven(rng, None, None, None).0
-    }
-
-    /// Runs the simulation with a [`ChaosConfig`] injecting host crashes
-    /// (recovered via the configured checkpoint policy — the recomputed
-    /// GPU-hours are real extra energy and carbon), wear-out SDC re-runs,
-    /// and telemetry faults on the fleet's power metering.
+    /// Runs `scenario` over the horizon, one event-driven hour at a time.
     ///
-    /// `ChaosConfig::none()` reproduces [`FleetSim::run`] exactly.
-    pub fn run_with_chaos<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        chaos: &ChaosConfig,
-    ) -> FleetSimReport {
-        self.run_event_driven(rng, None, Some(chaos), None).0
+    /// # Panics
+    ///
+    /// Panics if the scenario's chaos crash rate is negative, infinite or
+    /// NaN (see [`ChaosConfig::with_crash_rate`]).
+    pub fn simulate<R: Rng + ?Sized>(&self, scenario: &Scenario, rng: &mut R) -> FleetSimReport {
+        self.simulate_with(rng, &scenario.chaos, scenario.intensity.as_ref())
     }
 
-    /// Chaos plus a time-varying intensity feed. Hours where the feed has a
-    /// gap fall back to the region's static average intensity and — because
-    /// renewable matching cannot be proven without the feed — are charged at
-    /// full location intensity in the market basis.
-    pub fn run_with_chaos_and_intensity<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        series: &crate::scheduler::IntensitySeries,
-        chaos: &ChaosConfig,
-    ) -> FleetSimReport {
-        let (mut report, gap_co2, _) = self.run_event_driven(rng, Some(series), Some(chaos), None);
-        let matched = report.operational_location - gap_co2;
-        report.operational_market = matched
-            * self
-                .datacenter
-                .account()
-                .renewable_matching()
-                .complement()
-                .value()
-            + gap_co2;
-        report
-    }
-
-    /// Runs `n` independent Monte Carlo replicas of this simulation on
-    /// [`ParPool::current`], one whole-sim replica per task.
+    /// Runs `n` independent Monte Carlo replicas of `scenario` on
+    /// [`ParPool::current`](sustain_par::ParPool::current), one whole-sim
+    /// replica per task.
     ///
     /// Replica `i` is seeded with [`sustain_par::task_seed`]`(base_seed, i)`
     /// and reports are joined in replica order, so the result is
@@ -304,43 +306,28 @@ impl FleetSim {
     /// records through its task's forked obs handle, not the handle captured
     /// at construction — parallel replicas must not interleave their span
     /// streams. Reduce the reports with [`ReplicaSummary::from_reports`].
-    pub fn run_replicas(&self, n: usize, base_seed: u64) -> Vec<FleetSimReport> {
-        self.run_replicas_with(n, base_seed, None)
-    }
-
-    /// [`FleetSim::run_replicas`] with the chaos harness enabled — the
-    /// Monte Carlo view of crash/SDC recovery cost.
-    pub fn run_replicas_with_chaos(
+    ///
+    /// # Panics
+    ///
+    /// Panics on the invalid crash rates [`FleetSim::simulate`] rejects.
+    pub fn simulate_replicas(
         &self,
+        scenario: &Scenario,
         n: usize,
         base_seed: u64,
-        chaos: &ChaosConfig,
-    ) -> Vec<FleetSimReport> {
-        self.run_replicas_with(n, base_seed, Some(chaos))
-    }
-
-    fn run_replicas_with(
-        &self,
-        n: usize,
-        base_seed: u64,
-        chaos: Option<&ChaosConfig>,
     ) -> Vec<FleetSimReport> {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         sustain_par::ParPool::current().map_seeded(n, base_seed, |_, seed| {
             let compute = || {
                 let replica = self.clone().with_obs(&sustain_obs::handle());
-                let mut rng = StdRng::seed_from_u64(seed);
-                match chaos {
-                    Some(chaos) => replica.run_with_chaos(&mut rng, chaos),
-                    None => replica.run(&mut rng),
-                }
+                replica.simulate(scenario, &mut StdRng::seed_from_u64(seed))
             };
             match &self.cache {
                 Some(cache) => cache.get_or_compute(
                     &ReplicaKey {
                         sim: self,
-                        chaos,
+                        scenario,
                         seed,
                     },
                     compute,
@@ -350,17 +337,47 @@ impl FleetSim {
         })
     }
 
+    /// [`FleetSim::simulate`] under `chaos` and the intensity feed `series`,
+    /// borrowed rather than copied into a [`Scenario`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on the invalid crash rates [`FleetSim::simulate`] rejects.
+    pub fn run_with_chaos_and_intensity<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        series: &IntensitySeries,
+        chaos: &ChaosConfig,
+    ) -> FleetSimReport {
+        self.simulate_with(rng, chaos, Some(series))
+    }
+
+    /// [`FleetSim::simulate_replicas`] under `chaos`, without an intensity
+    /// feed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the invalid crash rates [`FleetSim::simulate`] rejects.
+    pub fn run_replicas_with_chaos(
+        &self,
+        n: usize,
+        base_seed: u64,
+        chaos: &ChaosConfig,
+    ) -> Vec<FleetSimReport> {
+        self.simulate_replicas(&Scenario::default().with_chaos(*chaos), n, base_seed)
+    }
+
     /// Runs the retired hour-stepped loop, kept verbatim as the executable
     /// specification of the hourly-rollup adapter: for any seed, intensity
-    /// series, and chaos config, the event-driven [`FleetSim::run`] family
-    /// must reproduce this report byte-for-byte (see `tests/des_equivalence`
-    /// at the workspace root). Covers every public run flavour through the
-    /// optional arguments — `series` applies the market-basis gap formula
-    /// exactly as [`FleetSim::run_with_chaos_and_intensity`] does.
+    /// series, and chaos config, [`FleetSim::simulate`] must reproduce this
+    /// report byte-for-byte (see `tests/des_equivalence` at the workspace
+    /// root). `chaos: None` is the undisturbed loop, which a scenario with
+    /// [`ChaosConfig::none`] must reproduce; `series` applies the
+    /// market-basis gap formula.
     pub fn run_reference<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        series: Option<&crate::scheduler::IntensitySeries>,
+        series: Option<&IntensitySeries>,
         chaos: Option<&ChaosConfig>,
     ) -> FleetSimReport {
         let (mut report, gap_co2) = self.run_hourly(rng, series, chaos);
@@ -378,66 +395,10 @@ impl FleetSim {
         report
     }
 
-    /// Runs the simulation with an [`AutoScaler`] evaluating a diurnal web
-    /// tier every `cadence_hours`, riding the same event queue as the fleet
-    /// events. Decisions observe the fleet as of the previous hour's rollup
-    /// (an `AutoscaleDecision` at an hour boundary is scheduled long before
-    /// that hour's own events, so its sequence number sorts it first) and
-    /// draw no randomness, so the returned [`FleetSimReport`] is
-    /// byte-identical to [`FleetSim::run`] under the same seed — the
-    /// [`AutoscaleOutcome`] only accounts the opportunistic capacity the
-    /// scaler would free for training (§III-C).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cadence_hours` is zero.
-    pub fn run_with_autoscale<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        scaler: &AutoScaler,
-        load: &DiurnalLoad,
-        cadence_hours: u64,
-    ) -> (FleetSimReport, AutoscaleOutcome) {
-        assert!(cadence_hours > 0, "autoscale cadence must be positive");
-        let (report, _, outcome) = self.run_event_driven_with(
-            rng,
-            None,
-            None,
-            Some((*scaler, *load, cadence_hours)),
-            None,
-        );
-        let outcome = outcome.unwrap_or(AutoscaleOutcome {
-            decisions: 0,
-            mean_freed_share: Fraction::ZERO,
-            opportunistic_gpu_hours: 0.0,
-        });
-        (report, outcome)
-    }
-
-    /// Runs with a *scripted* crash schedule instead of the Poisson crash
-    /// process: each `(at_secs, victim)` entry schedules one `HostCrash`
-    /// event at an arbitrary event-time timestamp — mid-hour included —
-    /// whose victim is `victim % running.len()` at dispatch time. The
-    /// schedule draws no randomness, so the run's RNG stream is exactly
-    /// [`FleetSim::run`]'s; `chaos` contributes only its checkpoint policy
-    /// (recovery interval and progress overhead) and telemetry plan, never
-    /// its crash/SDC rates. This is the chaos suite's instrument for
-    /// proving that a crash landing mid-hour rolls up to the same recovered
-    /// GPU-hours as the hourly model.
-    pub fn run_with_scripted_crashes<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        chaos: &ChaosConfig,
-        crashes: &[(u64, usize)],
-    ) -> FleetSimReport {
-        self.run_event_driven_with(rng, None, Some(chaos), None, Some(crashes))
-            .0
-    }
-
     fn run_hourly<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        variable_intensity: Option<&crate::scheduler::IntensitySeries>,
+        variable_intensity: Option<&IntensitySeries>,
         chaos: Option<&ChaosConfig>,
     ) -> (FleetSimReport, Co2e) {
         let step = TimeSpan::from_hours(1.0);
@@ -685,80 +646,41 @@ impl FleetSim {
         (report, gap_co2)
     }
 
-    /// The event-driven run loop behind every public `run*` flavour: builds
-    /// a [`sustain_des::Engine`] whose event train replays the hour-stepped
+    /// The event-driven run loop behind every entry point: builds a
+    /// [`sustain_des::Engine`] whose event train replays the hour-stepped
     /// loop draw for draw (see the module docs for the per-hour event
     /// order), drains it, and rolls the accumulated state up into the same
     /// [`FleetSimReport`] the reference loop produces.
-    fn run_event_driven<R: Rng + ?Sized>(
+    fn simulate_with<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        variable_intensity: Option<&crate::scheduler::IntensitySeries>,
-        chaos: Option<&ChaosConfig>,
-        autoscale: Option<(AutoScaler, DiurnalLoad, u64)>,
-    ) -> (FleetSimReport, Co2e, Option<AutoscaleOutcome>) {
-        self.run_event_driven_with(rng, variable_intensity, chaos, autoscale, None)
-    }
-
-    fn run_event_driven_with<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        variable_intensity: Option<&crate::scheduler::IntensitySeries>,
-        chaos: Option<&ChaosConfig>,
-        autoscale: Option<(AutoScaler, DiurnalLoad, u64)>,
-        scripted_crashes: Option<&[(u64, usize)]>,
-    ) -> (FleetSimReport, Co2e, Option<AutoscaleOutcome>) {
+        chaos: &ChaosConfig,
+        variable_intensity: Option<&IntensitySeries>,
+    ) -> FleetSimReport {
+        crate::chaos::assert_valid_crash_rate(chaos.crash_rate_per_server_day);
         let step = TimeSpan::from_hours(1.0);
         let steps = self.horizon.as_hours().ceil() as usize;
         // lint:allow(panic-discipline) unreachable: `new` checks this exact λ
         let arrivals = Poisson::new(self.arrivals_per_day / 24.0).expect("positive arrival rate");
 
         // Chaos machinery — every piece is inert (no scheduled events, no
-        // RNG draws, exact ×1.0 derate) when `chaos` is absent or
-        // zero-rate, so the undisturbed simulation is reproduced
-        // bit-for-bit. A scripted crash schedule replaces the Poisson
-        // processes entirely.
+        // RNG draws, exact ×1.0 derate) under a zero-rate config, so the
+        // undisturbed simulation is reproduced bit-for-bit. A zero rate
+        // builds no Poisson process.
         let servers = self.cluster.servers() as f64;
-        let crash_dist = if scripted_crashes.is_some() {
-            None
-        } else {
-            chaos.and_then(|c| {
-                let per_hour = c.crash_rate_per_server_day * servers / 24.0;
-                (per_hour > 0.0)
-                    .then(|| Poisson::new(per_hour).ok())
-                    .flatten()
-            })
-        };
-        let sdc_dist = if scripted_crashes.is_some() {
-            None
-        } else {
-            chaos.and_then(|c| {
-                let per_hour = c.sdc_rate_per_server_hour() * servers;
-                (per_hour > 0.0)
-                    .then(|| Poisson::new(per_hour).ok())
-                    .flatten()
-            })
-        };
-        let progress_derate = match chaos {
-            Some(c) => 1.0 / (1.0 + c.checkpoint.overhead.value()),
-            None => 1.0,
-        };
-        let meter = chaos.and_then(|c| {
-            (!c.telemetry.is_none()).then(|| {
-                (
-                    FaultInjector::new(&c.telemetry, "fleet-power").with_obs(&self.obs),
-                    FaultTolerantIntegrator::new(step, ImputationPolicy::LastObservation),
-                )
-            })
+        let crash_dist = Poisson::new(chaos.crash_rate_per_server_day * servers / 24.0).ok();
+        let sdc_dist = Poisson::new(chaos.sdc_rate_per_server_hour() * servers).ok();
+        let meter = (!chaos.telemetry.is_none()).then(|| {
+            (
+                FaultInjector::new(&chaos.telemetry, "fleet-power").with_obs(&self.obs),
+                FaultTolerantIntegrator::new(step, ImputationPolicy::LastObservation),
+            )
         });
 
         let obs = &self.obs;
         obs.set_time(TimeSpan::ZERO);
         let run_span = obs.span("fleet_sim.run");
 
-        let has_crash = crash_dist.is_some();
-        let has_sdc = sdc_dist.is_some();
-        let has_autoscale = autoscale.is_some();
         let mut state = DesRun {
             sim: self,
             rng,
@@ -771,7 +693,7 @@ impl FleetSim {
             arrivals,
             crash_dist,
             sdc_dist,
-            progress_derate,
+            progress_derate: 1.0 / (1.0 + chaos.checkpoint.overhead.value()),
             meter,
             queue: VecDeque::new(),
             running: Vec::new(),
@@ -791,15 +713,6 @@ impl FleetSim {
             intensity_gap_hours: 0,
             gap_co2: Co2e::ZERO,
             jobs_arrived: 0,
-            scripted_crashes,
-            autoscale: autoscale.map(|(scaler, load, cadence_hours)| AutoscaleState {
-                scaler,
-                load,
-                cadence_hours,
-                decisions: 0,
-                freed_share_acc: 0.0,
-                opportunistic_gpu_hours: 0.0,
-            }),
         };
 
         let mut engine: Engine<'_, DesRun<'_, R>> = Engine::with_obs(obs);
@@ -809,26 +722,17 @@ impl FleetSim {
         engine.on(EventKind::CheckpointTick, des_checkpoint::<R>);
         engine.on(EventKind::JobCompletion, des_completion::<R>);
         engine.on(EventKind::IntensityTick, des_rollup::<R>);
-        engine.on(EventKind::AutoscaleDecision, des_autoscale::<R>);
 
         // Hour 0's head events; each hour's IntensityTick schedules the
         // next hour, so the queue drains exactly at the horizon.
         engine.schedule_at(0, Event::JobArrival { id: 0 });
-        if has_crash {
+        if state.crash_dist.is_some() {
             engine.schedule_at(0, Event::HostCrash { id: 0 });
         }
-        if has_sdc {
+        if state.sdc_dist.is_some() {
             engine.schedule_at(0, Event::SdcDetected { id: 0 });
         }
         engine.schedule_at(0, Event::CheckpointTick { id: 0 });
-        if has_autoscale {
-            engine.schedule_at(0, Event::AutoscaleDecision { id: 0 });
-        }
-        if let Some(script) = scripted_crashes {
-            for (k, (at, _)) in script.iter().enumerate() {
-                engine.schedule_at(*at, Event::HostCrash { id: k as u64 });
-            }
-        }
         engine.run(&mut state);
 
         obs.set_time(step * steps as f64);
@@ -852,31 +756,30 @@ impl FleetSim {
             * (self.horizon / self.cluster.sku().embodied().lifetime());
 
         let account = self.datacenter.account();
-        let operational_location = if variable_intensity.is_some() {
-            state.variable_co2
-        } else {
-            account.location_based(state.it_energy)
+        let (operational_location, operational_market) = match variable_intensity {
+            // Feed-gap hours were charged at the static location intensity
+            // and cannot be proven renewable-matched: only the rest is.
+            Some(_) => (
+                state.variable_co2,
+                (state.variable_co2 - state.gap_co2)
+                    * account.renewable_matching().complement().value()
+                    + state.gap_co2,
+            ),
+            None => (
+                account.location_based(state.it_energy),
+                account.market_based(state.it_energy),
+            ),
         };
-        let host_crashes = state.host_crashes;
         let quality = state.meter.map(|(inj, mut integ)| {
             integ.merge_faults(&inj.counts());
             let mut q = integ.report();
-            q.faults.host_crashes += host_crashes;
+            q.faults.host_crashes += state.host_crashes;
             q
         });
-        let outcome = state.autoscale.map(|a| AutoscaleOutcome {
-            decisions: a.decisions,
-            mean_freed_share: if a.decisions > 0 {
-                Fraction::saturating(a.freed_share_acc / a.decisions as f64)
-            } else {
-                Fraction::ZERO
-            },
-            opportunistic_gpu_hours: a.opportunistic_gpu_hours,
-        });
-        let report = FleetSimReport {
+        FleetSimReport {
             it_energy: state.it_energy,
             operational_location,
-            operational_market: account.market_based(state.it_energy),
+            operational_market,
             embodied,
             jobs_completed: state.completed,
             jobs_outstanding: (state.queue.len() + state.running.len()) as u64,
@@ -886,39 +789,13 @@ impl FleetSim {
             } else {
                 Fraction::ZERO
             },
-            host_crashes,
+            host_crashes: state.host_crashes,
             sdc_events: state.sdc_events,
             recomputed_gpu_hours: state.recomputed_gpu_hours,
             intensity_gap_hours: state.intensity_gap_hours,
             quality,
-        };
-        (report, state.gap_co2, outcome)
+        }
     }
-}
-
-/// What the auto-scaler riding the event queue would have freed for
-/// opportunistic training (§III-C). Deliberately not part of
-/// [`FleetSimReport`]: autoscale decisions observe the fleet but never
-/// mutate it, so the report stays byte-identical to [`FleetSim::run`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AutoscaleOutcome {
-    /// Number of `AutoscaleDecision` events evaluated.
-    pub decisions: u64,
-    /// Mean share of the web tier freed across decisions.
-    pub mean_freed_share: Fraction,
-    /// Freed capacity integrated over the horizon, in GPU-hours — the
-    /// opportunistic envelope available to offline training.
-    pub opportunistic_gpu_hours: f64,
-}
-
-/// Accumulator behind [`FleetSim::run_with_autoscale`].
-struct AutoscaleState {
-    scaler: AutoScaler,
-    load: DiurnalLoad,
-    cadence_hours: u64,
-    decisions: u64,
-    freed_share_acc: f64,
-    opportunistic_gpu_hours: f64,
 }
 
 /// Shared state threaded through the DES handlers: the simulation config,
@@ -928,8 +805,8 @@ struct AutoscaleState {
 struct DesRun<'a, R: Rng + ?Sized> {
     sim: &'a FleetSim,
     rng: &'a mut R,
-    series: Option<&'a crate::scheduler::IntensitySeries>,
-    chaos: Option<&'a ChaosConfig>,
+    series: Option<&'a IntensitySeries>,
+    chaos: &'a ChaosConfig,
     step: TimeSpan,
     steps: usize,
     total_gpus: f64,
@@ -957,8 +834,6 @@ struct DesRun<'a, R: Rng + ?Sized> {
     intensity_gap_hours: u64,
     gap_co2: Co2e,
     jobs_arrived: u64,
-    scripted_crashes: Option<&'a [(u64, usize)]>,
-    autoscale: Option<AutoscaleState>,
 }
 
 /// `JobArrival`: samples the hour's Poisson arrival batch, then places
@@ -1004,37 +879,12 @@ fn des_arrival<R: Rng + ?Sized>(
 /// an interval of progress lost on average, recomputed as real energy.
 fn des_host_crash<R: Rng + ?Sized>(
     state: &mut DesRun<'_, R>,
-    event: Event,
+    _event: Event,
     _timeline: &mut Timeline,
 ) {
     let obs = state.sim.obs.clone();
     let _phase = obs.span("fleet_sim.chaos_recovery");
-    let interval_hours = match state.chaos {
-        Some(c) => c.checkpoint.interval.as_hours(),
-        None => return,
-    };
-    // A scripted crash: one event per script entry, victim chosen by the
-    // script (mod the running set), no RNG draws at all.
-    if let Some(script) = state.scripted_crashes {
-        state.host_crashes += 1;
-        if state.running.is_empty() {
-            return; // the crash hit an idle server
-        }
-        let scripted_victim = script
-            .get(event.id() as usize)
-            .map(|(_, victim)| *victim)
-            .unwrap_or(0);
-        let victim = scripted_victim % state.running.len();
-        if let Some(job) = state.running.get_mut(victim) {
-            let done = (job.total_gpu_hours - job.remaining_gpu_hours).max(0.0);
-            let rate = job.gpus as f64 * job.utilization.value() * state.progress_derate;
-            let lost = (0.5 * interval_hours * rate).min(done);
-            job.remaining_gpu_hours += lost;
-            state.recomputed_gpu_hours += lost;
-            obs.event("chaos.crash", &[("lost_gpu_hours", lost.into())]);
-        }
-        return;
-    }
+    let interval_hours = state.chaos.checkpoint.interval.as_hours();
     let count = match &state.crash_dist {
         Some(dist) => dist.sample_count(&mut *state.rng),
         None => return,
@@ -1061,10 +911,7 @@ fn des_host_crash<R: Rng + ?Sized>(
 fn des_sdc<R: Rng + ?Sized>(state: &mut DesRun<'_, R>, _event: Event, _timeline: &mut Timeline) {
     let obs = state.sim.obs.clone();
     let _phase = obs.span("fleet_sim.chaos_recovery");
-    let rerun = match state.chaos {
-        Some(c) => c.sdc_rerun.value(),
-        None => return,
-    };
+    let rerun = state.chaos.sdc_rerun.value();
     let count = match &state.sdc_dist {
         Some(dist) => dist.sample_count(&mut *state.rng),
         None => return,
@@ -1169,10 +1016,8 @@ fn des_rollup<R: Rng + ?Sized>(state: &mut DesRun<'_, R>, event: Event, timeline
     if let Some(series) = state.series {
         let account = state.sim.datacenter.account();
         let facility = account.pue().facility_energy(hour_energy);
-        let chaos = state.chaos;
-        let feed_gap = chaos.is_some_and(|c| {
-            c.intensity_gap > Fraction::ZERO && state.rng.gen_bool(c.intensity_gap.value())
-        });
+        let gap = state.chaos.intensity_gap;
+        let feed_gap = gap > Fraction::ZERO && state.rng.gen_bool(gap.value());
         if feed_gap {
             // Feed missing: fall back to the region's static average
             // intensity; the hour cannot be renewably matched.
@@ -1200,43 +1045,6 @@ fn des_rollup<R: Rng + ?Sized>(state: &mut DesRun<'_, R>, event: Event, timeline
     }
 }
 
-/// `AutoscaleDecision`: evaluates the diurnal web tier at event time and
-/// accounts the capacity an [`AutoScaler`] would free for opportunistic
-/// training. Observes the fleet, never mutates it, draws no randomness.
-fn des_autoscale<R: Rng + ?Sized>(
-    state: &mut DesRun<'_, R>,
-    event: Event,
-    timeline: &mut Timeline,
-) {
-    let obs = state.sim.obs.clone();
-    let total_gpus = state.total_gpus;
-    let horizon_secs = state.steps as u64 * SECS_PER_HOUR;
-    let Some(auto) = state.autoscale.as_mut() else {
-        return;
-    };
-    let now = timeline.now();
-    let utilization = auto.load.utilization_at(TimeSpan::from_secs(now as f64));
-    let freed = auto.scaler.freed_share_at(utilization);
-    auto.decisions += 1;
-    auto.freed_share_acc += freed.value();
-    // The freed share holds until the next decision (or the horizon).
-    let window_hours = auto
-        .cadence_hours
-        .min((horizon_secs.saturating_sub(now)) / SECS_PER_HOUR) as f64;
-    auto.opportunistic_gpu_hours += freed.value() * total_gpus * window_hours;
-    obs.event(
-        "fleet_sim.autoscale",
-        &[
-            ("freed_share", freed.value().into()),
-            ("epoch", event.id().into()),
-        ],
-    );
-    let at = now.saturating_add(auto.cadence_hours * SECS_PER_HOUR);
-    if at < horizon_secs {
-        timeline.schedule_at(at, Event::AutoscaleDecision { id: event.id() + 1 });
-    }
-}
-
 impl CacheKey for FleetSim {
     fn namespace(&self) -> &'static str {
         "fleet-sim"
@@ -1256,15 +1064,14 @@ impl CacheKey for FleetSim {
     }
 }
 
-/// Cache key of one Monte Carlo replica: the simulation config, the chaos
-/// config (absence encoded distinctly from `ChaosConfig::none()`), and the
-/// replica's derived seed. Because [`sustain_par::task_seed`] is a pure
-/// function of (base seed, replica index), a replica keeps its fingerprint
-/// when the batch grows or shrinks around it — shrinking `n` re-serves a
-/// strict prefix of the cached batch.
+/// Cache key of one Monte Carlo replica: the simulation config, the whole
+/// scenario, and the replica's derived seed. Because
+/// [`sustain_par::task_seed`] is a pure function of (base seed, replica
+/// index), a replica keeps its fingerprint when the batch grows or shrinks
+/// around it — shrinking `n` re-serves a strict prefix of the cached batch.
 struct ReplicaKey<'a> {
     sim: &'a FleetSim,
-    chaos: Option<&'a ChaosConfig>,
+    scenario: &'a Scenario,
     seed: u64,
 }
 
@@ -1275,7 +1082,7 @@ impl CacheKey for ReplicaKey<'_> {
 
     fn encode_key(&self, enc: &mut KeyEncoder) {
         self.sim.encode_key(enc);
-        enc.write_option(self.chaos, |enc, chaos| chaos.encode_key(enc));
+        self.scenario.encode_key(enc);
         enc.write_u64(self.seed);
     }
 }
@@ -1339,7 +1146,7 @@ mod tests {
     #[test]
     fn busy_fleet_completes_jobs_and_burns_energy() {
         let mut rng = StdRng::seed_from_u64(1);
-        let report = sim(50, 40.0, 30.0).run(&mut rng);
+        let report = sim(50, 40.0, 30.0).simulate(&Scenario::default(), &mut rng);
         assert!(
             report.jobs_completed > 100,
             "completed {}",
@@ -1354,16 +1161,16 @@ mod tests {
     #[test]
     fn embodied_scales_with_horizon() {
         let mut rng = StdRng::seed_from_u64(2);
-        let short = sim(10, 10.0, 10.0).run(&mut rng);
+        let short = sim(10, 10.0, 10.0).simulate(&Scenario::default(), &mut rng);
         let mut rng = StdRng::seed_from_u64(2);
-        let long = sim(10, 10.0, 40.0).run(&mut rng);
+        let long = sim(10, 10.0, 40.0).simulate(&Scenario::default(), &mut rng);
         assert!((long.embodied / short.embodied - 4.0).abs() < 1e-9);
     }
 
     #[test]
     fn mean_busy_utilization_matches_fig10_band() {
         let mut rng = StdRng::seed_from_u64(3);
-        let report = sim(50, 40.0, 30.0).run(&mut rng);
+        let report = sim(50, 40.0, 30.0).simulate(&Scenario::default(), &mut rng);
         let u = report.mean_busy_utilization.value();
         assert!((0.3..0.5).contains(&u), "mean busy utilization {u}");
     }
@@ -1372,7 +1179,7 @@ mod tests {
     fn overloaded_fleet_builds_backlog() {
         let mut rng = StdRng::seed_from_u64(4);
         // 2 servers (16 GPUs) with 100 jobs/day: hopeless backlog.
-        let report = sim(2, 100.0, 10.0).run(&mut rng);
+        let report = sim(2, 100.0, 10.0).simulate(&Scenario::default(), &mut rng);
         assert!(report.jobs_outstanding > 50);
         assert!(report.mean_allocation.value() > 0.9);
     }
@@ -1381,7 +1188,7 @@ mod tests {
     fn idle_fleet_still_draws_energy() {
         let mut rng = StdRng::seed_from_u64(5);
         // Tiny arrival rate: fleet nearly idle but idle power accrues.
-        let report = sim(20, 0.05, 10.0).run(&mut rng);
+        let report = sim(20, 0.05, 10.0).simulate(&Scenario::default(), &mut rng);
         assert!(report.mean_allocation.value() < 0.3);
         // 20 servers × 420 W idle × 240 h ≈ 2 MWh floor.
         assert!(report.it_energy.as_megawatt_hours() > 1.5);
@@ -1390,7 +1197,7 @@ mod tests {
     #[test]
     fn footprint_combines_bases() {
         let mut rng = StdRng::seed_from_u64(6);
-        let report = sim(10, 10.0, 10.0).run(&mut rng);
+        let report = sim(10, 10.0, 10.0).simulate(&Scenario::default(), &mut rng);
         let loc = report.footprint(AccountingBasis::LocationBased);
         let market = report.footprint(AccountingBasis::MarketBased);
         assert!(loc.total() > market.total());
@@ -1411,8 +1218,11 @@ mod tests {
                 CarbonIntensity::from_grams_per_kwh(config_intensity_g());
                 200
             ]);
-        let a = config.run_with_intensity(&mut StdRng::seed_from_u64(9), &flat);
-        let b = sim(10, 10.0, 5.0).run(&mut StdRng::seed_from_u64(9));
+        let a = config.simulate(
+            &Scenario::default().with_intensity(flat),
+            &mut StdRng::seed_from_u64(9),
+        );
+        let b = sim(10, 10.0, 5.0).simulate(&Scenario::default(), &mut StdRng::seed_from_u64(9));
         assert!(
             (a.operational_location.as_grams() - b.operational_location.as_grams()).abs()
                 < b.operational_location.as_grams() * 1e-9,
@@ -1422,7 +1232,10 @@ mod tests {
         assert!(a.operational_market.is_zero());
 
         let solar = IntensitySeries::solar_day(6);
-        let c = sim(10, 10.0, 5.0).run_with_intensity(&mut StdRng::seed_from_u64(9), &solar);
+        let c = sim(10, 10.0, 5.0).simulate(
+            &Scenario::default().with_intensity(solar),
+            &mut StdRng::seed_from_u64(9),
+        );
         let lo = c.it_energy.as_kilowatt_hours() * 1.1 * 100.0;
         let hi = c.it_energy.as_kilowatt_hours() * 1.1 * 600.0;
         let got = c.operational_location.as_grams();
@@ -1438,18 +1251,20 @@ mod tests {
 
     #[test]
     fn deterministic_under_fixed_seed() {
-        let a = sim(10, 10.0, 5.0).run(&mut StdRng::seed_from_u64(7));
-        let b = sim(10, 10.0, 5.0).run(&mut StdRng::seed_from_u64(7));
+        let a = sim(10, 10.0, 5.0).simulate(&Scenario::default(), &mut StdRng::seed_from_u64(7));
+        let b = sim(10, 10.0, 5.0).simulate(&Scenario::default(), &mut StdRng::seed_from_u64(7));
         assert_eq!(a, b);
     }
 
     #[test]
-    fn zero_chaos_reproduces_undisturbed_run_exactly() {
-        use crate::chaos::ChaosConfig;
-        let plain = sim(10, 10.0, 5.0).run(&mut StdRng::seed_from_u64(7));
-        let chaotic =
-            sim(10, 10.0, 5.0).run_with_chaos(&mut StdRng::seed_from_u64(7), &ChaosConfig::none());
-        assert_eq!(plain, chaotic, "ChaosConfig::none() must be a strict no-op");
+    #[should_panic(expected = "crash rate must be non-negative and finite")]
+    fn nan_crash_rate_field_is_rejected_before_the_run() {
+        let mut chaos = crate::chaos::ChaosConfig::none();
+        chaos.crash_rate_per_server_day = f64::NAN;
+        sim(10, 10.0, 5.0).simulate(
+            &Scenario::default().with_chaos(chaos),
+            &mut StdRng::seed_from_u64(7),
+        );
     }
 
     #[test]
@@ -1462,8 +1277,12 @@ mod tests {
                 crate::lifetime::WearoutModel::fleet_processor(),
                 TimeSpan::from_years(8.0),
             );
-        let plain = sim(20, 20.0, 30.0).run(&mut StdRng::seed_from_u64(11));
-        let chaotic = sim(20, 20.0, 30.0).run_with_chaos(&mut StdRng::seed_from_u64(11), &chaos);
+        let plain =
+            sim(20, 20.0, 30.0).simulate(&Scenario::default(), &mut StdRng::seed_from_u64(11));
+        let chaotic = sim(20, 20.0, 30.0).simulate(
+            &Scenario::default().with_chaos(chaos),
+            &mut StdRng::seed_from_u64(11),
+        );
         assert!(
             chaotic.host_crashes > 50,
             "crashes {}",
@@ -1487,7 +1306,10 @@ mod tests {
         use sustain_telemetry::faults::FaultPlan;
         let chaos = ChaosConfig::none()
             .with_telemetry(FaultPlan::degraded().with_seed(3).with_dropout(0.2));
-        let report = sim(10, 10.0, 30.0).run_with_chaos(&mut StdRng::seed_from_u64(13), &chaos);
+        let report = sim(10, 10.0, 30.0).simulate(
+            &Scenario::default().with_chaos(chaos),
+            &mut StdRng::seed_from_u64(13),
+        );
         let q = report.quality.expect("telemetry plan attaches quality");
         assert!(q.coverage().value() < 1.0, "coverage {}", q.coverage());
         assert!(q.imputed_energy > Energy::ZERO);
@@ -1499,7 +1321,8 @@ mod tests {
         assert!(err > 0.0, "degraded metering cannot be exact");
         // The chaos-free simulation state (jobs, true energy) is untouched:
         // the injector draws from its own stream.
-        let plain = sim(10, 10.0, 30.0).run(&mut StdRng::seed_from_u64(13));
+        let plain =
+            sim(10, 10.0, 30.0).simulate(&Scenario::default(), &mut StdRng::seed_from_u64(13));
         assert_eq!(plain.it_energy, report.it_energy);
         assert_eq!(plain.jobs_completed, report.jobs_completed);
     }
@@ -1510,15 +1333,13 @@ mod tests {
         use crate::scheduler::IntensitySeries;
         let series = IntensitySeries::solar_day(6);
         let chaos = ChaosConfig::none().with_intensity_gap(Fraction::saturating(0.3));
-        let clean = sim(10, 10.0, 30.0).run_with_chaos_and_intensity(
+        let clean = sim(10, 10.0, 30.0).simulate(
+            &Scenario::default().with_intensity(series.clone()),
             &mut StdRng::seed_from_u64(17),
-            &series,
-            &ChaosConfig::none(),
         );
-        let gappy = sim(10, 10.0, 30.0).run_with_chaos_and_intensity(
+        let gappy = sim(10, 10.0, 30.0).simulate(
+            &Scenario::default().with_chaos(chaos).with_intensity(series),
             &mut StdRng::seed_from_u64(17),
-            &series,
-            &chaos,
         );
         assert_eq!(clean.intensity_gap_hours, 0);
         assert!(
@@ -1535,9 +1356,9 @@ mod tests {
     #[test]
     fn chaos_run_is_deterministic() {
         use crate::chaos::ChaosConfig;
-        let chaos = ChaosConfig::datacenter_default();
-        let a = sim(10, 10.0, 10.0).run_with_chaos(&mut StdRng::seed_from_u64(23), &chaos);
-        let b = sim(10, 10.0, 10.0).run_with_chaos(&mut StdRng::seed_from_u64(23), &chaos);
+        let chaos = Scenario::default().with_chaos(ChaosConfig::datacenter_default());
+        let a = sim(10, 10.0, 10.0).simulate(&chaos, &mut StdRng::seed_from_u64(23));
+        let b = sim(10, 10.0, 10.0).simulate(&chaos, &mut StdRng::seed_from_u64(23));
         assert_eq!(a, b);
     }
 
@@ -1546,9 +1367,9 @@ mod tests {
         use sustain_par::ParPool;
         let fleet = sim(10, 10.0, 5.0);
         ParPool::set_threads(1);
-        let serial = fleet.run_replicas(6, 29);
+        let serial = fleet.simulate_replicas(&Scenario::default(), 6, 29);
         ParPool::set_threads(4);
-        let parallel = fleet.run_replicas(6, 29);
+        let parallel = fleet.simulate_replicas(&Scenario::default(), 6, 29);
         ParPool::set_threads(0);
         assert_eq!(serial, parallel);
         assert_eq!(serial.len(), 6);
@@ -1558,7 +1379,10 @@ mod tests {
             "replicas all identical — seed derivation is broken"
         );
         // Each replica matches a direct run under its derived seed.
-        let direct = fleet.run(&mut StdRng::seed_from_u64(sustain_par::task_seed(29, 2)));
+        let direct = fleet.simulate(
+            &Scenario::default(),
+            &mut StdRng::seed_from_u64(sustain_par::task_seed(29, 2)),
+        );
         assert_eq!(serial[2], direct);
     }
 
@@ -1566,7 +1390,11 @@ mod tests {
     fn replica_summary_reduces_deterministically() {
         use crate::chaos::ChaosConfig;
         let fleet = sim(10, 10.0, 5.0);
-        let reports = fleet.run_replicas_with_chaos(4, 7, &ChaosConfig::datacenter_default());
+        let reports = fleet.simulate_replicas(
+            &Scenario::default().with_chaos(ChaosConfig::datacenter_default()),
+            4,
+            7,
+        );
         let summary = ReplicaSummary::from_reports(&reports).expect("non-empty batch");
         assert_eq!(summary.replicas, 4);
         assert!(summary.min_it_energy <= summary.mean_it_energy);

@@ -1,12 +1,12 @@
 //! Differential tests for cached Monte Carlo replicas and the
-//! `ReplicaSummary` / `run_replicas` edge cases PR 4 left open.
+//! `ReplicaSummary` / `simulate_replicas` edge cases.
 //!
 //! The contract: attaching a [`Cache`] to a [`FleetSim`] must be
 //! *invisible* in every report — cached and uncached batches compare equal
 //! with `PartialEq` (exact f64 equality), at any thread count, across
-//! handle reuse, and under chaos. Replica keys derive from (config, chaos,
-//! per-index seed), so shrinking a batch re-serves a strict prefix and
-//! growing one only computes the new tail.
+//! handle reuse, and under chaos. Replica keys derive from (config,
+//! scenario, per-index seed), so shrinking a batch re-serves a strict prefix
+//! and growing one only computes the new tail.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,7 +17,8 @@ use sustain_core::units::{Power, TimeSpan};
 use sustain_fleet::chaos::ChaosConfig;
 use sustain_fleet::cluster::Cluster;
 use sustain_fleet::datacenter::DataCenter;
-use sustain_fleet::sim::{FleetSim, ReplicaSummary};
+use sustain_fleet::scheduler::IntensitySeries;
+use sustain_fleet::sim::{FleetSim, ReplicaSummary, Scenario};
 use sustain_fleet::utilization::UtilizationModel;
 use sustain_workload::training::{JobClass, JobGenerator};
 
@@ -35,9 +36,11 @@ fn sim() -> FleetSim {
 #[test]
 fn zero_replicas_is_empty_everywhere() {
     let cache = Cache::in_memory();
-    let reports = sim().run_replicas(0, 17);
+    let reports = sim().simulate_replicas(&Scenario::default(), 0, 17);
     assert!(reports.is_empty());
-    let cached = sim().with_cache(&cache).run_replicas(0, 17);
+    let cached = sim()
+        .with_cache(&cache)
+        .simulate_replicas(&Scenario::default(), 0, 17);
     assert!(cached.is_empty());
     assert_eq!((cache.hits(), cache.misses()), (0, 0));
     assert!(ReplicaSummary::from_reports(&reports).is_none());
@@ -47,16 +50,19 @@ fn zero_replicas_is_empty_everywhere() {
 fn single_replica_matches_direct_run_and_hits_when_warm() {
     let cache = Cache::in_memory();
     let fleet = sim().with_cache(&cache);
-    let cold = fleet.run_replicas(1, 23);
+    let cold = fleet.simulate_replicas(&Scenario::default(), 1, 23);
     assert_eq!(cold.len(), 1);
     assert_eq!((cache.hits(), cache.misses()), (0, 1));
 
     // The cached single replica equals a direct, cache-free run under the
     // derived seed.
-    let direct = sim().run(&mut StdRng::seed_from_u64(sustain_par::task_seed(23, 0)));
+    let direct = sim().simulate(
+        &Scenario::default(),
+        &mut StdRng::seed_from_u64(sustain_par::task_seed(23, 0)),
+    );
     assert_eq!(cold[0], direct);
 
-    let warm = fleet.run_replicas(1, 23);
+    let warm = fleet.simulate_replicas(&Scenario::default(), 1, 23);
     assert_eq!(warm, cold);
     assert_eq!((cache.hits(), cache.misses()), (1, 1));
 
@@ -70,10 +76,10 @@ fn single_replica_matches_direct_run_and_hits_when_warm() {
 fn shrinking_a_cached_batch_serves_a_strict_prefix() {
     let cache = Cache::in_memory();
     let fleet = sim().with_cache(&cache);
-    let six = fleet.run_replicas(6, 29);
+    let six = fleet.simulate_replicas(&Scenario::default(), 6, 29);
     assert_eq!((cache.hits(), cache.misses()), (0, 6));
 
-    let four = fleet.run_replicas(4, 29);
+    let four = fleet.simulate_replicas(&Scenario::default(), 4, 29);
     assert_eq!(four.as_slice(), &six[..4], "shrunk batch must be a prefix");
     assert_eq!(
         (cache.hits(), cache.misses()),
@@ -86,10 +92,10 @@ fn shrinking_a_cached_batch_serves_a_strict_prefix() {
 fn growing_a_cached_batch_computes_only_the_tail() {
     let cache = Cache::in_memory();
     let fleet = sim().with_cache(&cache);
-    let four = fleet.run_replicas(4, 31);
+    let four = fleet.simulate_replicas(&Scenario::default(), 4, 31);
     assert_eq!((cache.hits(), cache.misses()), (0, 4));
 
-    let seven = fleet.run_replicas(7, 31);
+    let seven = fleet.simulate_replicas(&Scenario::default(), 7, 31);
     assert_eq!(&seven[..4], four.as_slice());
     assert_eq!(
         (cache.hits(), cache.misses()),
@@ -97,7 +103,7 @@ fn growing_a_cached_batch_computes_only_the_tail() {
         "growing 4 -> 7 must hit the cached prefix and compute 3 new replicas"
     );
     // The uncached batch agrees exactly.
-    assert_eq!(seven, sim().run_replicas(7, 31));
+    assert_eq!(seven, sim().simulate_replicas(&Scenario::default(), 7, 31));
 }
 
 #[test]
@@ -106,9 +112,9 @@ fn cached_batches_are_thread_count_independent() {
     let cache = Cache::in_memory();
     let fleet = sim().with_cache(&cache);
     ParPool::set_threads(1);
-    let serial = fleet.run_replicas(5, 37);
+    let serial = fleet.simulate_replicas(&Scenario::default(), 5, 37);
     ParPool::set_threads(4);
-    let parallel = fleet.run_replicas(5, 37);
+    let parallel = fleet.simulate_replicas(&Scenario::default(), 5, 37);
     ParPool::set_threads(0);
     assert_eq!(serial, parallel);
     assert_eq!(
@@ -122,27 +128,34 @@ fn cached_batches_are_thread_count_independent() {
 fn chaos_batches_cache_by_config() {
     let cache = Cache::in_memory();
     let fleet = sim().with_cache(&cache);
-    let chaos = ChaosConfig::datacenter_default();
-    let a = fleet.run_replicas_with_chaos(3, 41, &chaos);
+    let chaos = Scenario::default().with_chaos(ChaosConfig::datacenter_default());
+    let a = fleet.simulate_replicas(&chaos, 3, 41);
     assert_eq!((cache.hits(), cache.misses()), (0, 3));
 
     // Same chaos config: all hits, equal to the uncached batch.
-    let b = fleet.run_replicas_with_chaos(3, 41, &chaos);
+    let b = fleet.simulate_replicas(&chaos, 3, 41);
     assert_eq!(a, b);
-    assert_eq!(a, sim().run_replicas_with_chaos(3, 41, &chaos));
+    assert_eq!(a, sim().simulate_replicas(&chaos, 3, 41));
     assert_eq!((cache.hits(), cache.misses()), (3, 3));
 
     // No chaos at all under the same seeds: different keys, no stale
     // cross-service from the chaos entries.
-    let plain = fleet.run_replicas(3, 41);
+    let plain = fleet.simulate_replicas(&Scenario::default(), 3, 41);
     assert_eq!((cache.hits(), cache.misses()), (3, 6));
-    assert_eq!(plain, sim().run_replicas(3, 41));
+    assert_eq!(plain, sim().simulate_replicas(&Scenario::default(), 3, 41));
 
-    // Zero-rate chaos behaves like no chaos but still addresses its own
-    // entries (keyed on configuration, not behavioral equivalence).
-    let zero = fleet.run_replicas_with_chaos(3, 41, &ChaosConfig::none());
-    assert_eq!((cache.hits(), cache.misses()), (3, 9));
+    // Zero-rate chaos is the default scenario, so it is served from the
+    // plain batch's entries.
+    let zero = fleet.simulate_replicas(&Scenario::default().with_chaos(ChaosConfig::none()), 3, 41);
+    assert_eq!((cache.hits(), cache.misses()), (6, 6));
     assert_eq!(zero, plain, "ChaosConfig::none() must reproduce plain runs");
+
+    // An intensity feed is part of the scenario: its own entries again.
+    let solar = Scenario::default().with_intensity(IntensitySeries::solar_day(2));
+    let fed = fleet.simulate_replicas(&solar, 3, 41);
+    assert_eq!((cache.hits(), cache.misses()), (6, 9));
+    assert_eq!(fed, sim().simulate_replicas(&solar, 3, 41));
+    assert_ne!(fed, plain, "the feed must change the accounting");
 }
 
 #[test]
@@ -151,14 +164,18 @@ fn disk_cached_replicas_round_trip_exactly() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let cold_cache = Cache::at_dir(&dir).expect("cache dir");
-    let cold = sim().with_cache(&cold_cache).run_replicas(3, 43);
+    let cold = sim()
+        .with_cache(&cold_cache)
+        .simulate_replicas(&Scenario::default(), 3, 43);
     assert_eq!((cold_cache.hits(), cold_cache.misses()), (0, 3));
 
     // A fresh handle on the same directory sees only the disk layer, so
     // equality here proves the serde round-trip is exact (PartialEq over
     // every f64 field).
     let warm_cache = Cache::at_dir(&dir).expect("cache dir");
-    let warm = sim().with_cache(&warm_cache).run_replicas(3, 43);
+    let warm = sim()
+        .with_cache(&warm_cache)
+        .simulate_replicas(&Scenario::default(), 3, 43);
     assert_eq!(warm, cold);
     assert_eq!((warm_cache.hits(), warm_cache.misses()), (3, 0));
 

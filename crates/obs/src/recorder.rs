@@ -199,7 +199,7 @@ impl Obs {
 
     /// Advances the clock by `units` deterministic work units (one unit =
     /// one simulated second). Instrumented hot loops call this so spans on
-    /// a [`SimClock`](crate::clock::SimClock) acquire durations that count
+    /// a [`SimClock`] acquire durations that count
     /// *work done* instead of wall time — the basis of the work-counter
     /// profiles in `sustain-prof`, byte-identical across thread counts.
     /// Ignored by wall clocks, a no-op on disabled handles.

@@ -14,9 +14,9 @@
 //!
 //! The pass runs in two phases over the same token substrate:
 //!
-//! 1. **Line rules** ([`rules`]) scan the sanitized code channel of each
+//! 1. **Line rules** (`rules`) scan the sanitized code channel of each
 //!    line ([`sanitize::split_lines`]) with simple lexical state.
-//! 2. **Graph rules** ([`rules_graph`]) run over an *item graph* parsed
+//! 2. **Graph rules** (`rules_graph`) run over an *item graph* parsed
 //!    from the full token stream ([`lexer`] → [`items`]): structs with
 //!    field lists, impl blocks with method names, `use` imports, and fn
 //!    bodies as token spans. They relate items across files — a `CacheKey`

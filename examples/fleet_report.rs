@@ -13,7 +13,7 @@ use sustainai::core::intensity::{AccountingBasis, GridRegion};
 use sustainai::core::units::{Power, TimeSpan};
 use sustainai::fleet::cluster::Cluster;
 use sustainai::fleet::datacenter::DataCenter;
-use sustainai::fleet::sim::FleetSim;
+use sustainai::fleet::sim::{FleetSim, Scenario};
 use sustainai::fleet::utilization::UtilizationModel;
 use sustainai::workload::training::{JobClass, JobGenerator};
 
@@ -30,7 +30,7 @@ fn main() -> Result<(), sustainai::core::Error> {
         80.0, // research workflows arriving per day
         TimeSpan::from_days(30.0),
     );
-    let report = sim.run(&mut StdRng::seed_from_u64(2024));
+    let report = sim.simulate(&Scenario::default(), &mut StdRng::seed_from_u64(2024));
 
     println!("30-day research fleet simulation (100 GPU servers, 800 GPUs)");
     println!("  IT energy:            {}", report.it_energy);

@@ -3,7 +3,7 @@
 //! Provides the [`proptest!`] macro over a seeded deterministic generator:
 //! each property runs for a fixed number of cases (default 64, override with
 //! the `PROPTEST_CASES` environment variable), with inputs drawn from
-//! [`Strategy`] implementations for numeric ranges, tuples, `any::<T>()`, and
+//! [`Strategy`](strategy::Strategy) implementations for numeric ranges, tuples, `any::<T>()`, and
 //! [`collection::vec`]. `prop_assert!`/`prop_assert_eq!` panic on failure
 //! like plain assertions; `prop_assume!` skips the current case.
 //!

@@ -13,7 +13,7 @@ use sustainai::core::pue::Pue;
 use sustainai::core::units::{Co2e, Energy, Fraction, Power, TimeSpan};
 use sustainai::fleet::cluster::Cluster;
 use sustainai::fleet::datacenter::DataCenter;
-use sustainai::fleet::sim::FleetSim;
+use sustainai::fleet::sim::{FleetSim, Scenario};
 use sustainai::fleet::utilization::UtilizationModel;
 use sustainai::telemetry::device::{DeviceSpec, PowerModel};
 use sustainai::telemetry::meter::sample_profile;
@@ -66,7 +66,7 @@ fn fleet_sim_energy_is_bounded_by_power_envelope() {
         30.0,
         TimeSpan::from_days(days),
     );
-    let report = sim.run(&mut StdRng::seed_from_u64(77));
+    let report = sim.simulate(&Scenario::default(), &mut StdRng::seed_from_u64(77));
     // Energy can never exceed every server at peak for the whole horizon,
     // nor drop below every server idle.
     let peak = cluster.power_at(Fraction::ONE) * TimeSpan::from_days(days);
@@ -85,7 +85,7 @@ fn market_based_fleet_footprint_is_pure_embodied() {
         10.0,
         TimeSpan::from_days(7.0),
     );
-    let report = sim.run(&mut StdRng::seed_from_u64(78));
+    let report = sim.simulate(&Scenario::default(), &mut StdRng::seed_from_u64(78));
     let fp = report.footprint(AccountingBasis::MarketBased);
     assert!(fp.operational().is_zero());
     assert!(fp.embodied() > Co2e::ZERO);
@@ -105,7 +105,7 @@ fn regional_placement_changes_location_based_only() {
             20.0,
             TimeSpan::from_days(7.0),
         );
-        sim.run(&mut StdRng::seed_from_u64(79))
+        sim.simulate(&Scenario::default(), &mut StdRng::seed_from_u64(79))
     };
     let nordic = run(GridRegion::Nordic);
     let india = run(GridRegion::India);

@@ -12,12 +12,16 @@ use sustainai::edge::fl::FlApp;
 use sustainai::fleet::chaos::ChaosConfig;
 use sustainai::fleet::cluster::Cluster;
 use sustainai::fleet::datacenter::DataCenter;
-use sustainai::fleet::sim::FleetSim;
+use sustainai::fleet::sim::{FleetSim, Scenario};
 use sustainai::fleet::utilization::UtilizationModel;
 use sustainai::obs::{Obs, ObsConfig};
 use sustainai::workload::training::{JobClass, JobGenerator};
 
 const SEED: u64 = 0x0B5_DE7;
+
+fn chaos() -> Scenario {
+    Scenario::default().with_chaos(ChaosConfig::datacenter_default())
+}
 
 fn sim() -> FleetSim {
     FleetSim::new(
@@ -35,10 +39,9 @@ fn sim() -> FleetSim {
 /// into a fresh sim-clocked recording.
 fn instrumented_run() -> Obs {
     let obs = ObsConfig::enabled().build();
-    let report = sim().with_obs(&obs).run_with_chaos(
-        &mut StdRng::seed_from_u64(SEED),
-        &ChaosConfig::datacenter_default(),
-    );
+    let report = sim()
+        .with_obs(&obs)
+        .simulate(&chaos(), &mut StdRng::seed_from_u64(SEED));
     assert!(report.it_energy.as_joules() > 0.0);
     let log = FlApp::fl1().simulate_with_obs(&mut StdRng::seed_from_u64(SEED), &obs);
     assert!(!log.is_empty());
@@ -60,14 +63,10 @@ fn instrumentation_does_not_perturb_results() {
     // The same seeded simulation must produce identical reports whether it
     // records into an enabled handle or the default disabled one.
     let obs = ObsConfig::enabled().build();
-    let with = sim().with_obs(&obs).run_with_chaos(
-        &mut StdRng::seed_from_u64(SEED),
-        &ChaosConfig::datacenter_default(),
-    );
-    let without = sim().run_with_chaos(
-        &mut StdRng::seed_from_u64(SEED),
-        &ChaosConfig::datacenter_default(),
-    );
+    let with = sim()
+        .with_obs(&obs)
+        .simulate(&chaos(), &mut StdRng::seed_from_u64(SEED));
+    let without = sim().simulate(&chaos(), &mut StdRng::seed_from_u64(SEED));
     assert_eq!(format!("{with:?}"), format!("{without:?}"));
 
     let traced = FlApp::fl2().simulate_with_obs(&mut StdRng::seed_from_u64(SEED), &obs);
@@ -77,10 +76,7 @@ fn instrumentation_does_not_perturb_results() {
 
 #[test]
 fn disabled_handle_records_nothing() {
-    let report = sim().run_with_chaos(
-        &mut StdRng::seed_from_u64(SEED),
-        &ChaosConfig::datacenter_default(),
-    );
+    let report = sim().simulate(&chaos(), &mut StdRng::seed_from_u64(SEED));
     assert!(report.it_energy.as_joules() > 0.0);
     let obs = sustainai::obs::handle();
     assert!(!obs.enabled());

@@ -11,7 +11,7 @@ use sustainai::core::intensity::GridRegion;
 use sustainai::core::units::{Power, TimeSpan};
 use sustainai::fleet::cluster::Cluster;
 use sustainai::fleet::datacenter::DataCenter;
-use sustainai::fleet::sim::{FleetSim, ReplicaSummary};
+use sustainai::fleet::sim::{FleetSim, ReplicaSummary, Scenario};
 use sustainai::fleet::utilization::UtilizationModel;
 use sustainai::obs::ObsConfig;
 use sustainai::par::{task_seed, ParPool};
@@ -109,15 +109,18 @@ fn thread_count_never_leaks_into_recordings_or_replicas() {
     let fleet = sim();
     for base_seed in [SEED_A, SEED_B] {
         ParPool::set_threads(1);
-        let serial = fleet.run_replicas(5, base_seed);
+        let serial = fleet.simulate_replicas(&Scenario::default(), 5, base_seed);
         ParPool::set_threads(4);
-        let parallel = fleet.run_replicas(5, base_seed);
+        let parallel = fleet.simulate_replicas(&Scenario::default(), 5, base_seed);
         ParPool::set_threads(0);
         assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
 
         // Any single replica is reproducible in isolation from its derived
         // seed — scheduling cannot have touched the RNG streams.
-        let direct = fleet.run(&mut StdRng::seed_from_u64(task_seed(base_seed, 3)));
+        let direct = fleet.simulate(
+            &Scenario::default(),
+            &mut StdRng::seed_from_u64(task_seed(base_seed, 3)),
+        );
         assert_eq!(format!("{:?}", serial[3]), format!("{direct:?}"));
 
         let reduced = ReplicaSummary::from_reports(&serial).expect("non-empty batch");

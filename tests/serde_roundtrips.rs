@@ -95,7 +95,7 @@ fn fleet_sim_report_round_trips() {
     use sustainai::core::intensity::GridRegion;
     use sustainai::fleet::cluster::Cluster;
     use sustainai::fleet::datacenter::DataCenter;
-    use sustainai::fleet::sim::FleetSim;
+    use sustainai::fleet::sim::{FleetSim, Scenario};
     use sustainai::fleet::utilization::UtilizationModel;
     use sustainai::workload::training::{JobClass, JobGenerator};
 
@@ -107,6 +107,6 @@ fn fleet_sim_report_round_trips() {
         5.0,
         TimeSpan::from_days(3.0),
     );
-    let report = sim.run(&mut StdRng::seed_from_u64(5));
+    let report = sim.simulate(&Scenario::default(), &mut StdRng::seed_from_u64(5));
     round_trip(&report);
 }
