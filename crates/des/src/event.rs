@@ -14,11 +14,10 @@ pub type Timestamp = u64;
 ///
 /// Every variant carries a single free-form `id` payload; its meaning is
 /// defined by the system that registers for the kind (an hour index for
-/// periodic ticks, a job identifier for per-job events, an epoch counter
-/// for autoscaler evaluations). The derived `Ord` is only there so the
-/// event can ride inside the heap tuple — ordering is decided by
-/// `(timestamp, seq)` alone, and `seq` is unique, so the event component
-/// never breaks a tie.
+/// periodic ticks, a job identifier for per-job events). The derived `Ord`
+/// is only there so the event can ride inside the heap tuple — ordering is
+/// decided by `(timestamp, seq)` alone, and `seq` is unique, so the event
+/// component never breaks a tie.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Event {
     /// A job (or a batch-arrival process tick) enters the system.
@@ -51,11 +50,6 @@ pub enum Event {
         /// System-defined payload (feed sample index).
         id: u64,
     },
-    /// An autoscaler evaluation point.
-    AutoscaleDecision {
-        /// System-defined payload (decision epoch).
-        id: u64,
-    },
 }
 
 impl Event {
@@ -68,7 +62,6 @@ impl Event {
             Event::HostCrash { .. } => EventKind::HostCrash,
             Event::SdcDetected { .. } => EventKind::SdcDetected,
             Event::IntensityTick { .. } => EventKind::IntensityTick,
-            Event::AutoscaleDecision { .. } => EventKind::AutoscaleDecision,
         }
     }
 
@@ -80,8 +73,7 @@ impl Event {
             | Event::CheckpointTick { id }
             | Event::HostCrash { id }
             | Event::SdcDetected { id }
-            | Event::IntensityTick { id }
-            | Event::AutoscaleDecision { id } => *id,
+            | Event::IntensityTick { id } => *id,
         }
     }
 }
@@ -101,8 +93,6 @@ pub enum EventKind {
     SdcDetected,
     /// [`Event::IntensityTick`].
     IntensityTick,
-    /// [`Event::AutoscaleDecision`].
-    AutoscaleDecision,
 }
 
 impl EventKind {
@@ -114,27 +104,19 @@ impl EventKind {
         EventKind::HostCrash,
         EventKind::SdcDetected,
         EventKind::IntensityTick,
-        EventKind::AutoscaleDecision,
     ];
 
     /// Number of kinds — the length of the handler dispatch array.
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 6;
 
-    /// The kind's slot in the handler dispatch array.
+    /// The kind's slot in the handler dispatch array: its declaration
+    /// position, which is also its position in [`EventKind::ALL`].
     ///
     /// An explicit array index (not a hash) so registration and dispatch
     /// order never depend on hasher state — the property the workspace's
     /// `determinism-taint` lint enforces for simulation crates.
     pub fn index(self) -> usize {
-        match self {
-            EventKind::JobArrival => 0,
-            EventKind::JobCompletion => 1,
-            EventKind::CheckpointTick => 2,
-            EventKind::HostCrash => 3,
-            EventKind::SdcDetected => 4,
-            EventKind::IntensityTick => 5,
-            EventKind::AutoscaleDecision => 6,
-        }
+        self as usize
     }
 
     /// A static label for observability attributes and counters.
@@ -146,7 +128,6 @@ impl EventKind {
             EventKind::HostCrash => "host_crash",
             EventKind::SdcDetected => "sdc_detected",
             EventKind::IntensityTick => "intensity_tick",
-            EventKind::AutoscaleDecision => "autoscale_decision",
         }
     }
 
@@ -159,7 +140,6 @@ impl EventKind {
             EventKind::HostCrash => "des_events_host_crash_total",
             EventKind::SdcDetected => "des_events_sdc_detected_total",
             EventKind::IntensityTick => "des_events_intensity_tick_total",
-            EventKind::AutoscaleDecision => "des_events_autoscale_decision_total",
         }
     }
 }
@@ -184,7 +164,6 @@ mod tests {
             Event::HostCrash { id: 4 },
             Event::SdcDetected { id: 5 },
             Event::IntensityTick { id: 6 },
-            Event::AutoscaleDecision { id: 7 },
         ];
         for (event, kind) in events.iter().zip(EventKind::ALL) {
             assert_eq!(event.kind(), kind);

@@ -11,9 +11,9 @@
 //! time instead of hour boundaries. This crate is the engine under that
 //! migration:
 //!
-//! * [`Event`] — the workspace's event taxonomy (job arrivals/completions,
-//!   checkpoint ticks, host crashes, SDC detections, intensity-feed ticks,
-//!   autoscaler decisions), each carrying one free-form `id` payload whose
+//! * [`Event`] — the workspace's event taxonomy, six kinds (job
+//!   arrivals/completions, checkpoint ticks, host crashes, SDC detections,
+//!   intensity-feed ticks), each carrying one free-form `id` payload whose
 //!   meaning is defined by the registering system.
 //! * [`Engine`] — a `BinaryHeap<Reverse<(timestamp, seq, Event)>>` priority
 //!   queue with a monotone sequence number for stable tie-breaking, plus

@@ -327,13 +327,13 @@ impl StreamPipeline {
     /// # Panics
     ///
     /// Panics if any of `shards`, `queue_capacity`, `reorder_capacity`, or
-    /// `flush_every` is zero, or if `interval` is non-positive.
+    /// `flush_every` is zero, or if `interval` is not positive and finite.
     pub fn new(config: StreamConfig) -> StreamPipeline {
         assert!(config.shards > 0, "shard count must be positive");
         assert!(config.flush_every > 0, "flush_every must be positive");
         assert!(
-            config.interval.as_secs() > 0.0,
-            "sampling interval must be positive"
+            config.interval.is_finite() && config.interval.as_secs() > 0.0,
+            "sampling interval must be positive and finite"
         );
         let shards = (0..config.shards)
             .map(|_| Shard {
@@ -916,6 +916,15 @@ mod tests {
     fn zero_shards_rejected() {
         let _ = StreamPipeline::new(StreamConfig {
             shards: 0,
+            ..StreamConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "interval must be positive and finite")]
+    fn infinite_interval_rejected() {
+        let _ = StreamPipeline::new(StreamConfig {
+            interval: TimeSpan::from_secs(f64::INFINITY),
             ..StreamConfig::default()
         });
     }

@@ -72,7 +72,7 @@ impl EstimationError {
 ///
 /// # Panics
 ///
-/// Panics if `step` or `duration` is not positive.
+/// Panics if `step` or `duration` is not positive and finite.
 pub fn validate_estimator<M, F>(
     device: &M,
     tdp: Power,
@@ -85,8 +85,8 @@ where
     M: PowerModel + ?Sized,
     F: FnMut(TimeSpan) -> Fraction,
 {
-    assert!(step.as_secs() > 0.0, "step must be positive");
-    assert!(duration.as_secs() > 0.0, "duration must be positive");
+    crate::meter::assert_positive_finite(step, "step");
+    crate::meter::assert_positive_finite(duration, "duration");
     let mut metered = Energy::ZERO;
     let mut estimated = Energy::ZERO;
     let mut t = TimeSpan::ZERO;

@@ -64,49 +64,6 @@ impl EnergyIntegrator {
         true
     }
 
-    /// Pushes a whole batch of samples, returning how many were accepted.
-    ///
-    /// Byte-identical to calling [`EnergyIntegrator::push`] per element —
-    /// the trapezoid terms accumulate in the same order with the same
-    /// intermediate expressions — but contiguous in-order runs are integrated
-    /// by a tight loop that hoists the ordering check to one scan per run.
-    pub fn push_batch(&mut self, samples: &[(TimeSpan, Power)]) -> usize {
-        let mut accepted = 0;
-        let mut i = 0;
-        while i < samples.len() {
-            let Some((t0, p0)) = self.last else {
-                // First-ever sample: seed via the scalar path.
-                accepted += usize::from(self.push(samples[i].0, samples[i].1));
-                i += 1;
-                continue;
-            };
-            // Maximal in-order run starting at i, relative to the running
-            // last-accepted timestamp.
-            let mut j = i;
-            let mut prev = t0;
-            while j < samples.len() && samples[j].0 >= prev {
-                prev = samples[j].0;
-                j += 1;
-            }
-            if j == i {
-                self.rejected += 1;
-                i += 1;
-                continue;
-            }
-            let (mut lt, mut lp) = (t0, p0);
-            for &(at, p) in &samples[i..j] {
-                self.energy += (lp + p) * 0.5 * (at - lt);
-                lt = at;
-                lp = p;
-            }
-            self.last = Some((lt, lp));
-            self.samples += j - i;
-            accepted += j - i;
-            i = j;
-        }
-        accepted
-    }
-
     /// Total integrated energy so far.
     pub fn energy(&self) -> Energy {
         self.energy
@@ -191,12 +148,9 @@ impl FaultTolerantIntegrator {
     ///
     /// # Panics
     ///
-    /// Panics if `interval` is non-positive.
+    /// Panics if `interval` is not positive and finite.
     pub fn new(interval: TimeSpan, policy: ImputationPolicy) -> FaultTolerantIntegrator {
-        assert!(
-            interval.as_secs() > 0.0,
-            "sampling interval must be positive"
-        );
+        assert_positive_finite(interval, "sampling interval");
         FaultTolerantIntegrator {
             interval,
             policy,
@@ -233,36 +187,17 @@ impl FaultTolerantIntegrator {
         self.push_inner(at, sample, Some(obs))
     }
 
-    /// Pushes a whole batch of sampling ticks, returning how many observed
-    /// samples were accepted (lost ticks count as handled but not accepted,
-    /// mirroring [`FaultTolerantIntegrator::push`]'s `true` on `None`).
+    /// Pushes a batch of observed readings, returning how many were
+    /// accepted. A lost tick goes through [`FaultTolerantIntegrator::push`]
+    /// with `None` between batches.
     ///
-    /// The batch is split into maximal *clean runs* — consecutive observed
-    /// samples whose timestamps are in order and whose spacing stays within
-    /// the gap limit — and each run is integrated by a tight trapezoid loop
-    /// with no fault/imputation branching. Every boundary sample (lost tick,
-    /// out-of-order timestamp, or gap) falls back to the scalar path, so
-    /// fault tallies, imputation, and the measured/imputed split are
-    /// byte-identical to pushing the same ticks one at a time.
-    pub fn push_batch(&mut self, samples: &[(TimeSpan, Option<Power>)]) -> usize {
-        self.push_batch_inner(samples, None)
-    }
-
-    /// [`FaultTolerantIntegrator::push_batch`] with observability: boundary
-    /// samples route through the traced scalar path, so gap/rejection events
-    /// and counters fire exactly as they would per sample. Clean runs emit
-    /// nothing — there is nothing fault-shaped to report.
-    pub fn push_batch_traced(&mut self, samples: &[(TimeSpan, Option<Power>)], obs: &Obs) -> usize {
-        self.push_batch_inner(samples, Some(obs))
-    }
-
-    /// [`FaultTolerantIntegrator::push_batch`] for a batch of observed
-    /// readings only — the columnar fast path for callers (e.g. the stream
-    /// pipeline's per-sink flush batches) whose batches carry no lost-tick
-    /// tombstones, so every entry is a plain 16-byte `(time, power)` pair
-    /// with no `Option` discriminant to load or test per sample. Tallies,
-    /// imputation, and float results are bitwise identical to pushing each
-    /// sample as `(at, Some(power))` in order.
+    /// The batch is split into maximal *clean runs* — consecutive samples
+    /// in time order whose spacing stays within the gap limit — and each run
+    /// is integrated by a tight trapezoid loop with no fault or imputation
+    /// branching. Every boundary sample (out-of-order timestamp or gap)
+    /// falls back to the scalar path, so fault tallies, imputation, and the
+    /// measured/imputed split are bitwise identical to pushing each sample
+    /// as `(at, Some(power))` in order, however the stream is cut.
     pub fn push_batch_observed(&mut self, samples: &[(TimeSpan, Power)]) -> usize {
         let gap_limit = self.interval * crate::constants::GAP_DETECTION_FACTOR;
         let mut accepted = 0;
@@ -295,71 +230,10 @@ impl FaultTolerantIntegrator {
                 i += 1;
                 continue;
             }
-            // Same clean-run kernel as `push_batch`: per-sample order and
+            // Clean-run kernel: per-sample order and `push_inner`'s
             // expression shape, so float results are bitwise identical.
             let (mut lt, mut lp) = (t0, p0);
             for &(at, p) in &samples[i..j] {
-                self.measured += (lp + p) * 0.5 * (at - lt);
-                lt = at;
-                lp = p;
-            }
-            let n = (j - i) as u64;
-            self.expected += n;
-            self.observed += n;
-            self.last = Some((lt, lp));
-            accepted += j - i;
-            i = j;
-        }
-        accepted
-    }
-
-    fn push_batch_inner(
-        &mut self,
-        samples: &[(TimeSpan, Option<Power>)],
-        obs: Option<&Obs>,
-    ) -> usize {
-        let gap_limit = self.interval * crate::constants::GAP_DETECTION_FACTOR;
-        let mut accepted = 0;
-        let mut i = 0;
-        while i < samples.len() {
-            let Some((t0, p0)) = self.last else {
-                // No prior sample: the first push seeds `last` and integrates
-                // nothing, so run it through the scalar path.
-                let (at, sample) = samples[i];
-                let ok = self.push_inner(at, sample, obs);
-                accepted += usize::from(ok && sample.is_some());
-                i += 1;
-                continue;
-            };
-            // Maximal clean run starting at i: observed, in-order, within
-            // the gap limit of the running previous timestamp.
-            let mut j = i;
-            let mut prev = t0;
-            while j < samples.len() {
-                match samples[j] {
-                    (at, Some(_)) if at >= prev && at - prev <= gap_limit => {
-                        prev = at;
-                        j += 1;
-                    }
-                    _ => break,
-                }
-            }
-            if j == i {
-                // Boundary: lost tick, out-of-order, or gap — scalar path
-                // keeps tallies, imputation, and obs events identical.
-                let (at, sample) = samples[i];
-                let ok = self.push_inner(at, sample, obs);
-                accepted += usize::from(ok && sample.is_some());
-                i += 1;
-                continue;
-            }
-            // Clean-run kernel: pure trapezoid accumulation in per-sample
-            // order (same expression shape as `push_inner`, so the float
-            // results are bitwise identical), with the per-sample counter
-            // updates collapsed into one batched update.
-            let (mut lt, mut lp) = (t0, p0);
-            for &(at, sample) in &samples[i..j] {
-                let p = sample.unwrap_or(lp); // run is all-observed by construction
                 self.measured += (lp + p) * 0.5 * (at - lt);
                 lt = at;
                 lp = p;
@@ -490,7 +364,7 @@ impl FaultTolerantIntegrator {
 ///
 /// # Panics
 ///
-/// Panics if `interval` or `duration` is non-positive.
+/// Panics if `interval` or `duration` is not positive and finite.
 pub fn sample_profile<M, F>(
     model: &M,
     mut utilization: F,
@@ -501,11 +375,8 @@ where
     M: PowerModel + ?Sized,
     F: FnMut(TimeSpan) -> Fraction,
 {
-    assert!(
-        interval.as_secs() > 0.0,
-        "sampling interval must be positive"
-    );
-    assert!(duration.as_secs() > 0.0, "duration must be positive");
+    assert_positive_finite(interval, "sampling interval");
+    assert_positive_finite(duration, "duration");
     let mut trace = PowerTrace::new();
     let mut t = TimeSpan::ZERO;
     while t < duration {
@@ -514,6 +385,16 @@ where
     }
     trace.push(duration, model.power(utilization(duration)));
     trace
+}
+
+/// Panics with "`what` must be positive and finite" unless `span` is: an
+/// infinite interval hides every gap, an infinite duration never ends.
+#[track_caller]
+pub(crate) fn assert_positive_finite(span: TimeSpan, what: &str) {
+    assert!(
+        span.is_finite() && span.as_secs() > 0.0,
+        "{what} must be positive and finite"
+    );
 }
 
 #[cfg(test)]
@@ -620,6 +501,27 @@ mod tests {
             |_| Fraction::ZERO,
             TimeSpan::from_secs(1.0),
             TimeSpan::ZERO,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "duration must be positive and finite")]
+    fn profile_rejects_infinite_duration() {
+        let model = DeviceSpec::V100.power_model();
+        let _ = sample_profile(
+            &model,
+            |_| Fraction::ZERO,
+            TimeSpan::from_secs(f64::INFINITY),
+            TimeSpan::from_secs(1.0),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "interval must be positive and finite")]
+    fn fault_tolerant_rejects_infinite_interval() {
+        let _ = FaultTolerantIntegrator::new(
+            TimeSpan::from_secs(f64::INFINITY),
+            ImputationPolicy::LastObservation,
         );
     }
 
@@ -752,6 +654,28 @@ mod tests {
         ticks
     }
 
+    /// Feeds `ticks` the way the stream pipeline does: observed readings
+    /// in `push_batch_observed` batches of at most `chunk`, and each lost
+    /// tick through `push(at, None)` between batches. Returns how many
+    /// observed samples were accepted.
+    fn push_in_batches(
+        m: &mut FaultTolerantIntegrator,
+        ticks: &[(TimeSpan, Option<Power>)],
+        chunk: usize,
+    ) -> usize {
+        let mut accepted = 0;
+        for run in ticks.split_inclusive(|&(_, s)| s.is_none()) {
+            let observed: Vec<_> = run.iter().filter_map(|&(t, s)| Some((t, s?))).collect();
+            for batch in observed.chunks(chunk) {
+                accepted += m.push_batch_observed(batch);
+            }
+            if let Some(&(at, None)) = run.last() {
+                m.push(at, None);
+            }
+        }
+        accepted
+    }
+
     #[test]
     fn batch_is_byte_identical_to_per_sample_for_any_split() {
         let ticks = adversarial_ticks();
@@ -762,14 +686,11 @@ mod tests {
                 accepted_ref += 1;
             }
         }
-        // Whole-slice batch, plus every chunk size from degenerate to large:
+        // Whole-run batches, plus every chunk size from degenerate to large:
         // run boundaries must be invariant to how the stream is batched.
         for chunk in [1, 2, 3, 7, 64, ticks.len()] {
             let mut batched = ft(ImputationPolicy::Linear);
-            let mut accepted = 0;
-            for part in ticks.chunks(chunk) {
-                accepted += batched.push_batch(part);
-            }
+            let accepted = push_in_batches(&mut batched, &ticks, chunk);
             assert_eq!(batched, reference, "chunk size {chunk}");
             assert_eq!(accepted, accepted_ref, "chunk size {chunk}");
             assert_eq!(
@@ -799,43 +720,13 @@ mod tests {
             for &(at, s) in &ticks {
                 reference.push(at, s);
             }
-            for part in ticks.chunks(5) {
-                batched.push_batch(part);
-            }
+            push_in_batches(&mut batched, &ticks, 5);
             assert_eq!(batched, reference, "{policy:?}");
         }
     }
 
     #[test]
-    fn plain_push_batch_matches_per_sample() {
-        let samples: Vec<(TimeSpan, Power)> = (0..100)
-            .map(|i| {
-                let t = if i % 19 == 4 {
-                    i as f64 - 3.0
-                } else {
-                    i as f64
-                };
-                (TimeSpan::from_secs(t), Power::from_watts(50.0 + i as f64))
-            })
-            .collect();
-        let mut reference = EnergyIntegrator::new();
-        for &(at, p) in &samples {
-            reference.push(at, p);
-        }
-        for chunk in [1, 4, samples.len()] {
-            let mut batched = EnergyIntegrator::new();
-            let mut accepted = 0;
-            for part in samples.chunks(chunk) {
-                accepted += batched.push_batch(part);
-            }
-            assert_eq!(batched, reference, "chunk size {chunk}");
-            assert_eq!(accepted, reference.samples(), "chunk size {chunk}");
-        }
-        assert!(reference.rejected() > 0, "stream must exercise rejections");
-    }
-
-    #[test]
-    fn batch_traced_fires_boundary_obs_events() {
+    fn push_traced_fires_gap_and_rejection_events() {
         use sustain_obs::ObsConfig;
         let obs = ObsConfig::enabled().build();
         let mut m = ft(ImputationPolicy::Linear);
@@ -845,7 +736,9 @@ mod tests {
             (TimeSpan::from_secs(6.0), Some(Power::from_watts(100.0))), // gap
             (TimeSpan::from_secs(2.0), Some(Power::from_watts(100.0))), // out of order
         ];
-        m.push_batch_traced(&ticks, &obs);
+        for (at, sample) in ticks {
+            m.push_traced(at, sample, &obs);
+        }
         assert!((obs.counter("meter_imputed_gaps_total").value() - 1.0).abs() < 1e-12);
         assert!((obs.counter("meter_rejected_samples_total").value() - 1.0).abs() < 1e-12);
         assert_eq!(

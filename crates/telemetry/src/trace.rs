@@ -5,9 +5,9 @@
 //! the exchange format between the telemetry layer and the fleet simulator.
 //!
 //! Storage is columnar (structure-of-arrays): timestamps and powers live in
-//! two parallel `Vec`s so the batched integration kernel
-//! ([`PowerTrace::push_batch`], [`crate::meter`]) can append whole validated
-//! runs with two contiguous `extend`s and scan a single column without
+//! two parallel `Vec`s so the batched append
+//! ([`PowerTrace::push_batch_observed`]) can add whole in-order runs with
+//! two contiguous `extend`s and scans read a single column without
 //! striding over interleaved pairs. The public API still speaks
 //! `(TimeSpan, Power)` pairs, and the serialized form is unchanged.
 
@@ -16,6 +16,7 @@ use serde::{Deserialize, Serialize};
 use sustain_core::units::{Energy, Power, TimeSpan};
 
 use crate::faults::ImputationPolicy;
+use crate::meter::assert_positive_finite;
 
 /// The result of [`PowerTrace::fill_gaps`]: the gap-filled trace plus an
 /// accounting of how much energy the fill invented.
@@ -72,31 +73,15 @@ impl PowerTrace {
         true
     }
 
-    /// Appends a batch of sampling ticks: `Some(power)` entries are recorded,
-    /// `None` (lost-tick) entries are skipped — a lost tick has nothing to
-    /// record; the integrator, not the trace, accounts for it. Contiguous
-    /// runs of observed, in-order samples are appended columnar with two
-    /// `extend`s; out-of-order samples are rejected and tallied exactly as
-    /// [`PowerTrace::push`] would. Returns the number of samples appended.
-    pub fn push_batch(&mut self, samples: &[(TimeSpan, Option<Power>)]) -> usize {
-        self.push_batch_inner(samples, true)
-    }
-
-    /// [`PowerTrace::push_batch`] for a batch whose out-of-order entries
-    /// the caller has *already accounted* (e.g. a pipeline whose monotone
-    /// integrator tallied them as rejected before mirroring the batch into
-    /// the trace): they are skipped here without touching
-    /// [`PowerTrace::rejected`], so the tally is not double-counted.
-    /// Returns the number of samples appended.
-    pub fn push_batch_vetted(&mut self, samples: &[(TimeSpan, Option<Power>)]) -> usize {
-        self.push_batch_inner(samples, false)
-    }
-
-    /// [`PowerTrace::push_batch_vetted`] for a batch of observed readings
-    /// only: plain `(time, power)` pairs with no lost-tick tombstones and
-    /// no per-sample `Option` discriminant. Out-of-order entries are
-    /// skipped without tallying, exactly as in the vetted path. Returns
-    /// the number of samples appended.
+    /// Appends a batch of observed readings, returning the number
+    /// appended. Contiguous in-order runs are appended columnar with two
+    /// `extend`s.
+    ///
+    /// Out-of-order entries are skipped *without* touching
+    /// [`PowerTrace::rejected`]: the caller (the stream pipeline) has
+    /// already tallied them as rejections by the integrator this trace
+    /// mirrors, so counting them here would count them twice. Use
+    /// [`PowerTrace::push`] for a tallied per-sample append.
     pub fn push_batch_observed(&mut self, samples: &[(TimeSpan, Power)]) -> usize {
         let mut appended = 0;
         let mut i = 0;
@@ -121,41 +106,6 @@ impl PowerTrace {
             let run = &samples[i..j];
             self.times.extend(run.iter().map(|&(t, _)| t));
             self.powers.extend(run.iter().map(|&(_, p)| p));
-            appended += j - i;
-            i = j;
-        }
-        appended
-    }
-
-    fn push_batch_inner(&mut self, samples: &[(TimeSpan, Option<Power>)], tally: bool) -> usize {
-        let mut appended = 0;
-        let mut i = 0;
-        while i < samples.len() {
-            let (at, sample) = samples[i];
-            if sample.is_none() {
-                i += 1;
-                continue;
-            }
-            if self.times.last().is_some_and(|&last| at < last) {
-                self.rejected += u64::from(tally);
-                i += 1;
-                continue;
-            }
-            // Maximal clean run: observed samples in non-decreasing order.
-            let mut j = i + 1;
-            let mut prev = at;
-            while j < samples.len() {
-                match samples[j] {
-                    (t, Some(_)) if t >= prev => {
-                        prev = t;
-                        j += 1;
-                    }
-                    _ => break,
-                }
-            }
-            let run = &samples[i..j];
-            self.times.extend(run.iter().map(|&(t, _)| t));
-            self.powers.extend(run.iter().filter_map(|&(_, p)| p));
             appended += j - i;
             i = j;
         }
@@ -258,9 +208,9 @@ impl PowerTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `interval` is non-positive.
+    /// Panics if `interval` is not positive and finite.
     pub fn resample(&self, interval: TimeSpan) -> PowerTrace {
-        assert!(interval.as_secs() > 0.0, "interval must be positive");
+        assert_positive_finite(interval, "interval");
         let mut out = PowerTrace::new();
         let (Some(&start), Some(&end)) = (self.times.first(), self.times.last()) else {
             return out;
@@ -301,9 +251,9 @@ impl PowerTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `interval` is non-positive.
+    /// Panics if `interval` is not positive and finite.
     pub fn fill_gaps(&self, interval: TimeSpan, policy: ImputationPolicy) -> GapFill {
-        assert!(interval.as_secs() > 0.0, "interval must be positive");
+        assert_positive_finite(interval, "interval");
         let limit = interval * crate::constants::GAP_DETECTION_FACTOR;
         let mut trace = PowerTrace::new();
         let mut imputed = Energy::ZERO;
@@ -510,43 +460,19 @@ mod tests {
     }
 
     #[test]
-    fn push_batch_matches_per_sample_push() {
-        let batch: Vec<(TimeSpan, Option<Power>)> = vec![
-            (TimeSpan::from_secs(0.0), Some(Power::from_watts(10.0))),
-            (TimeSpan::from_secs(1.0), Some(Power::from_watts(20.0))),
-            (TimeSpan::from_secs(2.0), None),
-            (TimeSpan::from_secs(3.0), Some(Power::from_watts(30.0))),
-            (TimeSpan::from_secs(1.5), Some(Power::from_watts(40.0))), // out of order
-            (TimeSpan::from_secs(4.0), Some(Power::from_watts(50.0))),
-        ];
+    fn push_batch_observed_matches_per_sample_push() {
+        // The 1.5 s sample is an out-of-order straggler.
+        let batch: Vec<(TimeSpan, Power)> = [0.0, 1.0, 3.0, 1.5, 4.0]
+            .map(|t| (TimeSpan::from_secs(t), Power::from_watts(10.0 * t)))
+            .to_vec();
         let mut batched = PowerTrace::new();
-        let appended = batched.push_batch(&batch);
-        let mut reference = PowerTrace::new();
-        for &(at, sample) in &batch {
-            if let Some(p) = sample {
-                reference.push(at, p);
-            }
-        }
-        assert_eq!(batched, reference);
-        assert_eq!(appended, 4);
-        assert_eq!(batched.rejected(), 1);
-    }
-
-    #[test]
-    fn push_batch_splits_at_every_boundary() {
-        // Alternate observed / lost so no two observed samples are adjacent:
-        // the run-splitter must still land every observed sample.
-        let batch: Vec<(TimeSpan, Option<Power>)> = (0..10)
-            .map(|i| {
-                let p = (i % 2 == 0).then(|| Power::from_watts(100.0 + i as f64));
-                (TimeSpan::from_secs(i as f64), p)
-            })
-            .collect();
-        let mut t = PowerTrace::new();
-        assert_eq!(t.push_batch(&batch), 5);
-        assert_eq!(t.len(), 5);
-        assert_eq!(t.rejected(), 0);
-        assert_eq!(t.powers()[1], Power::from_watts(102.0));
+        assert_eq!(batched.push_batch_observed(&batch), 4);
+        let reference: PowerTrace = batch.iter().copied().collect();
+        assert_eq!(batched.times(), reference.times());
+        assert_eq!(batched.powers(), reference.powers());
+        // Both paths skip the straggler, but only the per-sample path
+        // tallies it: the batch's caller already has.
+        assert_eq!((reference.rejected(), batched.rejected()), (1, 0));
     }
 
     #[test]
@@ -576,6 +502,15 @@ mod tests {
         assert_eq!(fill.trace, t);
         assert_eq!(fill.gaps, 0);
         assert!(fill.imputed.is_zero());
+    }
+
+    #[test]
+    #[should_panic(expected = "interval must be positive and finite")]
+    fn fill_gaps_rejects_infinite_interval() {
+        let _ = ramp().fill_gaps(
+            TimeSpan::from_secs(f64::INFINITY),
+            ImputationPolicy::LastObservation,
+        );
     }
 
     #[test]

@@ -1,20 +1,20 @@
 //! Differential property suite for the batched SoA integration kernels.
 //!
-//! The batched entry points ([`EnergyIntegrator::push_batch`],
-//! [`FaultTolerantIntegrator::push_batch`], the dense `*_observed`
-//! variants, and the SoA [`PowerTrace`] batch appends) promise *bitwise*
-//! equivalence with the per-sample paths — same float accumulation order,
-//! same tallies, same imputation — for any sample sequence and any way of
+//! The batched entry points ([`FaultTolerantIntegrator::push_batch_observed`]
+//! and [`PowerTrace::push_batch_observed`]) promise *bitwise* equivalence
+//! with the per-sample `push` paths — same float accumulation order, same
+//! tallies, same imputation — for any sample sequence and any way of
 //! cutting it into batches. These properties drive arbitrary fault shapes
 //! (lost ticks, out-of-order stragglers, gaps past the detection limit)
 //! through both paths at arbitrary batch boundaries and require identical
-//! end states.
+//! end states. Lost ticks reach the integrator through `push(at, None)`
+//! between batches, as the stream pipeline delivers late arrivals.
 
 use proptest::prelude::*;
 
 use sustain_core::units::{Power, TimeSpan};
 use sustain_telemetry::faults::ImputationPolicy;
-use sustain_telemetry::meter::{EnergyIntegrator, FaultTolerantIntegrator};
+use sustain_telemetry::meter::FaultTolerantIntegrator;
 use sustain_telemetry::trace::PowerTrace;
 
 /// Decodes a proptest-generated tick list into a fault-bearing sample
@@ -58,12 +58,21 @@ fn policy(pick: u8) -> ImputationPolicy {
     }
 }
 
+/// The observed readings of `samples`, dropping lost ticks.
+fn observed(samples: &[(TimeSpan, Option<Power>)]) -> Vec<(TimeSpan, Power)> {
+    samples
+        .iter()
+        .filter_map(|&(t, p)| p.map(|p| (t, p)))
+        .collect()
+}
+
 proptest! {
-    /// `FaultTolerantIntegrator::push_batch` at arbitrary batch
-    /// boundaries is bitwise identical to per-sample pushes: same quality
-    /// report, same measured/imputed energy bits, same resume point.
+    /// Observed runs fed through `push_batch_observed` at arbitrary batch
+    /// boundaries, with each lost tick pushed as `None` between batches,
+    /// are bitwise identical to per-sample pushes: same quality report,
+    /// same measured/imputed energy bits, same resume point.
     #[test]
-    fn fault_tolerant_push_batch_is_split_invariant(
+    fn fault_tolerant_batches_are_split_invariant(
         ticks in prop::collection::vec((0u8..255, 1.0f64..500.0), 1..120),
         cuts in prop::collection::vec(0usize..128, 0..6),
         pick in 0u8..255,
@@ -80,7 +89,13 @@ proptest! {
         let mut batched = FaultTolerantIntegrator::new(interval, policy(pick));
         let mut accepted_batch = 0usize;
         for pair in boundaries(&cuts, samples.len()).windows(2) {
-            accepted_batch += batched.push_batch(&samples[pair[0]..pair[1]]);
+            let part = &samples[pair[0]..pair[1]];
+            for run in part.split_inclusive(|&(_, p)| p.is_none()) {
+                accepted_batch += batched.push_batch_observed(&observed(run));
+                if let Some(&(at, None)) = run.last() {
+                    batched.push(at, None);
+                }
+            }
         }
 
         prop_assert_eq!(accepted_ref, accepted_batch);
@@ -99,36 +114,9 @@ proptest! {
         );
     }
 
-    /// `EnergyIntegrator::push_batch` at arbitrary boundaries leaves the
-    /// integrator in exactly the per-sample end state (the struct is
-    /// `PartialEq`: energy, counts, window, resume point).
-    #[test]
-    fn energy_push_batch_is_split_invariant(
-        ticks in prop::collection::vec((0u8..255, 1.0f64..500.0), 1..120),
-        cuts in prop::collection::vec(0usize..128, 0..6),
-    ) {
-        let dense: Vec<(TimeSpan, Power)> = decode(&ticks)
-            .into_iter()
-            .filter_map(|(t, p)| p.map(|p| (t, p)))
-            .collect();
-
-        let mut reference = EnergyIntegrator::new();
-        for &(at, p) in &dense {
-            reference.push(at, p);
-        }
-        let mut batched = EnergyIntegrator::new();
-        for pair in boundaries(&cuts, dense.len()).windows(2) {
-            batched.push_batch(&dense[pair[0]..pair[1]]);
-        }
-        prop_assert_eq!(reference, batched);
-        prop_assert_eq!(
-            reference.energy().as_joules().to_bits(),
-            batched.energy().as_joules().to_bits()
-        );
-    }
-
     /// The SoA trace matches a plain AoS reference model under per-sample
-    /// pushes, batch appends at arbitrary boundaries agree with both, and
+    /// pushes, batch appends at arbitrary boundaries agree with both (minus
+    /// the rejection tally, which the batch path leaves to its caller), and
     /// `fill_gaps` reads the two columns coherently however the trace was
     /// built.
     #[test]
@@ -157,9 +145,10 @@ proptest! {
                 pushed.push(at, p);
             }
         }
+        let dense = observed(&samples);
         let mut batched = PowerTrace::new();
-        for pair in boundaries(&cuts, samples.len()).windows(2) {
-            batched.push_batch(&samples[pair[0]..pair[1]]);
+        for pair in boundaries(&cuts, dense.len()).windows(2) {
+            batched.push_batch_observed(&dense[pair[0]..pair[1]]);
         }
 
         // Iteration over the SoA columns reproduces the AoS model bit for
@@ -172,53 +161,11 @@ proptest! {
         prop_assert_eq!(pushed.rejected(), model_rejected);
         prop_assert_eq!(batched.times(), pushed.times());
         prop_assert_eq!(batched.powers(), pushed.powers());
-        prop_assert_eq!(batched.rejected(), pushed.rejected());
+        prop_assert_eq!(batched.rejected(), 0);
 
         let interval = TimeSpan::from_secs(1.0);
         let fill_pushed = pushed.fill_gaps(interval, ImputationPolicy::Linear);
         let fill_batched = batched.fill_gaps(interval, ImputationPolicy::Linear);
         prop_assert_eq!(fill_pushed, fill_batched);
-    }
-
-    /// The dense observed-only fast paths (`push_batch_observed` on the
-    /// integrator and the trace) are bitwise identical to the
-    /// `Option`-typed batch paths over the same readings.
-    #[test]
-    fn observed_fast_path_matches_option_path(
-        ticks in prop::collection::vec((0u8..255, 1.0f64..500.0), 1..120),
-        cuts in prop::collection::vec(0usize..128, 0..6),
-        pick in 0u8..255,
-    ) {
-        let dense: Vec<(TimeSpan, Power)> = decode(&ticks)
-            .into_iter()
-            .filter_map(|(t, p)| p.map(|p| (t, p)))
-            .collect();
-        let wrapped: Vec<(TimeSpan, Option<Power>)> =
-            dense.iter().map(|&(t, p)| (t, Some(p))).collect();
-        let interval = TimeSpan::from_secs(1.0);
-
-        let mut option_path = FaultTolerantIntegrator::new(interval, policy(pick));
-        let mut dense_path = FaultTolerantIntegrator::new(interval, policy(pick));
-        let mut accepted_option = 0usize;
-        let mut accepted_dense = 0usize;
-        for pair in boundaries(&cuts, dense.len()).windows(2) {
-            accepted_option += option_path.push_batch(&wrapped[pair[0]..pair[1]]);
-            accepted_dense += dense_path.push_batch_observed(&dense[pair[0]..pair[1]]);
-        }
-        prop_assert_eq!(accepted_option, accepted_dense);
-        prop_assert_eq!(option_path.last_sample(), dense_path.last_sample());
-        prop_assert_eq!(option_path.report(), dense_path.report());
-
-        let mut trace_option = PowerTrace::new();
-        let mut trace_dense = PowerTrace::new();
-        for pair in boundaries(&cuts, dense.len()).windows(2) {
-            trace_option.push_batch_vetted(&wrapped[pair[0]..pair[1]]);
-            trace_dense.push_batch_observed(&dense[pair[0]..pair[1]]);
-        }
-        prop_assert_eq!(trace_option.times(), trace_dense.times());
-        prop_assert_eq!(trace_option.powers(), trace_dense.powers());
-        // Both vetted paths skip out-of-order entries without tallying.
-        prop_assert_eq!(trace_option.rejected(), 0);
-        prop_assert_eq!(trace_dense.rejected(), 0);
     }
 }

@@ -1,16 +1,13 @@
-//! Whole-file tokenizer — phase 1 of the static-analysis engine.
+//! Whole-file tokenizer — the static-analysis engine's only lexical pass.
 //!
-//! Where [`crate::sanitize`] gives the line rules a masked per-line view,
-//! the lexer gives the item-graph rules a flat token stream over the whole
-//! file: identifiers, numeric literals, string/char literals (contents
-//! elided), lifetimes, punctuation, and comments, each carrying its byte
-//! span in the original source and its 1-based line number. The two passes
-//! implement the same comment/string semantics independently — nested
-//! block comments, raw strings (`r#"…"#`, `br"…"`), escapes, and
-//! char-vs-lifetime ticks — and the `lexer_props` proptest suite holds
-//! them to agreement on randomly generated sources, so a masking bug in
-//! either pass shows up as a differential failure instead of a silently
-//! mis-scanned file.
+//! [`lex`] turns a file into a flat token stream: identifiers, numeric
+//! literals, string/char literals (contents elided), lifetimes,
+//! punctuation, and comments, each carrying its byte span in the original
+//! source and its 1-based line number. It handles nested block comments,
+//! raw strings (`r#"…"#`, `br"…"`), escapes, and char-vs-lifetime ticks.
+//! The item-graph rules read the tokens directly; the line rules read
+//! [`line_views`], a per-line code/comment split built from the same
+//! tokens' byte spans, so each file is lexed exactly once.
 
 use std::fmt;
 
@@ -79,7 +76,7 @@ fn is_ident_start(c: char) -> bool {
 }
 
 /// True for characters that can continue a Rust identifier.
-fn is_ident_continue(c: char) -> bool {
+pub(crate) fn is_ident_continue(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
@@ -88,6 +85,75 @@ fn is_ident_continue(c: char) -> bool {
 /// the parser degrades gracefully on exotic input.
 pub fn lex(source: &str) -> Vec<Token> {
     Lexer::new(source).run()
+}
+
+/// One source line split into its code and comment channels.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LineView {
+    /// Code text with string/char contents blanked out (delimiters kept)
+    /// and comments removed.
+    pub code: String,
+    /// Concatenated comment text appearing on this line, without the
+    /// comment delimiters.
+    pub comment: String,
+}
+
+impl LineView {
+    /// True when the line carries no code at all (blank or comment-only).
+    pub fn is_comment_only(&self) -> bool {
+        self.code.trim().is_empty()
+    }
+}
+
+/// Splits `source` into one [`LineView`] per `source.lines()` line, using
+/// the byte spans of `tokens` (the output of [`lex`] on `source`).
+///
+/// Bytes between tokens are copied to the code channel verbatim. A string
+/// or char literal becomes its two delimiters plus the newlines it spans,
+/// so a multi-line literal keeps later lines aligned. A line comment
+/// leaves the code channel; a block comment becomes one space plus its
+/// newlines. Each comment's text is split on `\n` into the comment
+/// channels of the lines it spans.
+pub fn line_views(source: &str, tokens: &[Token]) -> Vec<LineView> {
+    let mut code = String::with_capacity(source.len());
+    // Same newlines as `source`, so both channels split into aligned lines.
+    let mut comment = String::new();
+    let mut prev = 0;
+    for t in tokens {
+        let gap = &source[prev..t.start];
+        code.push_str(gap);
+        comment.extend(gap.matches('\n'));
+        let newlines = source[t.start..t.end].matches('\n');
+        match t.kind {
+            TokenKind::Comment => {
+                if source[t.start..].starts_with("/*") {
+                    code.push(' ');
+                    code.extend(newlines);
+                }
+                comment.push_str(&t.text);
+            }
+            TokenKind::Str | TokenKind::Char => {
+                let mut delimiters = t.text.chars();
+                code.extend(delimiters.next());
+                code.extend(newlines.clone());
+                code.extend(delimiters.next());
+                comment.extend(newlines);
+            }
+            _ => code.push_str(&source[t.start..t.end]),
+        }
+        prev = t.end;
+    }
+    code.push_str(&source[prev..]);
+    // A final comment-only line with no trailing newline leaves nothing in
+    // the code channel, so pad rather than zip to keep one view per line.
+    let (mut codes, mut comments) = (code.lines(), comment.lines());
+    source
+        .lines()
+        .map(|_| LineView {
+            code: codes.next().unwrap_or_default().to_string(),
+            comment: comments.next().unwrap_or_default().to_string(),
+        })
+        .collect()
 }
 
 struct Lexer<'a> {
@@ -237,7 +303,7 @@ impl<'a> Lexer<'a> {
             return None;
         }
         // Reject the tail of a longer identifier (`for"` is invalid Rust,
-        // but stay conservative — same rule as the sanitizer).
+        // but stay conservative).
         if self.pos > 0 && is_ident_continue(self.chars[self.pos - 1].1) {
             return None;
         }
@@ -296,8 +362,8 @@ impl<'a> Lexer<'a> {
         self.push(TokenKind::Str, "\"\"".to_string(), start, line);
     }
 
-    /// A `'` in code position: char literal or lifetime, mirroring the
-    /// sanitizer's disambiguation.
+    /// A `'` in code position: a char literal (`'x'`, `'\n'`) or a
+    /// lifetime (`'a`).
     fn char_or_lifetime(&mut self, start: usize, line: usize) {
         self.bump(); // the tick
         match self.peek(0) {
@@ -496,5 +562,61 @@ mod tests {
         let toks = lex("let s = \"first\nsecond\nthird\"; done");
         let done = toks.iter().find(|t| t.is_ident("done")).unwrap();
         assert_eq!(done.line, 3);
+    }
+
+    /// Each line view of `src` as `code|comment`.
+    fn views(src: &str) -> Vec<String> {
+        let views = line_views(src, &lex(src));
+        views
+            .iter()
+            .map(|l| format!("{}|{}", l.code, l.comment))
+            .collect()
+    }
+
+    #[test]
+    fn line_comment_goes_to_comment_channel() {
+        let lines = views("let x = 1; // lint:allow(float-eq) checked above");
+        assert_eq!(lines, ["let x = 1; | lint:allow(float-eq) checked above"]);
+    }
+
+    #[test]
+    fn string_bodies_are_blanked() {
+        assert_eq!(views(r#"let s = "x.unwrap() == 0.0";"#), ["let s = \"\";|"]);
+    }
+
+    #[test]
+    fn block_comments_nest_and_span_lines() {
+        let lines = views("a /* one /* two */\nstill */ b");
+        assert_eq!(lines, ["a  | one /* two */", " b|still "]);
+    }
+
+    #[test]
+    fn raw_strings_close_on_matching_hashes_in_views() {
+        let lines = views("let s = r#\"has \"quote\" inside\"#; tail()");
+        assert_eq!(lines, ["let s = \"\"; tail()|"]);
+    }
+
+    #[test]
+    fn char_literals_are_told_apart_from_lifetimes() {
+        let lines = views("fn f<'a>(c: char) { if c == '\"' {} }");
+        assert_eq!(lines, ["fn f<'a>(c: char) { if c == '' {} }|"]);
+    }
+
+    #[test]
+    fn multiline_strings_keep_line_alignment() {
+        let lines = views("let s = \"first\nsecond == 0.0\nthird\"; done");
+        assert_eq!(lines, ["let s = \"|", "|", "\"; done|"]);
+    }
+
+    #[test]
+    fn crlf_line_endings_split_like_lf() {
+        let lines = views("a; // x\r\n/* y\r\nz */ b\r\n");
+        assert_eq!(lines, ["a; | x", " | y", " b|z "]);
+    }
+
+    #[test]
+    fn final_comment_only_line_without_newline_keeps_its_view() {
+        let lines = views("fn f() {}\n// lint:allow(float-eq) trailing");
+        assert_eq!(lines, ["fn f() {}|", "| lint:allow(float-eq) trailing"]);
     }
 }

@@ -12,15 +12,16 @@
 //! this linter machine-checks the conventions the workspace relies on
 //! instead of trusting review to catch them.
 //!
-//! The pass runs in two phases over the same token substrate:
+//! Each file is lexed once ([`lexer::lex`]), and the pass runs in two
+//! phases over that one token stream, sharing its `lint:allow` tags:
 //!
-//! 1. **Line rules** (`rules`) scan the sanitized code channel of each
-//!    line ([`sanitize::split_lines`]) with simple lexical state.
+//! 1. **Line rules** (`rules`) scan the code channel of each line
+//!    ([`lexer::line_views`]) with simple lexical state.
 //! 2. **Graph rules** (`rules_graph`) run over an *item graph* parsed
-//!    from the full token stream ([`lexer`] → [`items`]): structs with
-//!    field lists, impl blocks with method names, `use` imports, and fn
-//!    bodies as token spans. They relate items across files — a `CacheKey`
-//!    impl to its struct's field list, an import to every iteration site.
+//!    from the tokens ([`items`]): structs with field lists, impl blocks
+//!    with method names, `use` imports, and fn bodies as token spans. They
+//!    relate items across files — a `CacheKey` impl to its struct's field
+//!    list, an import to every iteration site.
 //!
 //! Rules (suppress any one occurrence with `// lint:allow(<rule>)` plus a
 //! one-line justification):
@@ -48,7 +49,6 @@ use std::path::{Path, PathBuf};
 
 pub mod items;
 pub mod lexer;
-pub mod sanitize;
 
 mod rules;
 mod rules_graph;
@@ -238,10 +238,10 @@ pub fn lint_sources(files: &[(String, String)]) -> Vec<Diagnostic> {
         if class.skip {
             continue;
         }
-        let lines = sanitize::split_lines(source);
-        diags.extend(rules::scan(&class, &lines));
-        let allows = rules::collect_allows(&lines);
         let tokens = lexer::lex(source);
+        let lines = lexer::line_views(source, &tokens);
+        let allows = rules::collect_allows(&lines);
+        diags.extend(rules::scan(&class, &lines, &allows));
         let graph = items::parse(&tokens);
         analyses.push(rules_graph::FileAnalysis {
             class,
@@ -275,33 +275,6 @@ pub fn render_fix_allow(diags: &[Diagnostic]) -> String {
         out.push_str("nothing to allow: lint is clean\n");
     }
     out
-}
-
-/// Extracts the per-rule counts from a lint `--json` report (the committed
-/// `lint_baseline.json`). Hand-rolled like the writer: looks for
-/// `"<rule>": <count>` after the `"by_rule"` marker. Unknown or absent
-/// rules default to 0 so adding a rule never breaks an old baseline.
-pub fn parse_baseline_counts(json: &str) -> std::collections::BTreeMap<String, usize> {
-    let mut counts = std::collections::BTreeMap::new();
-    let region = match json.find("\"by_rule\"") {
-        Some(pos) => &json[pos..],
-        None => return counts,
-    };
-    let region = &region[..region.find('}').map(|p| p + 1).unwrap_or(region.len())];
-    for rule in Rule::ALL {
-        let needle = format!("\"{}\":", rule.name());
-        if let Some(pos) = region.find(&needle) {
-            let digits: String = region[pos + needle.len()..]
-                .chars()
-                .skip_while(|c| c.is_whitespace())
-                .take_while(|c| c.is_ascii_digit())
-                .collect();
-            if let Ok(n) = digits.parse::<usize>() {
-                counts.insert(rule.name().to_string(), n);
-            }
-        }
-    }
-    counts
 }
 
 /// Recursively collects the workspace `.rs` files eligible for linting,

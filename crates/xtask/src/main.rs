@@ -2,14 +2,11 @@
 //!
 //! Commands:
 //!
-//! - `lint [--json] [--fix-allow] [--baseline <path>]` — run the
-//!   carbon-accounting static-analysis pass over the workspace; exits
-//!   non-zero when any violation is found. `--json` emits machine-readable
-//!   diagnostics with per-rule counts so CI can diff rule counts across
-//!   PRs. `--fix-allow` prints ready-to-paste `lint:allow` comments for
-//!   every finding. `--baseline <path>` compares per-rule counts against a
-//!   committed `lint --json` report and fails only on increases, so a
-//!   grandfathered count can burn down without blocking unrelated PRs.
+//! - `lint [--json] [--fix-allow]` — run the carbon-accounting
+//!   static-analysis pass over the workspace; exits non-zero when any
+//!   violation is found. `--json` emits machine-readable diagnostics with
+//!   per-rule counts so CI can diff rule counts across PRs. `--fix-allow`
+//!   prints ready-to-paste `lint:allow` comments for every finding.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -18,33 +15,19 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::{lint_workspace, parse_baseline_counts, render_fix_allow, Diagnostic, Rule};
+use xtask::{lint_workspace, render_fix_allow, Diagnostic, Rule};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => {
-            let json = args.iter().any(|a| a == "--json");
-            let fix_allow = args.iter().any(|a| a == "--fix-allow");
-            let mut baseline: Option<PathBuf> = None;
-            let mut rest = args[1..].iter();
-            while let Some(arg) = rest.next() {
-                match arg.as_str() {
-                    "--json" | "--fix-allow" => {}
-                    "--baseline" => match rest.next() {
-                        Some(path) => baseline = Some(PathBuf::from(path)),
-                        None => {
-                            eprintln!("xtask lint: --baseline needs a path");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    unknown => {
-                        eprintln!("xtask lint: unknown flag `{unknown}`");
-                        return ExitCode::from(2);
-                    }
-                }
+            let flags = &args[1..];
+            if let Some(unknown) = flags.iter().find(|a| *a != "--json" && *a != "--fix-allow") {
+                eprintln!("xtask lint: unknown flag `{unknown}`");
+                return ExitCode::from(2);
             }
-            lint(json, fix_allow, baseline)
+            let has = |flag: &str| flags.iter().any(|a| a == flag);
+            lint(has("--json"), has("--fix-allow"))
         }
         Some(other) => {
             eprintln!("xtask: unknown command `{other}`");
@@ -58,9 +41,9 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: cargo xtask lint [--json] [--fix-allow] [--baseline <path>]";
+const USAGE: &str = "usage: cargo xtask lint [--json] [--fix-allow]";
 
-fn lint(json: bool, fix_allow: bool, baseline: Option<PathBuf>) -> ExitCode {
+fn lint(json: bool, fix_allow: bool) -> ExitCode {
     let root = workspace_root();
     let (scanned, diags) = match lint_workspace(&root) {
         Ok(result) => result,
@@ -92,58 +75,10 @@ fn lint(json: bool, fix_allow: bool, baseline: Option<PathBuf>) -> ExitCode {
             );
         }
     }
-    if let Some(path) = baseline {
-        return gate_on_baseline(&path, &diags);
-    }
     if diags.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-/// Compares per-rule counts against the committed baseline report: any rule
-/// whose count *increased* fails the build; matching or shrinking counts
-/// pass, so a grandfathered backlog can burn down without re-blessing.
-fn gate_on_baseline(path: &PathBuf, diags: &[Diagnostic]) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("xtask lint: cannot read baseline {}: {err}", path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let allowed = parse_baseline_counts(&text);
-    let mut current: BTreeMap<&str, usize> = BTreeMap::new();
-    for d in diags {
-        *current.entry(d.rule.name()).or_insert(0) += 1;
-    }
-    let mut regressed = false;
-    for rule in Rule::ALL {
-        let now = current.get(rule.name()).copied().unwrap_or(0);
-        let base = allowed.get(rule.name()).copied().unwrap_or(0);
-        if now > base {
-            eprintln!(
-                "lint baseline: rule `{}` went {base} -> {now} (+{})",
-                rule.name(),
-                now - base
-            );
-            regressed = true;
-        }
-    }
-    if regressed {
-        eprintln!(
-            "lint baseline: diagnostic count increased vs {}; fix the findings \
-             or annotate with lint:allow + justification",
-            path.display()
-        );
-        ExitCode::FAILURE
-    } else {
-        eprintln!(
-            "lint baseline: no rule count increased vs {}",
-            path.display()
-        );
-        ExitCode::SUCCESS
     }
 }
 

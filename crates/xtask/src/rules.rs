@@ -1,13 +1,13 @@
 //! The eight carbon-accounting lint rules.
 //!
-//! Each rule scans the sanitized code channel of a file (see
-//! [`crate::sanitize`]) with simple lexical state: brace depth,
+//! Each rule scans the code channel of a file's line views (see
+//! [`crate::lexer::line_views`]) with simple lexical state: brace depth,
 //! `#[cfg(test)]` module regions, and in-progress `pub fn` signatures.
 //! Any diagnostic can be suppressed by a `// lint:allow(<rule>)` comment on
 //! the same line or on a comment-only line immediately above it; by
 //! convention the comment carries a one-line justification.
 
-use crate::sanitize::{is_ident_char, LineView};
+use crate::lexer::{is_ident_continue, LineView};
 use crate::{Diagnostic, FileClass, Rule};
 
 /// Crates whose simulations must stay seed-reproducible (rules 4 and the
@@ -111,22 +111,20 @@ const FS_WRITE_PRIMITIVES: &[&str] = &[
 /// regenerates byte-identically.
 const FS_SANCTIONED_FILES: &[&str] = &["crates/bench/src/bin/all_figures.rs"];
 
-/// An in-progress `pub fn` signature (may span multiple lines).
-struct FnSig {
-    name: String,
-    start_line: usize,
-}
-
-/// Runs every line-oriented rule plus the whole-file header rule.
-pub(crate) fn scan(class: &FileClass, lines: &[LineView]) -> Vec<Diagnostic> {
+/// Runs every line-oriented rule plus the whole-file header rule. `allows`
+/// is [`collect_allows`] over the same `lines`.
+pub(crate) fn scan(
+    class: &FileClass,
+    lines: &[LineView],
+    allows: &[Vec<String>],
+) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let allows = collect_allows(lines);
 
     if class.is_crate_root {
         let has_forbid = lines
             .iter()
             .any(|l| l.code.contains("#![forbid(unsafe_code)]"));
-        if !has_forbid && !allowed(&allows, 0, Rule::LintHeader) {
+        if !has_forbid && !allowed(allows, 0, Rule::LintHeader) {
             diags.push(Diagnostic {
                 file: class.path.clone(),
                 line: 1,
@@ -141,7 +139,8 @@ pub(crate) fn scan(class: &FileClass, lines: &[LineView]) -> Vec<Diagnostic> {
     let mut depth: i64 = 0;
     let mut pending_cfg_test = false;
     let mut test_region: Option<i64> = None;
-    let mut sig: Option<FnSig> = None;
+    // Name of an in-progress `pub fn` signature (may span multiple lines).
+    let mut sig: Option<String> = None;
 
     for (idx, line) in lines.iter().enumerate() {
         let lineno = idx + 1;
@@ -177,7 +176,7 @@ pub(crate) fn scan(class: &FileClass, lines: &[LineView]) -> Vec<Diagnostic> {
         }
 
         let push = |rule: Rule, message: String, diags: &mut Vec<Diagnostic>| {
-            if !allowed(&allows, idx, rule) {
+            if !allowed(allows, idx, rule) {
                 diags.push(Diagnostic {
                     file: class.path.clone(),
                     line: lineno,
@@ -191,16 +190,11 @@ pub(crate) fn scan(class: &FileClass, lines: &[LineView]) -> Vec<Diagnostic> {
         let mut sig_line = false;
         if !class.test_like && class.stem != "units" {
             if sig.is_none() {
-                if let Some(name) = pub_fn_name(code) {
-                    sig = Some(FnSig {
-                        name,
-                        start_line: lineno,
-                    });
-                }
+                sig = pub_fn_name(code);
             }
-            if let Some(s) = &sig {
+            if let Some(name) = &sig {
                 sig_line = true;
-                let exempt = s.name.starts_with("from_") || s.name.starts_with("as_");
+                let exempt = name.starts_with("from_") || name.starts_with("as_");
                 if !exempt {
                     for (ident, suggestion) in f64_params_with_unit_suffix(code) {
                         push(
@@ -213,20 +207,18 @@ pub(crate) fn scan(class: &FileClass, lines: &[LineView]) -> Vec<Diagnostic> {
                         );
                     }
                     if code.contains("-> f64") {
-                        if let Some((_, suggestion)) = unit_suffix_of(&s.name) {
+                        if let Some((_, suggestion)) = unit_suffix_of(name) {
                             push(
                                 Rule::UnitLeak,
                                 format!(
-                                    "pub fn `{}` returns raw f64 but its name is \
-                                     unit-suffixed; return sustain_core::units::{}",
-                                    s.name, suggestion
+                                    "pub fn `{name}` returns raw f64 but its name is \
+                                     unit-suffixed; return sustain_core::units::{suggestion}"
                                 ),
                                 &mut diags,
                             );
                         }
                     }
                 }
-                let _ = s.start_line;
                 if code.contains('{') || code.contains(';') {
                     sig = None;
                 }
@@ -465,9 +457,10 @@ fn has_word(code: &str, pat: &str) -> bool {
     while let Some(pos) = code[from..].find(pat) {
         let start = from + pos;
         let end = start + pat.len();
-        let pre_ok = start == 0 || !is_ident_char(code[..start].chars().next_back().unwrap_or(' '));
+        let pre_ok =
+            start == 0 || !is_ident_continue(code[..start].chars().next_back().unwrap_or(' '));
         let post_ok =
-            end >= code.len() || !is_ident_char(code[end..].chars().next().unwrap_or(' '));
+            end >= code.len() || !is_ident_continue(code[end..].chars().next().unwrap_or(' '));
         if pre_ok && post_ok {
             return true;
         }
@@ -480,7 +473,7 @@ fn has_word(code: &str, pat: &str) -> bool {
 fn pub_fn_name(code: &str) -> Option<String> {
     let pos = code.find("pub fn ")?;
     let rest = &code[pos + "pub fn ".len()..];
-    let name: String = rest.chars().take_while(|&c| is_ident_char(c)).collect();
+    let name: String = rest.chars().take_while(|&c| is_ident_continue(c)).collect();
     if name.is_empty() {
         None
     } else {
@@ -506,10 +499,14 @@ fn f64_params_with_unit_suffix(code: &str) -> Vec<(String, &'static str)> {
         from = start + 3;
         // Word boundary around `f64` (reject `xf64`, `f64x`).
         let char_idx = code[..start].chars().count();
-        if char_idx > 0 && is_ident_char(chars[char_idx - 1]) {
+        if char_idx > 0 && is_ident_continue(chars[char_idx - 1]) {
             continue;
         }
-        if chars.get(char_idx + 3).copied().is_some_and(is_ident_char) {
+        if chars
+            .get(char_idx + 3)
+            .copied()
+            .is_some_and(is_ident_continue)
+        {
             continue;
         }
         // Walk backwards over `: ` to the identifier.
@@ -528,7 +525,7 @@ fn f64_params_with_unit_suffix(code: &str) -> Vec<(String, &'static str)> {
             j -= 1;
         }
         let ident_end = j;
-        while j > 0 && is_ident_char(chars[j - 1]) {
+        while j > 0 && is_ident_continue(chars[j - 1]) {
             j -= 1;
         }
         let ident: String = chars[j..ident_end].iter().collect();
@@ -573,7 +570,7 @@ fn trailing_token(s: &str) -> String {
     s.trim_end()
         .chars()
         .rev()
-        .take_while(|&c| is_ident_char(c) || c == '.')
+        .take_while(|&c| is_ident_continue(c) || c == '.')
         .collect::<String>()
         .chars()
         .rev()
@@ -584,7 +581,7 @@ fn leading_token(s: &str) -> String {
     let s = s.trim_start();
     let mut out = String::new();
     for (i, c) in s.chars().enumerate() {
-        if is_ident_char(c) || c == '.' || (i == 0 && c == '-') {
+        if is_ident_continue(c) || c == '.' || (i == 0 && c == '-') {
             out.push(c);
         } else {
             break;
@@ -613,7 +610,7 @@ fn literal_index(code: &str) -> Option<String> {
             continue;
         }
         let prev = chars[i - 1];
-        if !(is_ident_char(prev) || prev == ')' || prev == ']') {
+        if !(is_ident_continue(prev) || prev == ')' || prev == ']') {
             continue;
         }
         let mut j = i + 1;
@@ -640,7 +637,7 @@ fn ctor_literal_args(code: &str) -> Vec<(&'static str, String)> {
             let end = start + ctor.len();
             from = end;
             let pre_ok =
-                start == 0 || !is_ident_char(code[..start].chars().next_back().unwrap_or(' '));
+                start == 0 || !is_ident_continue(code[..start].chars().next_back().unwrap_or(' '));
             if !pre_ok || !code[end..].starts_with('(') {
                 continue;
             }

@@ -770,7 +770,7 @@ fn const_provenance_allow_silences() {
     );
 }
 
-// ---------------------------------------------------- fix-allow + baseline
+// ---------------------------------------------------------------- fix-allow
 
 #[test]
 fn fix_allow_renders_paste_ready_lines() {
@@ -987,18 +987,4 @@ fn des_crate_bans_nondeterminism_sources() {
 #[test]
 fn fix_allow_reports_clean_lint() {
     assert!(xtask::render_fix_allow(&[]).contains("clean"));
-}
-
-#[test]
-fn baseline_counts_parse_from_json_report() {
-    let json = "{\n  \"files_scanned\": 3,\n  \"violations\": 2,\n  \"by_rule\": {\n    \
-                \"determinism\": 1,\n    \"determinism-taint\": 2,\n    \"unit-leak\": 0\n  },\n  \
-                \"diagnostics\": []\n}";
-    let counts = xtask::parse_baseline_counts(json);
-    // `determinism` must not swallow `determinism-taint`'s count (or vice
-    // versa): the lookup is exact on the quoted key.
-    assert_eq!(counts.get("determinism").copied(), Some(1));
-    assert_eq!(counts.get("determinism-taint").copied(), Some(2));
-    assert_eq!(counts.get("unit-leak").copied(), Some(0));
-    assert_eq!(counts.get("obs-coverage").copied(), None);
 }

@@ -1,25 +1,22 @@
-//! Property tests holding the two comment/string scanners to agreement.
+//! Property tests for the lexer and the line views cut from its tokens.
 //!
-//! `lexer::lex` (whole-file token stream) and `sanitize::split_lines`
-//! (per-line code/comment channels) implement the same lexical semantics
-//! independently — nested block comments, raw strings, escapes,
-//! char-vs-lifetime ticks. These tests generate random Rust-like sources
-//! from a fragment pool and check that:
+//! `lexer::lex` is the lint's only tokenizer, and `lexer::line_views`
+//! builds the line rules' per-line code/comment channels from its byte
+//! spans. These tests generate random Rust-like sources from a fragment
+//! pool, cut at an arbitrary point so unterminated strings, raw strings,
+//! block comments and char escapes show up too, and check that:
 //!
 //! 1. token byte offsets round-trip: spans are ordered, non-overlapping,
 //!    land on UTF-8 boundaries, slice back to the token text, and the gaps
 //!    between tokens are pure whitespace;
-//! 2. the two scanners agree on masking: identifiers and numbers the lexer
-//!    emits are visible in the sanitizer's code channel, comment content
-//!    the sanitizer extracts is covered by a `Comment` token, and lines
-//!    with no tokens carry no code.
-//!
-//! A masking bug in either pass shows up here as a differential failure
-//! instead of a silently mis-scanned file.
+//! 2. the line views mask what the tokens say they should: one view per
+//!    source line, identifiers and numbers visible in the code channel,
+//!    literal and comment words never in it, every comment's text in the
+//!    comment channels of the lines it spans, and lines no token covers
+//!    blank in both channels.
 
 use proptest::prelude::*;
-use xtask::lexer::{lex, Token, TokenKind};
-use xtask::sanitize::split_lines;
+use xtask::lexer::{lex, line_views, Token, TokenKind};
 
 /// Fragment pool the generator draws from. Every fragment is
 /// self-terminating (closed string, closed comment), so the scanner state
@@ -55,8 +52,9 @@ const FRAGMENTS: &[&str] = &[
     "'\"'",
     "'a",
     "'static",
-    // Comments: line, block, nested, multi-line.
-    "// line comment tail",
+    // Comments: line (ended by its newline, so it cannot swallow the next
+    // fragment), block, nested, multi-line.
+    "// line comment tail\n",
     "/* block */",
     "/* multi\nline\nblock */",
     "/* outer /* nested */ tail */",
@@ -80,14 +78,30 @@ const FRAGMENTS: &[&str] = &[
     "\n\n",
 ];
 
+/// Words that occur in the pool only inside string literals and comments,
+/// so they must never reach a line view's code channel.
+const MASKED_WORDS: &[&str] = &[
+    "hello", "world", "aped", "quote", "body", "byte", "multi", "line", "literal", "tail", "block",
+    "nested", "outer", "comment",
+];
+
 /// Assembles a source from pool indices, space-separated so fragments
-/// never merge (e.g. ident `r` + `"` would otherwise open a raw string).
-fn assemble(indices: &[usize]) -> String {
+/// never merge (e.g. ident `r` + `"` would otherwise open a raw string),
+/// then cuts it at `cut` (wrapped, then moved back to a char boundary) so
+/// the last fragment may be left unterminated: an open string, raw string
+/// or block comment, or a trailing `'\`.
+fn assemble(indices: &[usize], cut: usize) -> String {
     let parts: Vec<&str> = indices
         .iter()
         .map(|&i| FRAGMENTS[i % FRAGMENTS.len()])
         .collect();
-    parts.join(" ")
+    let mut src = parts.join(" ");
+    let mut at = cut % (src.len() + 1);
+    while !src.is_char_boundary(at) {
+        at -= 1;
+    }
+    src.truncate(at);
+    src
 }
 
 /// 1-based line number of byte offset `at` in `src`.
@@ -134,11 +148,12 @@ fn check_offsets_round_trip(src: &str, tokens: &[Token]) {
     );
 }
 
-fn check_masking_agreement(src: &str, tokens: &[Token]) {
-    let views = split_lines(src);
+fn check_line_views(src: &str, tokens: &[Token]) {
+    let views = line_views(src, tokens);
+    assert_eq!(views.len(), src.lines().count(), "one view per source line");
 
-    // Code-channel visibility: every ident/number the lexer emits sits in
-    // code position, so the sanitizer must keep it verbatim on that line.
+    // Code-channel visibility: every ident/number sits in code position,
+    // so its line's code channel keeps it verbatim.
     for t in tokens {
         if matches!(t.kind, TokenKind::Ident | TokenKind::Number) {
             let code = &views[t.line - 1].code;
@@ -152,80 +167,84 @@ fn check_masking_agreement(src: &str, tokens: &[Token]) {
         }
     }
 
-    // Comment agreement: whenever the sanitizer extracted comment text on a
-    // line, some Comment token's span must cover that line.
+    // Masking: literal bodies and comments never reach the code channel.
     for (idx, view) in views.iter().enumerate() {
-        let lineno = idx + 1;
-        if view.comment.trim().is_empty() {
-            continue;
-        }
-        let covered = tokens.iter().any(|t| {
-            t.kind == TokenKind::Comment && t.line <= lineno && line_of(src, t.end) >= lineno
-        });
-        assert!(
-            covered,
-            "line {lineno}: sanitizer found comment {:?} but no Comment token covers it",
-            view.comment
-        );
-    }
-
-    // Line comments are single-channel: the token body (text after `//`)
-    // must equal the tail of that line's comment channel.
-    for t in tokens {
-        if t.kind == TokenKind::Comment && src[t.start..].starts_with("//") {
-            let comment = &views[t.line - 1].comment;
+        for word in MASKED_WORDS {
             assert!(
-                comment.ends_with(&t.text),
-                "line {}: comment channel {:?} does not end with token body {:?}",
-                t.line,
-                comment,
-                t.text
+                !view.code.contains(word),
+                "line {}: {word:?} leaked into code channel {:?}",
+                idx + 1,
+                view.code
             );
         }
     }
 
-    // Token-free lines carry no code: if no token starts on a line and no
-    // multi-line token (string/comment) spans across it, the sanitizer must
-    // see only whitespace there.
+    // Comment text lands, line by line, in the comment channels of the
+    // lines the comment spans.
+    // An empty piece says nothing (and may lie past the last view).
+    for t in tokens.iter().filter(|t| t.kind == TokenKind::Comment) {
+        let pieces = t.text.split('\n').enumerate();
+        for (offset, piece) in pieces.filter(|(_, piece)| !piece.is_empty()) {
+            let comment = &views[t.line - 1 + offset].comment;
+            assert!(
+                comment.contains(piece),
+                "line {}: comment channel {:?} lacks {:?}",
+                t.line + offset,
+                comment,
+                piece
+            );
+        }
+    }
+
+    // Lines that no token starts on or spans carry nothing in either
+    // channel.
     for (idx, view) in views.iter().enumerate() {
         let lineno = idx + 1;
-        let has_start = tokens.iter().any(|t| t.line == lineno);
-        let spanned = tokens
+        let covered = tokens
             .iter()
-            .any(|t| t.line <= lineno && line_of(src, t.end.min(src.len())) >= lineno);
-        if !has_start && !spanned {
+            .any(|t| t.line <= lineno && line_of(src, t.end) >= lineno);
+        if !covered {
             assert!(
-                view.code.trim().is_empty() && view.comment.trim().is_empty(),
-                "line {lineno}: no token covers it but sanitizer sees {:?} / {:?}",
-                view.code,
-                view.comment
+                view.code.trim().is_empty() && view.comment.is_empty(),
+                "line {lineno}: no token covers it but the view is {view:?}"
             );
         }
     }
 }
 
 proptest! {
-    /// Byte offsets round-trip on arbitrary fragment interleavings.
+    /// Byte offsets round-trip on arbitrary fragment interleavings, cut
+    /// anywhere.
     #[test]
-    fn offsets_round_trip(indices in prop::collection::vec(0usize..1000, 1..60)) {
-        let src = assemble(&indices);
+    fn offsets_round_trip(
+        indices in prop::collection::vec(0usize..1000, 1..60),
+        cut in 0usize..4096,
+    ) {
+        let src = assemble(&indices, cut);
         let tokens = lex(&src);
         check_offsets_round_trip(&src, &tokens);
     }
 
-    /// The lexer and the sanitizer agree on comment/string masking.
+    /// The line views mask strings and comments exactly where the tokens
+    /// put them, terminated or not.
     #[test]
-    fn masking_agrees_with_sanitizer(indices in prop::collection::vec(0usize..1000, 1..60)) {
-        let src = assemble(&indices);
+    fn line_views_mask_what_the_tokens_mask(
+        indices in prop::collection::vec(0usize..1000, 1..60),
+        cut in 0usize..4096,
+    ) {
+        let src = assemble(&indices, cut);
         let tokens = lex(&src);
-        check_masking_agreement(&src, &tokens);
+        check_line_views(&src, &tokens);
     }
 
     /// Nothing inside a string or char literal ever surfaces as an
     /// ident/number token — the lint rules' core masking guarantee.
     #[test]
-    fn literal_bodies_never_leak(indices in prop::collection::vec(0usize..1000, 1..60)) {
-        let src = assemble(&indices);
+    fn literal_bodies_never_leak(
+        indices in prop::collection::vec(0usize..1000, 1..60),
+        cut in 0usize..4096,
+    ) {
+        let src = assemble(&indices, cut);
         for t in lex(&src) {
             match t.kind {
                 TokenKind::Str => prop_assert_eq!(t.text.as_str(), "\"\""),
@@ -251,5 +270,5 @@ fn fragment_pool_covers_all_token_kinds() {
     assert!(has(|k| *k == TokenKind::Comment));
     assert!(has(|k| matches!(k, TokenKind::Punct(_))));
     check_offsets_round_trip(&src, &tokens);
-    check_masking_agreement(&src, &tokens);
+    check_line_views(&src, &tokens);
 }
