@@ -29,9 +29,10 @@
 //!
 //! `--obs-clock wall` (the default) stamps spans with real elapsed time —
 //! the profile finds actual hotspots. `--obs-clock sim` stamps spans from
-//! the deterministic work counter instead: durations count work units, and
-//! `profile.txt`/`flame.folded` are byte-identical across thread counts and
-//! across runs — safe to diff in CI.
+//! the deterministic work clock instead: durations count work units, the
+//! profile conserves, and `profile.txt`, `flame.folded` and `metrics.prom`
+//! are byte-identical across thread counts and runs — CI diffs the profile
+//! against the committed `work_profile.txt`.
 //!
 //! Stdout is byte-identical with and without `--obs`; the observability
 //! summary goes to stderr.
@@ -102,7 +103,7 @@ fn main() -> ExitCode {
     };
 
     let obs = if args.sim_clock {
-        ObsConfig::enabled().build() // deterministic work-counter clock
+        ObsConfig::enabled().build() // deterministic work clock
     } else {
         ObsConfig::enabled().with_wall_clock().build()
     };
@@ -112,9 +113,9 @@ fn main() -> ExitCode {
     report_cache(&cache);
 
     // Every traced regenerator bumps `figures_generated_total` exactly once
-    // and every cache hit skips exactly one regenerator (pool-task forks
-    // share the parent registry) — so after the sweep, generated plus
-    // cache-served must equal the full catalogue, whatever the thread count.
+    // and every cache hit skips exactly one regenerator (adopting a fork
+    // folds its counters into the parent) — so after the sweep, generated
+    // plus cache-served must equal the full catalogue, whatever the threads.
     let expected = (sustain_bench::figs::FIGURES.len()
         + sustain_bench::figs::extras::TABLES.len()
         + sustain_bench::figs::extensions::TABLES.len()

@@ -5,8 +5,7 @@ use std::collections::{BTreeSet, BinaryHeap};
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use sustain_core::units::TimeSpan;
-use sustain_obs::{AttrValue, Obs};
+use sustain_obs::{Counter, Obs};
 
 use crate::event::{Event, EventKind, Timestamp};
 
@@ -210,14 +209,16 @@ impl<'h, S> Engine<'h, S> {
     /// Drains the queue to exhaustion, dispatching each event to the
     /// handlers registered for its kind.
     ///
-    /// Each dispatch advances the obs sim clock to the event timestamp and
-    /// (when recording is enabled) bumps `des_events_total`, the per-kind
-    /// counter family, and emits a `des.event` record with
-    /// `(kind, at_secs, seq)` attributes. The whole drain runs under a
-    /// `des.drain` span.
+    /// The whole drain runs under a `des.drain` span. When recording is
+    /// enabled, each dispatch counts one unit of obs work and bumps
+    /// `des_events_total` and its kind's counter (resolved once per run, a
+    /// kind's on its first dispatch). The [replay log](Engine::record_log)
+    /// is the record of the event train.
     pub fn run(&mut self, state: &mut S) {
         let obs = self.obs.clone();
         let _drain = obs.span("des.drain");
+        let total = obs.enabled().then(|| obs.counter("des_events_total"));
+        let mut by_kind: [Option<Counter>; EventKind::COUNT] = Default::default();
         while let Some(Reverse((at, seq, event))) = self.timeline.queue.pop() {
             if self.timeline.cancelled.remove(&seq) {
                 continue;
@@ -227,18 +228,13 @@ impl<'h, S> Engine<'h, S> {
             if let Some(log) = self.timeline.log.as_mut() {
                 log.push(LoggedEvent { at, seq, event });
             }
-            if obs.enabled() {
-                obs.set_time(TimeSpan::from_secs(at as f64));
-                obs.counter("des_events_total").add(1.0);
-                obs.counter(event.kind().counter_name()).add(1.0);
-                obs.event(
-                    "des.event",
-                    &[
-                        ("kind", AttrValue::from(event.kind().name())),
-                        ("at_secs", AttrValue::from(at)),
-                        ("seq", AttrValue::from(seq)),
-                    ],
-                );
+            if let Some(total) = &total {
+                obs.add_work(1);
+                total.inc();
+                let kind = event.kind();
+                by_kind[kind.index()]
+                    .get_or_insert_with(|| obs.counter(kind.counter_name()))
+                    .inc();
             }
             if let Some(systems) = self.handlers.get_mut(event.kind().index()) {
                 for system in systems.iter_mut() {

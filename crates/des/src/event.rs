@@ -119,18 +119,6 @@ impl EventKind {
         self as usize
     }
 
-    /// A static label for observability attributes and counters.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::JobArrival => "job_arrival",
-            EventKind::JobCompletion => "job_completion",
-            EventKind::CheckpointTick => "checkpoint_tick",
-            EventKind::HostCrash => "host_crash",
-            EventKind::SdcDetected => "sdc_detected",
-            EventKind::IntensityTick => "intensity_tick",
-        }
-    }
-
     /// A static counter name for the per-kind dispatch tally.
     pub(crate) fn counter_name(self) -> &'static str {
         match self {
@@ -176,7 +164,6 @@ mod tests {
         for a in EventKind::ALL {
             for b in EventKind::ALL {
                 if a != b {
-                    assert_ne!(a.name(), b.name());
                     assert_ne!(a.counter_name(), b.counter_name());
                 }
             }

@@ -36,11 +36,11 @@
 //!
 //! ## Observability
 //!
-//! Each dispatched event advances the ambient [`sustain_obs::Obs`] sim
-//! clock to the event timestamp and, when recording is enabled, bumps the
-//! `des_events_total` counter, a per-kind `des_events` counter family, and
-//! emits a `des.event` record carrying `(kind, at_secs, seq)`. A
-//! `des.drain` span brackets every [`Engine::run`].
+//! A `des.drain` span brackets every [`Engine::run`]. On a recording
+//! [`sustain_obs::Obs`] handle each dispatch counts one unit of obs work
+//! and bumps `des_events_total` and a per-kind `des_events` counter, so
+//! `des.drain`'s self work equals `des_events_total`. The opt-in replay
+//! log ([`Engine::record_log`]) records the event train itself.
 //!
 //! ## Example
 //!

@@ -20,7 +20,7 @@
 //! and an `IntensityTick` that rolls the hour's energy into the carbon
 //! accounts and schedules the next hour. Stable `(timestamp, seq)` ordering
 //! makes the event train replay the retired hour-stepped loop draw for
-//! draw, which [`FleetSim::run_reference`] (the loop, kept verbatim) and
+//! draw, which [`FleetSim::run_reference`] (the loop, kept untraced) and
 //! the `des_equivalence` differential suite pin down byte-for-byte.
 
 use rand::Rng;
@@ -367,7 +367,7 @@ impl FleetSim {
         self.simulate_replicas(&Scenario::default().with_chaos(*chaos), n, base_seed)
     }
 
-    /// Runs the retired hour-stepped loop, kept verbatim as the executable
+    /// Runs the retired hour-stepped loop, kept (untraced) as the executable
     /// specification of the hourly-rollup adapter: for any seed, intensity
     /// series, and chaos config, [`FleetSim::simulate`] must reproduce this
     /// report byte-for-byte (see `tests/des_equivalence` at the workspace
@@ -446,7 +446,7 @@ impl FleetSim {
         let mut meter = chaos.and_then(|c| {
             (!c.telemetry.is_none()).then(|| {
                 (
-                    FaultInjector::new(&c.telemetry, "fleet-power").with_obs(&self.obs),
+                    FaultInjector::new(&c.telemetry, "fleet-power").with_obs(&Obs::disabled()),
                     FaultTolerantIntegrator::new(step, ImputationPolicy::LastObservation),
                 )
             })
@@ -456,20 +456,12 @@ impl FleetSim {
         let mut recomputed_gpu_hours = 0.0f64;
         let mut intensity_gap_hours = 0u64;
         let mut gap_co2 = Co2e::ZERO;
-        let mut jobs_arrived = 0u64;
-
-        let obs = &self.obs;
-        obs.set_time(TimeSpan::ZERO);
-        let run_span = obs.span("fleet_sim.run");
 
         for hour in 0..steps {
-            obs.set_time(step * hour as f64);
             let mut hour_energy = Energy::ZERO;
             // Arrivals.
             {
-                let _phase = obs.span("fleet_sim.arrivals");
                 let count = arrivals.sample_count(rng);
-                jobs_arrived += count;
                 for _ in 0..count {
                     let job = self.jobs.sample(rng);
                     let gpu_hours = job.gpu_days() * 24.0;
@@ -483,7 +475,6 @@ impl FleetSim {
             }
             // Placement (FIFO).
             {
-                let _phase = obs.span("fleet_sim.placement");
                 while let Some(job) = queue.front() {
                     if job.gpus <= free_gpus {
                         // lint:allow(panic-discipline) loop condition checked front()
@@ -499,7 +490,6 @@ impl FleetSim {
             // (half an interval of progress lost on average); SDC events
             // re-run a fraction of everything the victim had completed.
             if let Some(c) = chaos {
-                let _phase = obs.span("fleet_sim.chaos_recovery");
                 if let Some(dist) = &crash_dist {
                     for _ in 0..dist.sample_count(rng) {
                         host_crashes += 1;
@@ -513,7 +503,6 @@ impl FleetSim {
                         let lost = (0.5 * c.checkpoint.interval.as_hours() * rate).min(done);
                         job.remaining_gpu_hours += lost;
                         recomputed_gpu_hours += lost;
-                        obs.event("chaos.crash", &[("lost_gpu_hours", lost.into())]);
                     }
                 }
                 if let Some(dist) = &sdc_dist {
@@ -528,13 +517,11 @@ impl FleetSim {
                         let lost = c.sdc_rerun.value() * done;
                         job.remaining_gpu_hours += lost;
                         recomputed_gpu_hours += lost;
-                        obs.event("chaos.sdc", &[("lost_gpu_hours", lost.into())]);
                     }
                 }
             }
             // Advance running jobs one hour and integrate energy.
             {
-                let _phase = obs.span("fleet_sim.integrate");
                 let mut still_running = Vec::with_capacity(running.len());
                 for mut job in running.drain(..) {
                     let gpu_hours = job.gpus as f64;
@@ -559,11 +546,6 @@ impl FleetSim {
                 hour_energy += self.cluster.sku().power(Fraction::ZERO) * step * idle_servers;
                 allocation_acc += 1.0 - idle_fraction;
                 it_energy += hour_energy;
-                if obs.enabled() {
-                    obs.histogram("fleet_hour_energy_kwh")
-                        .record(hour_energy.as_kilowatt_hours());
-                    obs.gauge("fleet_free_gpus").set(free_gpus as f64);
-                }
             }
             // Chaos: the fleet's own metering sees a corrupted view of the
             // hour's mean power; the degraded-but-tolerant reading path
@@ -571,8 +553,8 @@ impl FleetSim {
             if let Some((inj, integ)) = meter.as_mut() {
                 let at = step * hour as f64;
                 match inj.corrupt(at, step, hour_energy / step) {
-                    Some((t, p)) => integ.push_traced(t, Some(p), obs),
-                    None => integ.push_traced(at, None, obs),
+                    Some((t, p)) => integ.push(t, Some(p)),
+                    None => integ.push(at, None),
                 };
             }
             if let Some(series) = variable_intensity {
@@ -587,25 +569,10 @@ impl FleetSim {
                     variable_co2 += co2;
                     gap_co2 += co2;
                     intensity_gap_hours += 1;
-                    obs.event("fleet_sim.intensity_gap", &[("hour", (hour as u64).into())]);
                 } else {
                     variable_co2 += series.at(hour).emissions(facility);
                 }
             }
-        }
-
-        obs.set_time(step * steps as f64);
-        drop(run_span);
-        if obs.enabled() {
-            obs.counter("fleet_jobs_arrived_total")
-                .add(jobs_arrived as f64);
-            obs.counter("fleet_jobs_completed_total")
-                .add(completed as f64);
-            obs.counter("fleet_host_crashes_total")
-                .add(host_crashes as f64);
-            obs.counter("fleet_sdc_events_total").add(sdc_events as f64);
-            obs.counter("fleet_intensity_gap_hours_total")
-                .add(intensity_gap_hours as f64);
         }
 
         // Embodied carbon on a time-share basis: the whole cluster exists for
@@ -678,7 +645,6 @@ impl FleetSim {
         });
 
         let obs = &self.obs;
-        obs.set_time(TimeSpan::ZERO);
         let run_span = obs.span("fleet_sim.run");
 
         let mut state = DesRun {
@@ -735,7 +701,6 @@ impl FleetSim {
         engine.schedule_at(0, Event::CheckpointTick { id: 0 });
         engine.run(&mut state);
 
-        obs.set_time(step * steps as f64);
         drop(run_span);
         if obs.enabled() {
             obs.counter("fleet_jobs_arrived_total")
@@ -879,7 +844,7 @@ fn des_arrival<R: Rng + ?Sized>(
 /// an interval of progress lost on average, recomputed as real energy.
 fn des_host_crash<R: Rng + ?Sized>(
     state: &mut DesRun<'_, R>,
-    _event: Event,
+    event: Event,
     _timeline: &mut Timeline,
 ) {
     let obs = state.sim.obs.clone();
@@ -901,14 +866,17 @@ fn des_host_crash<R: Rng + ?Sized>(
             let lost = (0.5 * interval_hours * rate).min(done);
             job.remaining_gpu_hours += lost;
             state.recomputed_gpu_hours += lost;
-            obs.event("chaos.crash", &[("lost_gpu_hours", lost.into())]);
+            obs.event(
+                "chaos.crash",
+                &[("lost_gpu_hours", lost.into()), ("hour", event.id().into())],
+            );
         }
     }
 }
 
 /// `SdcDetected`: silent data corruption re-runs a fraction of everything
 /// the victim had completed.
-fn des_sdc<R: Rng + ?Sized>(state: &mut DesRun<'_, R>, _event: Event, _timeline: &mut Timeline) {
+fn des_sdc<R: Rng + ?Sized>(state: &mut DesRun<'_, R>, event: Event, _timeline: &mut Timeline) {
     let obs = state.sim.obs.clone();
     let _phase = obs.span("fleet_sim.chaos_recovery");
     let rerun = state.chaos.sdc_rerun.value();
@@ -927,15 +895,19 @@ fn des_sdc<R: Rng + ?Sized>(state: &mut DesRun<'_, R>, _event: Event, _timeline:
             let lost = rerun * done;
             job.remaining_gpu_hours += lost;
             state.recomputed_gpu_hours += lost;
-            obs.event("chaos.sdc", &[("lost_gpu_hours", lost.into())]);
+            obs.event(
+                "chaos.sdc",
+                &[("lost_gpu_hours", lost.into()), ("hour", event.id().into())],
+            );
         }
     }
 }
 
 /// `CheckpointTick`: advances every running job one hour, integrating busy
-/// energy and progress; finished jobs become `JobCompletion` events at the
-/// same timestamp, and the hour's `IntensityTick` is scheduled after them
-/// so the rollup sees the freed GPUs.
+/// energy and progress (one unit of obs work per job-hour); finished jobs
+/// become `JobCompletion` events at the same timestamp, and the hour's
+/// `IntensityTick` is scheduled after them so the rollup sees the freed
+/// GPUs.
 fn des_checkpoint<R: Rng + ?Sized>(
     state: &mut DesRun<'_, R>,
     event: Event,
@@ -943,6 +915,7 @@ fn des_checkpoint<R: Rng + ?Sized>(
 ) {
     let obs = state.sim.obs.clone();
     let _phase = obs.span("fleet_sim.integrate");
+    obs.add_work(state.running.len() as u64);
     let step = state.step;
     let mut running = std::mem::take(&mut state.running);
     let mut still_running = Vec::with_capacity(running.len());

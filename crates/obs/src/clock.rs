@@ -1,129 +1,71 @@
-//! Clock sources for span and event timestamps.
-//!
-//! Simulation code must stay seed-reproducible, so a [`Recorder`] embedded
-//! in a simulator is driven by a [`SimClock`]: the simulator *sets* the
-//! clock to its own simulated time (e.g. the current hour of a
-//! [`FleetSim`] run) and every span/event is stamped with that value —
-//! two runs under the same seed produce byte-identical exports. For real
-//! profiling (per-figure wall time in `all_figures --obs`), a [`WallClock`]
-//! is injected instead; it is the single place in the workspace where
-//! wall-clock time is allowed to enter (the `cargo xtask lint` determinism
-//! rule carves out exactly this module).
-//!
-//! [`Recorder`]: crate::recorder::Recorder
-//! [`FleetSim`]: https://docs.rs/sustain-fleet
+//! The recorder's clock. The default *work* clock moves only by the units
+//! instrumented code reports through [`Obs::add_work`](crate::Obs::add_work)
+//! (one unit reads as one second), so exports are byte-identical across
+//! runs and thread counts. The *wall* clock reads real elapsed time for
+//! profiling runs; this file is the one place the `cargo xtask lint`
+//! determinism rule lets wall-clock time enter.
 
-use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use sustain_core::units::TimeSpan;
 
-/// A source of timestamps for spans and events.
-///
-/// Implementations must be cheap and thread-safe; [`ClockSource::set`] is a
-/// no-op for clocks that do not accept external time (wall clocks), so
-/// simulators can unconditionally publish their simulated time.
-pub trait ClockSource: Send + Sync + fmt::Debug {
-    /// The current time on this clock.
-    fn now(&self) -> TimeSpan;
-
-    /// Publishes an externally-driven time (simulated clocks accept it;
-    /// wall clocks ignore it).
-    fn set(&self, _to: TimeSpan) {}
-
-    /// Advances the clock by a relative amount (simulated clocks accept it;
-    /// wall clocks ignore it). Instrumented hot loops use this as a
-    /// deterministic *work counter*: each unit of work nudges the simulated
-    /// timeline forward, so span durations on a [`SimClock`] measure work
-    /// done rather than wall time — byte-identical across thread counts.
-    fn advance(&self, _by: TimeSpan) {}
-
-    /// A clock for one parallel task forked off this one, or `None` when the
-    /// task should share this clock. Simulated clocks fork (each task's
-    /// simulator restarts its own timeline from the fork point, so parallel
-    /// tasks cannot stomp each other's published time); wall clocks are
-    /// shared (one real timeline).
-    fn fork(&self) -> Option<Arc<dyn ClockSource>> {
-        None
-    }
+/// A recorder clock.
+#[derive(Debug)]
+pub(crate) enum Clock {
+    /// Work units reported so far. `Relaxed` suffices: the count publishes
+    /// no other data, and a fork is absorbed only after its task is joined.
+    Work(AtomicU64),
+    /// Real time since this origin; work reports are ignored.
+    Wall(Instant),
 }
 
-/// A manually-driven simulated clock.
-///
-/// Starts at zero; [`ClockSource::set`] moves it (forwards or backwards —
-/// each simulation run restarts its own timeline). Deterministic by
-/// construction: it only ever reports what the simulator published.
-#[derive(Debug, Default)]
-pub struct SimClock {
-    now: Mutex<TimeSpan>,
-}
-
-impl SimClock {
-    /// Creates a clock at time zero.
-    pub fn new() -> SimClock {
-        SimClock::default()
-    }
-}
-
-impl ClockSource for SimClock {
-    fn now(&self) -> TimeSpan {
-        *self.now.lock()
+impl Clock {
+    /// A work clock at zero.
+    pub(crate) fn work() -> Clock {
+        Clock::Work(AtomicU64::new(0))
     }
 
-    fn set(&self, to: TimeSpan) {
-        *self.now.lock() = to;
+    /// A wall clock whose zero is "now".
+    pub(crate) fn wall() -> Clock {
+        Clock::Wall(Instant::now())
     }
 
-    fn advance(&self, by: TimeSpan) {
-        let mut now = self.now.lock();
-        *now += by;
-    }
-
-    fn fork(&self) -> Option<Arc<dyn ClockSource>> {
-        let child = SimClock::new();
-        child.set(self.now());
-        Some(Arc::new(child))
-    }
-}
-
-/// A monotonic wall clock reporting time elapsed since its creation.
-///
-/// The only sanctioned wall-clock source in the workspace: profiling runs
-/// inject it into an enabled recorder; simulation results never depend on
-/// it. `set` is ignored.
-pub struct WallClock {
-    origin: Instant,
-}
-
-impl WallClock {
-    /// Creates a clock whose zero is "now".
-    pub fn new() -> WallClock {
-        WallClock {
-            origin: Instant::now(),
+    /// The current reading.
+    pub(crate) fn now(&self) -> TimeSpan {
+        match self {
+            Clock::Work(units) => TimeSpan::from_secs(units.load(Ordering::Relaxed) as f64),
+            Clock::Wall(origin) => TimeSpan::from(origin.elapsed()),
         }
     }
-}
 
-impl Default for WallClock {
-    fn default() -> WallClock {
-        WallClock::new()
+    /// Counts `units` of work (ignored by a wall clock).
+    pub(crate) fn advance(&self, units: u64) {
+        if let Clock::Work(total) = self {
+            total.fetch_add(units, Ordering::Relaxed);
+        }
     }
-}
 
-impl ClockSource for WallClock {
-    fn now(&self) -> TimeSpan {
-        TimeSpan::from(self.origin.elapsed())
+    /// The clock for one task forked off this one: a work clock restarts
+    /// at zero, a wall clock keeps its origin.
+    pub(crate) fn fork(&self) -> Clock {
+        match self {
+            Clock::Work(_) => Clock::work(),
+            Clock::Wall(origin) => Clock::Wall(*origin),
+        }
     }
-}
 
-impl fmt::Debug for WallClock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WallClock")
-            .field("elapsed", &self.now())
-            .finish()
+    /// Carries a finished fork's work back, as if it had run here in
+    /// sequence: advances by the fork's total and returns the reading before
+    /// that, the offset for the fork's timestamps (zero on a wall clock).
+    pub(crate) fn absorb(&self, fork: &Clock) -> TimeSpan {
+        match (self, fork) {
+            (Clock::Work(total), Clock::Work(forked)) => {
+                let base = total.fetch_add(forked.load(Ordering::Relaxed), Ordering::Relaxed);
+                TimeSpan::from_secs(base as f64)
+            }
+            _ => TimeSpan::ZERO,
+        }
     }
 }
 
@@ -132,60 +74,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sim_clock_reports_exactly_what_was_set() {
-        let c = SimClock::new();
+    fn work_clock_counts_units_as_seconds() {
+        let c = Clock::work();
         assert_eq!(c.now(), TimeSpan::ZERO);
-        c.set(TimeSpan::from_hours(3.0));
-        assert_eq!(c.now(), TimeSpan::from_hours(3.0));
-        // A new run may rewind its timeline.
-        c.set(TimeSpan::ZERO);
-        assert_eq!(c.now(), TimeSpan::ZERO);
+        c.advance(3);
+        c.advance(2);
+        assert_eq!(c.now(), TimeSpan::from_secs(5.0));
     }
 
     #[test]
-    fn wall_clock_is_monotone_and_ignores_set() {
-        let c = WallClock::new();
+    fn wall_clock_is_monotone_and_ignores_work() {
+        let c = Clock::wall();
         let a = c.now();
-        c.set(TimeSpan::from_years(100.0));
+        c.advance(u64::MAX);
         let b = c.now();
         assert!(b >= a);
-        assert!(b < TimeSpan::from_years(1.0), "set must be ignored");
+        assert!(b < TimeSpan::from_years(1.0), "work must be ignored");
     }
 
     #[test]
-    fn sim_clock_advances_relatively_wall_clock_ignores() {
-        let c = SimClock::new();
-        c.set(TimeSpan::from_secs(10.0));
-        c.advance(TimeSpan::from_secs(5.0));
-        assert_eq!(c.now(), TimeSpan::from_secs(15.0));
-        let w = WallClock::new();
-        w.advance(TimeSpan::from_years(100.0));
-        assert!(
-            w.now() < TimeSpan::from_years(1.0),
-            "advance must be ignored"
-        );
+    fn work_fork_restarts_and_absorb_carries_its_work_back() {
+        let parent = Clock::work();
+        parent.advance(7);
+        let child = parent.fork();
+        assert_eq!(child.now(), TimeSpan::ZERO);
+        child.advance(4);
+        assert_eq!(parent.now(), TimeSpan::from_secs(7.0), "parent untouched");
+        assert_eq!(parent.absorb(&child), TimeSpan::from_secs(7.0));
+        assert_eq!(parent.now(), TimeSpan::from_secs(11.0));
     }
 
     #[test]
-    fn sim_clock_forks_an_independent_timeline() {
-        let parent = SimClock::new();
-        parent.set(TimeSpan::from_hours(2.0));
-        let child = parent.fork().expect("sim clocks fork");
-        assert_eq!(child.now(), TimeSpan::from_hours(2.0));
-        child.set(TimeSpan::from_hours(9.0));
-        assert_eq!(parent.now(), TimeSpan::from_hours(2.0), "parent untouched");
-        parent.set(TimeSpan::from_hours(5.0));
-        assert_eq!(child.now(), TimeSpan::from_hours(9.0), "child untouched");
-    }
-
-    #[test]
-    fn wall_clock_is_shared_not_forked() {
-        assert!(WallClock::new().fork().is_none());
-    }
-
-    #[test]
-    fn clocks_are_debug() {
-        assert!(format!("{:?}", SimClock::new()).contains("SimClock"));
-        assert!(format!("{:?}", WallClock::new()).contains("WallClock"));
+    fn wall_fork_keeps_its_origin_and_absorbs_nothing() {
+        let parent = Clock::wall();
+        let child = parent.fork();
+        match (&parent, &child) {
+            (Clock::Wall(a), Clock::Wall(b)) => assert_eq!(a, b),
+            other => panic!("wall clocks fork to wall clocks, got {other:?}"),
+        }
+        assert_eq!(parent.absorb(&child), TimeSpan::ZERO);
+        assert_eq!(Clock::work().absorb(&child), TimeSpan::ZERO);
     }
 }

@@ -208,14 +208,12 @@ fn write_histogram(out: &mut String, name: &str, hist: &Histogram) {
 mod tests {
     use super::*;
     use crate::recorder::ObsConfig;
-    use sustain_core::units::TimeSpan;
 
     fn sample_recording() -> Obs {
         let obs = ObsConfig::enabled().build();
-        obs.set_time(TimeSpan::ZERO);
         {
             let _run = obs.span("demo.run");
-            obs.set_time(TimeSpan::from_secs(1.5));
+            obs.add_work(1);
             obs.event(
                 "demo.fault",
                 &[("kind", "dropout".into()), ("count", 2u64.into())],
@@ -223,7 +221,7 @@ mod tests {
             obs.counter("demo_iterations_total").add(3.0);
             obs.gauge("demo_free_gpus").set(7.0);
             obs.histogram("demo_hour_energy_kwh").record(0.25);
-            obs.set_time(TimeSpan::from_secs(2.0));
+            obs.add_work(1);
         }
         obs
     }

@@ -14,10 +14,10 @@
 //!   collects hierarchical [`SpanGuard`] spans and structured events. The
 //!   default handle is disabled and allocation-free on the hot path, so
 //!   instrumented simulations are byte-identical to uninstrumented ones.
-//! * [`clock`] — the [`ClockSource`] abstraction: spans inside simulation
-//!   code are timestamped by the *simulated* clock ([`SimClock`], advanced by
-//!   the simulator itself) so exports are deterministic under a fixed seed;
-//!   a [`WallClock`] can be injected for real profiling runs.
+//!   An enabled recorder stamps from a work clock that only
+//!   [`Obs::add_work`] moves, so exports are deterministic at any thread
+//!   count, or from real time under [`ObsConfig::with_wall_clock`].
+//!   Simulated time is an event attribute (`hour`, `at_s`), not a stamp.
 //! * [`metrics`] — [`Counter`] / [`Gauge`] / [`Histogram`] instruments in a
 //!   name-keyed registry; histograms use fixed log-linear buckets.
 //! * [`export`] — three deterministic renderers over one recording: a JSONL
@@ -28,13 +28,11 @@
 //!
 //! ```rust
 //! use sustain_obs::ObsConfig;
-//! use sustain_core::units::TimeSpan;
 //!
 //! let obs = ObsConfig::enabled().build();
-//! obs.set_time(TimeSpan::from_secs(0.0));
 //! {
 //!     let _run = obs.span("demo.run");
-//!     obs.set_time(TimeSpan::from_secs(60.0));
+//!     obs.add_work(60);
 //!     obs.counter("demo_iterations_total").inc();
 //! }
 //! assert!(obs.export_chrome_trace().contains("demo.run"));
@@ -50,12 +48,11 @@ use std::sync::OnceLock;
 
 use parking_lot::RwLock;
 
-pub mod clock;
+mod clock;
 pub mod export;
 pub mod metrics;
 pub mod recorder;
 
-pub use clock::{ClockSource, SimClock, WallClock};
 pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use recorder::{AttrValue, EventRecord, Obs, ObsConfig, Recorder, SpanGuard};
 

@@ -270,6 +270,29 @@ impl Registry {
         }
     }
 
+    /// Folds `other`'s instruments into this registry, as if their updates
+    /// had been made here: counters add, a gauge takes `other`'s value, and
+    /// a histogram adds its buckets, sum and count.
+    pub(crate) fn merge(&self, other: &Registry) {
+        let theirs = other.inner.lock().clone();
+        for (name, instrument) in theirs {
+            match instrument {
+                Instrument::Counter(c) => self.counter(name).add(c.value()),
+                Instrument::Gauge(g) => self.gauge(name).set(g.value()),
+                Instrument::Histogram(h) => {
+                    let theirs = h.inner.lock();
+                    let mine = self.histogram(name);
+                    let mut st = mine.inner.lock();
+                    for (bucket, n) in st.counts.iter_mut().zip(&theirs.counts) {
+                        *bucket += n;
+                    }
+                    st.sum += theirs.sum;
+                    st.total += theirs.total;
+                }
+            }
+        }
+    }
+
     /// Visits every instrument in name order.
     pub(crate) fn visit(&self, mut on_instrument: impl FnMut(&str, InstrumentView<'_>)) {
         let map = self.inner.lock();

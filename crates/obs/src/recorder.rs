@@ -12,6 +12,9 @@
 //! recorder: single-threaded simulators (all of this workspace's hot paths)
 //! get exact parent links; concurrent recording stays safe because a
 //! closing guard removes *its own* id wherever it sits in the stack.
+//!
+//! Timestamps come from a work clock that only [`Obs::add_work`] moves, or
+//! from real time under [`ObsConfig::with_wall_clock`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -20,7 +23,7 @@ use parking_lot::Mutex;
 
 use sustain_core::units::TimeSpan;
 
-use crate::clock::{ClockSource, SimClock, WallClock};
+use crate::clock::Clock;
 use crate::metrics::{Counter, Gauge, Histogram, Registry};
 
 /// A structured attribute value on an event.
@@ -91,11 +94,9 @@ struct RecorderState {
 /// The recording sink behind an [`Obs`] handle.
 pub struct Recorder {
     enabled: bool,
-    clock: Arc<dyn ClockSource>,
+    clock: Clock,
     state: Mutex<RecorderState>,
-    // Shared with task forks (see [`Obs::fork`]): counter/gauge/histogram
-    // updates from parallel tasks land in the parent registry directly.
-    registry: Arc<Registry>,
+    registry: Registry,
 }
 
 impl fmt::Debug for Recorder {
@@ -115,13 +116,13 @@ impl fmt::Debug for Recorder {
 ///
 /// let off = ObsConfig::disabled().build();
 /// assert!(!off.enabled());
-/// let on = ObsConfig::enabled().build(); // simulated clock by default
+/// let on = ObsConfig::enabled().build(); // work clock by default
 /// assert!(on.enabled());
 /// ```
 #[derive(Debug)]
 pub struct ObsConfig {
     enabled: bool,
-    clock: Option<Arc<dyn ClockSource>>,
+    clock: Clock,
 }
 
 impl ObsConfig {
@@ -130,44 +131,31 @@ impl ObsConfig {
     pub fn disabled() -> ObsConfig {
         ObsConfig {
             enabled: false,
-            clock: None,
+            clock: Clock::work(),
         }
     }
 
-    /// An enabled configuration on a fresh [`SimClock`] — deterministic by
-    /// default: exports depend only on what the simulators publish.
+    /// An enabled configuration on a work clock — deterministic by
+    /// default: timestamps count only the work reported through
+    /// [`Obs::add_work`].
     pub fn enabled() -> ObsConfig {
         ObsConfig {
             enabled: true,
-            clock: None,
+            clock: Clock::work(),
         }
     }
 
-    /// Uses the given clock source instead of the default [`SimClock`].
-    pub fn with_clock(mut self, clock: Arc<dyn ClockSource>) -> ObsConfig {
-        self.clock = Some(clock);
+    /// Stamps with real elapsed time instead — for profiling runs
+    /// (`all_figures --obs`), where per-figure wall time matters more than
+    /// byte-stable exports.
+    pub fn with_wall_clock(mut self) -> ObsConfig {
+        self.clock = Clock::wall();
         self
-    }
-
-    /// Uses a [`WallClock`] — for real profiling runs (`all_figures --obs`),
-    /// where per-figure wall time matters more than byte-stable exports.
-    pub fn with_wall_clock(self) -> ObsConfig {
-        self.with_clock(Arc::new(WallClock::new()))
     }
 
     /// Builds the recorder and returns its handle.
     pub fn build(self) -> Obs {
-        let clock = self
-            .clock
-            .unwrap_or_else(|| Arc::new(SimClock::new()) as Arc<dyn ClockSource>);
-        Obs {
-            rec: Arc::new(Recorder {
-                enabled: self.enabled,
-                clock,
-                state: Mutex::new(RecorderState::default()),
-                registry: Arc::new(Registry::new()),
-            }),
-        }
+        Obs::start(self.enabled, self.clock)
     }
 }
 
@@ -179,6 +167,18 @@ pub struct Obs {
 }
 
 impl Obs {
+    /// A handle to a fresh recorder on `clock`.
+    fn start(enabled: bool, clock: Clock) -> Obs {
+        Obs {
+            rec: Arc::new(Recorder {
+                enabled,
+                clock,
+                state: Mutex::new(RecorderState::default()),
+                registry: Registry::new(),
+            }),
+        }
+    }
+
     /// A fresh disabled handle (the hot-path no-op).
     pub fn disabled() -> Obs {
         ObsConfig::disabled().build()
@@ -189,32 +189,16 @@ impl Obs {
         self.rec.enabled
     }
 
-    /// Publishes the simulator's current time to the clock (ignored by wall
-    /// clocks, a no-op on disabled handles).
-    pub fn set_time(&self, to: TimeSpan) {
-        if self.rec.enabled {
-            self.rec.clock.set(to);
-        }
-    }
-
-    /// Advances the clock by `units` deterministic work units (one unit =
-    /// one simulated second). Instrumented hot loops call this so spans on
-    /// a [`SimClock`] acquire durations that count
-    /// *work done* instead of wall time — the basis of the work-counter
-    /// profiles in `sustain-prof`, byte-identical across thread counts.
-    /// Ignored by wall clocks, a no-op on disabled handles.
+    /// Counts `units` of deterministic work, the only thing that moves the
+    /// default clock (one unit reads as one second). Instrumented layers
+    /// call this in their own unit — events dispatched, job-hours
+    /// integrated — so span durations count *work done* instead of wall
+    /// time: the basis of the work-counter profiles in `sustain-prof`,
+    /// byte-identical across thread counts. Ignored by wall clocks, a no-op
+    /// on disabled handles.
     pub fn add_work(&self, units: u64) {
         if self.rec.enabled {
-            self.rec.clock.advance(TimeSpan::from_secs(units as f64));
-        }
-    }
-
-    /// The recorder's current clock reading (zero when disabled).
-    pub fn now(&self) -> TimeSpan {
-        if self.rec.enabled {
-            self.rec.clock.now()
-        } else {
-            TimeSpan::ZERO
+            self.rec.clock.advance(units);
         }
     }
 
@@ -318,38 +302,29 @@ impl Obs {
     }
 
     /// A recorder for one parallel task forked off this one: same enablement,
-    /// a forked clock (simulated clocks get an independent timeline, wall
-    /// clocks are shared), the *same* metrics registry (counter updates are
-    /// commutative, so tasks update the parent's instruments directly), and a
-    /// fresh event log with its own id space. Merge the recording back with
-    /// [`Obs::adopt`]; on a disabled handle this is just a cheap clone.
+    /// a forked clock (a work clock restarts at zero, a wall clock keeps its
+    /// origin), and a fresh event log and metrics registry of its own. Merge
+    /// the recording back with [`Obs::adopt`]; on a disabled handle this is
+    /// just a cheap clone.
     pub fn fork(&self) -> Obs {
         if !self.rec.enabled {
             return self.clone();
         }
-        let clock = self
-            .rec
-            .clock
-            .fork()
-            .unwrap_or_else(|| Arc::clone(&self.rec.clock));
-        Obs {
-            rec: Arc::new(Recorder {
-                enabled: true,
-                clock,
-                state: Mutex::new(RecorderState::default()),
-                registry: Arc::clone(&self.rec.registry),
-            }),
-        }
+        Obs::start(true, self.rec.clock.fork())
     }
 
-    /// Merges a finished [fork](Obs::fork)'s events into this recording.
+    /// Merges a finished [fork](Obs::fork)'s recording into this one, as if
+    /// its task had run here.
     ///
     /// Local span ids are remapped into this recorder's id space by a fixed
-    /// offset and root records (those with no parent inside the fork) are
-    /// re-parented under `parent` — so a parallel layer that adopts its task
-    /// forks in submission order produces an event log that is byte-identical
-    /// to the same tasks run sequentially, for any thread count. No-op when
-    /// either handle is disabled or `fork` is this recorder itself.
+    /// offset, and root records (those with no parent inside the fork) are
+    /// re-parented under `parent`. A work clock shifts the fork's timestamps
+    /// by its current reading, then advances by the fork's total work; a
+    /// wall clock does neither. The fork's metrics fold into this registry.
+    /// So a parallel layer that adopts its task forks in submission order
+    /// records exactly what the same tasks run sequentially would, for any
+    /// thread count. No-op when either handle is disabled or `fork` is this
+    /// recorder itself.
     pub fn adopt(&self, fork: &Obs, parent: Option<u64>) {
         if !self.rec.enabled || !fork.rec.enabled || Arc::ptr_eq(&self.rec, &fork.rec) {
             return;
@@ -358,6 +333,8 @@ impl Obs {
             let st = fork.rec.state.lock();
             (st.events.clone(), st.next_id)
         };
+        self.rec.registry.merge(&fork.rec.registry);
+        let shift = self.rec.clock.absorb(&fork.rec.clock);
         let mut st = self.rec.state.lock();
         let base = st.next_id;
         st.next_id += id_span;
@@ -377,8 +354,8 @@ impl Obs {
                     id: base + id,
                     parent: remap(parent),
                     name,
-                    start,
-                    end,
+                    start: shift + start,
+                    end: shift + end,
                 },
                 EventRecord::Instant {
                     parent,
@@ -388,7 +365,7 @@ impl Obs {
                 } => EventRecord::Instant {
                     parent: remap(parent),
                     name,
-                    at,
+                    at: shift + at,
                     attrs,
                 },
             });
@@ -456,7 +433,6 @@ mod tests {
             obs.event("e", &[("k", 1.0.into())]);
         }
         assert_eq!(obs.event_count(), 0);
-        assert_eq!(obs.now(), TimeSpan::ZERO);
     }
 
     #[test]
@@ -469,7 +445,7 @@ mod tests {
     }
 
     #[test]
-    fn add_work_advances_the_sim_clock_per_unit() {
+    fn add_work_advances_the_work_clock_per_unit() {
         let obs = ObsConfig::enabled().build();
         {
             let _s = obs.span("hot.loop");
@@ -483,21 +459,18 @@ mod tests {
             }
             other => panic!("expected span, got {other:?}"),
         }
-        let off = Obs::disabled();
-        off.add_work(7);
-        assert_eq!(off.now(), TimeSpan::ZERO);
     }
 
     #[test]
     fn spans_nest_and_record_in_completion_order() {
         let obs = ObsConfig::enabled().build();
-        obs.set_time(TimeSpan::from_secs(1.0));
+        obs.add_work(1);
         {
             let _outer = obs.span("outer");
-            obs.set_time(TimeSpan::from_secs(2.0));
+            obs.add_work(1);
             {
                 let _inner = obs.span("inner");
-                obs.set_time(TimeSpan::from_secs(3.0));
+                obs.add_work(1);
             }
         }
         let events = obs.events();
@@ -574,23 +547,31 @@ mod tests {
     fn fork_adopt_matches_sequential_recording() {
         // Reference: everything recorded sequentially on one handle.
         let seq = ObsConfig::enabled().build();
+        seq.add_work(2);
         {
             let _outer = seq.span("outer");
+            seq.add_work(1);
             for task in 0..3u64 {
                 let _t = seq.span("task");
+                seq.add_work(task + 1);
                 seq.event("work", &[("task", task.into())]);
             }
         }
-        // Same shape through fork + submission-order adopt.
+        // Same shape through fork + submission-order adopt: timestamps
+        // included, because adopt shifts each fork by the parent's reading
+        // and then carries its work back.
         let par = ObsConfig::enabled().build();
+        par.add_work(2);
         {
             let _outer = par.span("outer");
+            par.add_work(1);
             let parent = par.current_span_id();
             let forks: Vec<Obs> = (0..3u64)
                 .map(|task| {
                     let fork = par.fork();
                     {
                         let _t = fork.span("task");
+                        fork.add_work(task + 1);
                         fork.event("work", &[("task", task.into())]);
                     }
                     fork
@@ -604,7 +585,36 @@ mod tests {
     }
 
     #[test]
-    fn fork_shares_registry_and_adopt_reparents_roots() {
+    fn adopt_folds_metrics_in_submission_order() {
+        let record = |obs: &Obs, task: u64| {
+            obs.counter("tasks_total").inc();
+            obs.counter("energy_joules_total")
+                .add(0.1 * (task + 1) as f64);
+            obs.gauge("last_task").set(task as f64);
+            obs.histogram("task_size").record((task + 1) as f64);
+        };
+        let seq = ObsConfig::enabled().build();
+        for task in 0..2 {
+            record(&seq, task);
+        }
+        // Two forks updated in reverse completion order, adopted in
+        // submission order.
+        let par = ObsConfig::enabled().build();
+        let forks = [par.fork(), par.fork()];
+        record(&forks[1], 1);
+        record(&forks[0], 0);
+        for fork in &forks {
+            par.adopt(fork, None);
+        }
+        assert_eq!(seq.export_prometheus(), par.export_prometheus());
+        assert!(
+            (par.gauge("last_task").value() - 1.0).abs() < 1e-12,
+            "the last-submitted task's gauge wins"
+        );
+    }
+
+    #[test]
+    fn fork_records_its_own_registry_and_adopt_reparents_roots() {
         let obs = ObsConfig::enabled().build();
         let root = obs.span("root");
         let parent = obs.current_span_id();
@@ -613,9 +623,10 @@ mod tests {
         {
             let _t = fork.span("task");
         }
+        assert!(obs.registry().is_empty(), "the fork keeps its own registry");
         obs.adopt(&fork, parent);
         drop(root);
-        // The fork's counter landed in the parent registry.
+        // Adopting folded the fork's counter into the parent registry.
         assert!((obs.counter("tasks_total").value() - 1.0).abs() < 1e-9);
         match &obs.events()[0] {
             EventRecord::Span { name, parent, .. } => {

@@ -2,26 +2,24 @@
 //! trace-event shape, the JSONL log is one JSON object per line, and the
 //! Prometheus exposition round-trips through a tiny text-format parser.
 
-use sustain_core::units::TimeSpan;
 use sustain_obs::{Obs, ObsConfig};
 
 /// A small recording touching every exporter feature: nested spans, an
 /// instant event with attributes, and all three instrument kinds.
 fn sample_recording() -> Obs {
     let obs = ObsConfig::enabled().build();
-    obs.set_time(TimeSpan::ZERO);
     {
         let _outer = obs.span("test.outer");
-        obs.set_time(TimeSpan::from_secs(1.0));
+        obs.add_work(1);
         {
             let _inner = obs.span("test.inner");
             obs.event(
                 "test.tick",
                 &[("step", 3u64.into()), ("label", "unit \"x\"".into())],
             );
-            obs.set_time(TimeSpan::from_secs(2.5));
+            obs.add_work(2);
         }
-        obs.set_time(TimeSpan::from_secs(4.0));
+        obs.add_work(1);
     }
     obs.counter("test_ticks_total").add(3.0);
     obs.gauge("test_level").set(-2.5);

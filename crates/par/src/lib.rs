@@ -25,8 +25,11 @@
 //!   [fork](sustain_obs::Obs::fork) of the submitting thread's recorder
 //!   (routed via [`sustain_obs::with_task_handle`]), and the forks are
 //!   [adopted](sustain_obs::Obs::adopt) back in submission order — the
-//!   merged event log is byte-identical to a sequential run. Only the
-//!   `worker` attribute on `par.task` events reflects actual scheduling.
+//!   merged event log, work-clock timestamps and metrics are identical to
+//!   a sequential run: each fork is shifted to the parent's clock reading,
+//!   its work is carried back, and its registry folds into the parent's.
+//!   Only the `worker` attribute on `par.task` events reflects actual
+//!   scheduling.
 //!
 //! ## Example
 //!
@@ -469,13 +472,14 @@ mod tests {
     fn task_spans_are_adopted_under_the_submitting_span() {
         let run = |threads: usize| {
             let obs = ObsConfig::enabled().build();
-            obs.set_time(TimeSpan::from_secs(5.0));
+            obs.add_work(5);
             with_task_handle(&obs, || {
                 let _batch = obs.span("batch");
                 ParPool::new(threads).map_indexed(vec![0u64, 1, 2], |_, v| {
                     let handle = sustain_obs::handle();
                     let _inner = handle.span("task.inner");
                     handle.counter("tasks_total").inc();
+                    handle.add_work(10);
                     v
                 });
             });
@@ -504,18 +508,20 @@ mod tests {
             .filter(|e| matches!(e, EventRecord::Span { name, .. } if *name == "par.task"))
             .collect();
         assert_eq!(task_spans.len(), 3);
-        for span in task_spans {
+        for (task, span) in task_spans.into_iter().enumerate() {
             match span {
                 EventRecord::Span { parent, start, .. } => {
                     assert_eq!(*parent, Some(batch_id), "linkage survives the hop");
-                    assert_eq!(*start, TimeSpan::from_secs(5.0), "forked clock origin");
+                    // Each task starts where its predecessors' work ended.
+                    let origin = TimeSpan::from_secs(5.0 + 10.0 * task as f64);
+                    assert_eq!(*start, origin, "adopted as if run in sequence");
                 }
                 _ => unreachable!(),
             }
         }
         assert!(
             (serial.counter("tasks_total").value() - 3.0).abs() < 1e-9,
-            "fork counters land in the parent registry"
+            "fork counters fold into the parent registry"
         );
     }
 

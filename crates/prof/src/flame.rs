@@ -103,19 +103,18 @@ mod tests {
 
     fn sample_tree() -> SpanTree {
         let obs = ObsConfig::enabled().build();
-        obs.set_time(TimeSpan::from_secs(0.0));
         {
             let _outer = obs.span("outer");
-            obs.set_time(TimeSpan::from_secs(1.0));
+            obs.add_work(1);
             {
                 let _a = obs.span("a");
-                obs.set_time(TimeSpan::from_secs(4.0));
+                obs.add_work(3);
             }
             {
                 let _b = obs.span("b");
-                obs.set_time(TimeSpan::from_secs(9.0));
+                obs.add_work(5);
             }
-            obs.set_time(TimeSpan::from_secs(10.0));
+            obs.add_work(1);
         }
         SpanTree::from_records(&obs.events())
     }
@@ -146,11 +145,10 @@ mod tests {
     #[test]
     fn repeated_stacks_aggregate() {
         let obs = ObsConfig::enabled().build();
-        for i in 0..3u64 {
-            obs.set_time(TimeSpan::from_secs(10.0 * i as f64));
-            let t0 = obs.now();
+        for _ in 0..3 {
+            obs.add_work(8);
             let _s = obs.span("rep");
-            obs.set_time(t0 + TimeSpan::from_secs(2.0));
+            obs.add_work(2);
         }
         let folded = to_folded(&SpanTree::from_records(&obs.events()));
         assert_eq!(folded, "rep 6000000\n");

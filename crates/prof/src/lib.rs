@@ -21,14 +21,15 @@
 //! Two profile flavors share all of this machinery, differing only in the
 //! clock behind the recorder:
 //!
-//! - **Work-counter profiles** run on the default
-//!   [`SimClock`](sustain_obs::SimClock): instrumented hot loops call
-//!   [`Obs::add_work`](sustain_obs::Obs::add_work) and span durations count
-//!   deterministic work units. Byte-identical across thread counts — safe
-//!   to diff in CI.
-//! - **Wall-clock profiles** run on a
-//!   [`WallClock`](sustain_obs::WallClock): durations are real elapsed
-//!   time, for finding actual hotspots.
+//! - **Work-counter profiles** run on the default work clock: instrumented
+//!   layers call [`Obs::add_work`](sustain_obs::Obs::add_work) in their own
+//!   unit (events dispatched, job-hours integrated, cache requests) and
+//!   span durations count those units and nothing else. Forked pool tasks
+//!   are adopted as if they ran in sequence, so the profile conserves and
+//!   is byte-identical across thread counts — safe to diff in CI.
+//! - **Wall-clock profiles** run on
+//!   [`ObsConfig::with_wall_clock`](sustain_obs::ObsConfig::with_wall_clock):
+//!   durations are real elapsed time, for finding actual hotspots.
 //!
 //! ```rust
 //! use sustain_obs::ObsConfig;
@@ -87,7 +88,6 @@ mod tests {
     #[test]
     fn convenience_wrappers_agree() {
         let obs = ObsConfig::enabled().build();
-        obs.set_time(TimeSpan::from_secs(0.0));
         {
             let _s = obs.span("work");
             obs.add_work(5);

@@ -238,25 +238,24 @@ mod tests {
     /// outer(0..10) { a(1..4) { leaf(2..3) }, b(5..9) }
     fn sample_tree() -> SpanTree {
         let obs = ObsConfig::enabled().build();
-        obs.set_time(TimeSpan::from_secs(0.0));
         {
             let _outer = obs.span("outer");
-            obs.set_time(TimeSpan::from_secs(1.0));
+            obs.add_work(1);
             {
                 let _a = obs.span("a");
-                obs.set_time(TimeSpan::from_secs(2.0));
+                obs.add_work(1);
                 {
                     let _leaf = obs.span("leaf");
-                    obs.set_time(TimeSpan::from_secs(3.0));
+                    obs.add_work(1);
                 }
-                obs.set_time(TimeSpan::from_secs(4.0));
+                obs.add_work(1);
             }
-            obs.set_time(TimeSpan::from_secs(5.0));
+            obs.add_work(1);
             {
                 let _b = obs.span("b");
-                obs.set_time(TimeSpan::from_secs(9.0));
+                obs.add_work(4);
             }
-            obs.set_time(TimeSpan::from_secs(10.0));
+            obs.add_work(1);
         }
         SpanTree::from_records(&obs.events())
     }
@@ -314,10 +313,9 @@ mod tests {
     #[test]
     fn median_is_per_call_inclusive() {
         let obs = ObsConfig::enabled().build();
-        for secs in [5.0, 1.0, 3.0] {
-            let t0 = obs.now();
+        for units in [5, 1, 3] {
             let _s = obs.span("rep");
-            obs.set_time(t0 + TimeSpan::from_secs(secs));
+            obs.add_work(units);
         }
         let profile = Profile::from_tree(&SpanTree::from_records(&obs.events()));
         let rep = profile.stats("rep").expect("rep");

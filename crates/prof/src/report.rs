@@ -102,15 +102,14 @@ mod tests {
 
     fn sample_profile() -> Profile {
         let obs = ObsConfig::enabled().build();
-        obs.set_time(TimeSpan::from_secs(0.0));
         {
             let _outer = obs.span("outer");
-            obs.set_time(TimeSpan::from_secs(1.0));
+            obs.add_work(1);
             {
                 let _inner = obs.span("inner");
-                obs.set_time(TimeSpan::from_secs(9.0));
+                obs.add_work(8);
             }
-            obs.set_time(TimeSpan::from_secs(10.0));
+            obs.add_work(1);
         }
         Profile::from_tree(&SpanTree::from_records(&obs.events()))
     }

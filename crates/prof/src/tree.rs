@@ -33,8 +33,9 @@ pub struct SpanNode {
 }
 
 impl SpanNode {
-    /// The span's inclusive duration (clamped to zero for clock rewinds —
-    /// a simulated clock may be reset between runs sharing one recorder).
+    /// The span's inclusive duration, clamped to zero for an end before its
+    /// start (recorders never produce one; a hand-built or corrupted log
+    /// may).
     pub fn total(&self) -> TimeSpan {
         if self.end > self.start {
             self.end - self.start
@@ -196,16 +197,15 @@ mod tests {
 
     fn record_nested() -> Vec<EventRecord> {
         let obs = ObsConfig::enabled().build();
-        obs.set_time(TimeSpan::from_secs(0.0));
         {
             let _outer = obs.span("outer");
-            obs.set_time(TimeSpan::from_secs(1.0));
+            obs.add_work(1);
             {
                 let _inner = obs.span("inner");
-                obs.set_time(TimeSpan::from_secs(4.0));
+                obs.add_work(3);
             }
             obs.event("marker", &[]);
-            obs.set_time(TimeSpan::from_secs(10.0));
+            obs.add_work(6);
         }
         obs.events()
     }
@@ -228,13 +228,12 @@ mod tests {
     #[test]
     fn jsonl_round_trips_the_record_tree() {
         let obs = ObsConfig::enabled().build();
-        obs.set_time(TimeSpan::from_secs(0.0));
         {
             let _a = obs.span("a");
-            obs.set_time(TimeSpan::from_secs(2.0));
+            obs.add_work(2);
             {
                 let _b = obs.span("b");
-                obs.set_time(TimeSpan::from_secs(3.0));
+                obs.add_work(1);
             }
         }
         let from_records = SpanTree::from_records(&obs.events());

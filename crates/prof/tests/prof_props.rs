@@ -2,8 +2,9 @@
 //!
 //! Two generators drive these: a *well-nested* generator that records
 //! arbitrary span programs through a real `Obs` handle (open/close/work
-//! ops), and a *hostile* generator that fabricates raw `EventRecord`s with
-//! arbitrary parents and timestamps (overlaps, orphans, inverted spans).
+//! ops, plus task forks adopted back), and a *hostile* generator that
+//! fabricates raw `EventRecord`s with arbitrary parents and timestamps
+//! (overlaps, orphans, inverted spans).
 //! Conservation must hold exactly on the first and degrade only via
 //! reported clamping on the second.
 
@@ -17,7 +18,9 @@ const NAMES: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
 
 /// Replays an op program through a real recorder: op 0 opens a span
 /// (name picked by `value`), op 1 closes the innermost open span, op 2
-/// adds `value` work units. Well-nested by construction.
+/// adds `value` work units, and op 3 records a span with `value` work
+/// units into a task fork and adopts it under the innermost open span.
+/// Well-nested by construction.
 fn record_program(ops: &[(u8, u64)]) -> Vec<EventRecord> {
     let obs = ObsConfig::enabled().build();
     let mut open = Vec::new();
@@ -27,7 +30,15 @@ fn record_program(ops: &[(u8, u64)]) -> Vec<EventRecord> {
             1 => {
                 open.pop();
             }
-            _ => obs.add_work(value % 50),
+            2 => obs.add_work(value % 50),
+            _ => {
+                let fork = obs.fork();
+                {
+                    let _task = fork.span(NAMES[(value % 4) as usize]);
+                    fork.add_work(value % 50);
+                }
+                obs.adopt(&fork, obs.current_span_id());
+            }
         }
     }
     // Close in reverse-open order.
@@ -52,11 +63,11 @@ fn fabricate(specs: &[(u64, u64, u64)]) -> Vec<EventRecord> {
 }
 
 proptest! {
-    /// Well-nested recordings conserve exactly: nothing clamps, every
-    /// per-name self time is non-negative, and the self times sum to the
-    /// root totals.
+    /// Well-nested recordings conserve exactly, adopted forks included:
+    /// nothing clamps, every per-name self time is non-negative, and the
+    /// self times sum to the root totals.
     #[test]
-    fn well_nested_programs_conserve(ops in prop::collection::vec((0u8..3, 0u64..100), 1..150)) {
+    fn well_nested_programs_conserve(ops in prop::collection::vec((0u8..4, 0u64..100), 1..150)) {
         let profile = profile_records(&record_program(&ops));
         prop_assert_eq!(profile.clamped_spans(), 0);
         prop_assert!(profile.conserves(), "self {:?} vs root {:?}",

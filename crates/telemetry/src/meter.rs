@@ -180,9 +180,9 @@ impl FaultTolerantIntegrator {
 
     /// [`FaultTolerantIntegrator::push`] with observability: every gap the
     /// integrator decides to bridge emits a structured `meter.imputed_gap`
-    /// event (gap width, imputed energy, policy) and bumps a counter through
-    /// `obs`. The integrator stays `Copy`, so the handle is borrowed per call
-    /// rather than stored.
+    /// event (sample time, gap width, imputed energy, policy) and bumps a
+    /// counter through `obs`. The integrator stays `Copy`, so the handle is
+    /// borrowed per call rather than stored.
     pub fn push_traced(&mut self, at: TimeSpan, sample: Option<Power>, obs: &Obs) -> bool {
         self.push_inner(at, sample, Some(obs))
     }
@@ -291,6 +291,7 @@ impl FaultTolerantIntegrator {
                     obs.event(
                         "meter.imputed_gap",
                         &[
+                            ("at_s", at.as_secs().into()),
                             ("gap_s", dt.as_secs().into()),
                             ("imputed_j", bridged.as_joules().into()),
                             ("policy", policy_label.into()),

@@ -302,8 +302,8 @@ pub(crate) fn scan(
             for (pat, fix) in NONDETERMINISM {
                 if *pat == "Instant::now" && wall_clock_module(class) {
                     // The one sanctioned wall-clock site: sustain-obs's
-                    // `ClockSource` implementations. Everything else must
-                    // inject time through that trait.
+                    // recorder clock. Everything else must take time from
+                    // an obs handle.
                     continue;
                 }
                 if has_word(code, pat) {
@@ -388,9 +388,9 @@ fn path_is_test_code(path: &str) -> bool {
 }
 
 /// True for the one module allowed to read the wall clock (rule 4
-/// carve-out): `crates/obs/src/clock.rs`, where `WallClock` implements
-/// `ClockSource`. Exports stay deterministic because simulations use
-/// `SimClock`; the wall clock exists only for real profiling runs.
+/// carve-out): `crates/obs/src/clock.rs`, the recorder's clock. Exports
+/// stay deterministic because recorders default to the work clock; the
+/// wall clock exists only for real profiling runs.
 fn wall_clock_module(class: &FileClass) -> bool {
     class.crate_name.as_deref() == Some("obs") && class.stem == "clock"
 }

@@ -164,7 +164,7 @@ fn determinism_enforced_in_obs_crate() {
 
 #[test]
 fn determinism_permits_wall_clock_only_in_obs_clock_module() {
-    // The sanctioned site: `WallClock::now` in sustain-obs's clock module.
+    // The sanctioned site: the wall clock in sustain-obs's clock module.
     assert_clean(
         "crates/obs/src/clock.rs",
         "fn now_wall() -> std::time::Instant { std::time::Instant::now() }\n",

@@ -1,7 +1,7 @@
-//! Observability determinism suite: under a fixed seed and the simulated
-//! clock, instrumenting a full simulation twice yields byte-identical
-//! exports — and leaving the default (disabled) handle in place leaves
-//! simulation results untouched.
+//! Observability determinism suite: under a fixed seed and the work clock,
+//! instrumenting a full simulation twice yields byte-identical exports,
+//! the recording's profile conserves, and leaving the default (disabled)
+//! handle in place leaves simulation results untouched.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,7 +14,8 @@ use sustainai::fleet::cluster::Cluster;
 use sustainai::fleet::datacenter::DataCenter;
 use sustainai::fleet::sim::{FleetSim, Scenario};
 use sustainai::fleet::utilization::UtilizationModel;
-use sustainai::obs::{Obs, ObsConfig};
+use sustainai::obs::{AttrValue, EventRecord, Obs, ObsConfig};
+use sustainai::prof;
 use sustainai::workload::training::{JobClass, JobGenerator};
 
 const SEED: u64 = 0x0B5_DE7;
@@ -36,7 +37,7 @@ fn sim() -> FleetSim {
 
 /// One instrumented end-to-end run: chaos fleet simulation (fault injection
 /// and gap imputation included) followed by an FL simulation, all reporting
-/// into a fresh sim-clocked recording.
+/// into a fresh work-clocked recording.
 fn instrumented_run() -> Obs {
     let obs = ObsConfig::enabled().build();
     let report = sim()
@@ -85,18 +86,48 @@ fn disabled_handle_records_nothing() {
 }
 
 #[test]
-fn sim_clock_timestamps_span_the_simulated_horizon() {
-    let obs = instrumented_run();
-    let jsonl = obs.export_jsonl();
-    // The fleet run span covers the whole 7-day horizon in *simulated*
-    // seconds — proof the exports are on the sim clock, not the wall clock.
-    let run_line = jsonl
-        .lines()
-        .find(|l| l.contains("\"fleet_sim.run\""))
-        .expect("fleet_sim.run span in JSONL");
-    let horizon_secs = TimeSpan::from_days(7.0).as_secs();
+fn work_profile_conserves_and_simulated_time_is_an_attribute() {
+    let obs = ObsConfig::enabled().build();
+    sim()
+        .with_obs(&obs)
+        .simulate(&chaos(), &mut StdRng::seed_from_u64(SEED));
+    let profile = prof::profile_records(&obs.events());
+    assert_eq!(profile.clamped_spans(), 0);
     assert!(
-        run_line.contains(&format!("\"end_s\":{horizon_secs}")),
-        "span must end at the simulated horizon: {run_line}"
+        profile.conserves(),
+        "self {:?} vs root {:?}",
+        profile.self_total(),
+        profile.root_total()
+    );
+    // The engine counts one unit of work per dispatch, outside the handler
+    // spans, so its drain span's self work is exactly the dispatch count.
+    let drain = profile.stats("des.drain").expect("des.drain span");
+    let dispatched = obs.counter("des_events_total").value();
+    assert!(dispatched > 0.0);
+    assert_eq!(drain.self_time, TimeSpan::from_secs(dispatched));
+
+    // Simulated time rides on the chaos events as an attribute.
+    let horizon_hours = TimeSpan::from_days(7.0).as_hours() as u64;
+    let mut chaos_events = 0;
+    for record in obs.events() {
+        if let EventRecord::Instant { name, attrs, .. } = record {
+            if name == "chaos.crash" || name == "chaos.sdc" {
+                chaos_events += 1;
+                let hour = attrs.iter().find(|(key, _)| *key == "hour");
+                assert!(
+                    matches!(hour, Some((_, AttrValue::U64(h))) if *h < horizon_hours),
+                    "{name} must carry an `hour` inside the horizon: {attrs:?}"
+                );
+            }
+        }
+    }
+    assert!(chaos_events > 0, "the chaos preset must inject faults");
+
+    // Tracing stays proportionate: a per-dispatch record (about 12 records
+    // per simulated hour in all) must not come back unnoticed.
+    assert!(
+        obs.event_count() as u64 <= 8 * horizon_hours,
+        "{} records over {horizon_hours} simulated hours",
+        obs.event_count()
     );
 }

@@ -1,15 +1,15 @@
 //! Profiling determinism suite: the work-counter profile of the full
-//! figure catalogue is byte-identical at any thread count, and the
-//! wall-clock profile attributes the fig07 hot path to a named inner span
-//! instead of leaving it as unexplained self time.
+//! figure catalogue conserves and is byte-identical at any thread count,
+//! and the wall-clock profile attributes the fig07 hot path to a named
+//! inner span instead of leaving it as unexplained self time.
 
 use sustainai::obs::{Obs, ObsConfig};
 use sustainai::par::ParPool;
 use sustainai::prof;
 
 /// Regenerates every figure on a pool of `threads` workers under a fresh
-/// sim-clocked recording scoped to this thread, exactly as
-/// `all_figures --obs <dir> --obs-clock sim --threads <n>` does.
+/// recording scoped to this thread, exactly as
+/// `all_figures --obs <dir> --threads <n>` does.
 fn instrumented_figures(obs: &Obs, threads: usize) {
     let pool = ParPool::new(threads);
     let tables =
@@ -17,11 +17,31 @@ fn instrumented_figures(obs: &Obs, threads: usize) {
     assert!(!tables.is_empty(), "figure catalogue must regenerate");
 }
 
+/// The work-clock profile of the figure catalogue plus the fault tables
+/// (FleetSim replicas, chaos and gap imputation on nested pools), as
+/// `all_figures --obs <dir> --obs-clock sim --threads <n>` records them.
 fn sim_profile(threads: usize) -> (String, String) {
     let obs = ObsConfig::enabled().build();
     instrumented_figures(&obs, threads);
+    let pool = ParPool::new(threads);
+    sustainai::obs::with_task_handle(&obs, || {
+        pool.map_indexed(
+            sustain_bench::figs::faults::TABLES.to_vec(),
+            |_, (name, generate)| {
+                let _span = sustainai::obs::handle().span(name);
+                generate()
+            },
+        )
+    });
     let tree = prof::SpanTree::from_records(&obs.events());
     let profile = prof::Profile::from_tree(&tree);
+    assert_eq!(profile.clamped_spans(), 0, "{threads} threads");
+    assert!(
+        profile.conserves(),
+        "{threads} threads: self {:?} vs root {:?}",
+        profile.self_total(),
+        profile.root_total()
+    );
     (prof::report::render(&profile, 64), prof::to_folded(&tree))
 }
 
@@ -32,6 +52,10 @@ fn work_counter_profile_is_byte_identical_across_thread_counts() {
     assert!(
         report_one.contains("optim.cache.simulate"),
         "instrumented fig07 hot path must appear: {report_one}"
+    );
+    assert!(
+        report_one.contains("conservation: ok"),
+        "the work profile must conserve: {report_one}"
     );
     assert_eq!(
         report_one, report_four,
