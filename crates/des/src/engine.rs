@@ -88,8 +88,7 @@ impl Timeline {
     /// Cancels a pending event; it will be skipped instead of dispatched.
     ///
     /// Cancelling an event that already fired (or was already cancelled) is
-    /// a no-op. This is how a job-completion handler retires the completed
-    /// job's pending checkpoint tick.
+    /// a no-op. A handler uses it to retire an event scheduled earlier.
     pub fn cancel(&mut self, id: EventId) {
         self.cancelled.insert(id.0);
     }
@@ -259,7 +258,7 @@ mod tests {
         }
         engine.schedule_at(5, Event::JobArrival { id: 0 });
         engine.schedule_at(1, Event::HostCrash { id: 1 });
-        engine.schedule_at(5, Event::JobCompletion { id: 2 });
+        engine.schedule_at(5, Event::CheckpointTick { id: 2 });
         engine.schedule_at(0, Event::IntensityTick { id: 3 });
         let mut seen = Vec::new();
         engine.run(&mut seen);
@@ -272,17 +271,20 @@ mod tests {
         engine.on(
             EventKind::JobArrival,
             |_: &mut Vec<u64>, event, timeline| {
-                timeline.schedule_after(2, Event::JobCompletion { id: event.id() });
+                timeline.schedule_after(2, Event::CheckpointTick { id: event.id() });
             },
         );
-        engine.on(EventKind::JobCompletion, |seen: &mut Vec<u64>, event, _| {
-            seen.push(event.id());
-        });
+        engine.on(
+            EventKind::CheckpointTick,
+            |seen: &mut Vec<u64>, event, _| {
+                seen.push(event.id());
+            },
+        );
         engine.schedule_at(0, Event::JobArrival { id: 10 });
         engine.schedule_at(1, Event::JobArrival { id: 11 });
         let mut seen = Vec::new();
         engine.run(&mut seen);
-        // Completions land at t=2 and t=3, in arrival order.
+        // Checkpoints land at t=2 and t=3, in arrival order.
         assert_eq!(seen, vec![10, 11]);
     }
 
@@ -309,11 +311,11 @@ mod tests {
             EventKind::JobArrival,
             |_: &mut Vec<(Timestamp, u64)>, _, timeline| {
                 // Asks for the past; must fire at now(), not rewind the clock.
-                timeline.schedule_at(0, Event::JobCompletion { id: 99 });
+                timeline.schedule_at(0, Event::CheckpointTick { id: 99 });
             },
         );
         engine.on(
-            EventKind::JobCompletion,
+            EventKind::CheckpointTick,
             |seen: &mut Vec<(Timestamp, u64)>, event, timeline| {
                 seen.push((timeline.now(), event.id()));
             },

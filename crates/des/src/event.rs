@@ -25,11 +25,6 @@ pub enum Event {
         /// System-defined payload (job id or arrival-tick index).
         id: u64,
     },
-    /// A running job finished its work.
-    JobCompletion {
-        /// System-defined payload (job id).
-        id: u64,
-    },
     /// A periodic checkpoint/progress boundary.
     CheckpointTick {
         /// System-defined payload (tick index or job id).
@@ -57,7 +52,6 @@ impl Event {
     pub fn kind(&self) -> EventKind {
         match self {
             Event::JobArrival { .. } => EventKind::JobArrival,
-            Event::JobCompletion { .. } => EventKind::JobCompletion,
             Event::CheckpointTick { .. } => EventKind::CheckpointTick,
             Event::HostCrash { .. } => EventKind::HostCrash,
             Event::SdcDetected { .. } => EventKind::SdcDetected,
@@ -69,7 +63,6 @@ impl Event {
     pub fn id(&self) -> u64 {
         match self {
             Event::JobArrival { id }
-            | Event::JobCompletion { id }
             | Event::CheckpointTick { id }
             | Event::HostCrash { id }
             | Event::SdcDetected { id }
@@ -83,8 +76,6 @@ impl Event {
 pub enum EventKind {
     /// [`Event::JobArrival`].
     JobArrival,
-    /// [`Event::JobCompletion`].
-    JobCompletion,
     /// [`Event::CheckpointTick`].
     CheckpointTick,
     /// [`Event::HostCrash`].
@@ -99,7 +90,6 @@ impl EventKind {
     /// Every kind, in dispatch-table order.
     pub const ALL: [EventKind; EventKind::COUNT] = [
         EventKind::JobArrival,
-        EventKind::JobCompletion,
         EventKind::CheckpointTick,
         EventKind::HostCrash,
         EventKind::SdcDetected,
@@ -107,7 +97,7 @@ impl EventKind {
     ];
 
     /// Number of kinds — the length of the handler dispatch array.
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 5;
 
     /// The kind's slot in the handler dispatch array: its declaration
     /// position, which is also its position in [`EventKind::ALL`].
@@ -123,7 +113,6 @@ impl EventKind {
     pub(crate) fn counter_name(self) -> &'static str {
         match self {
             EventKind::JobArrival => "des_events_job_arrival_total",
-            EventKind::JobCompletion => "des_events_job_completion_total",
             EventKind::CheckpointTick => "des_events_checkpoint_tick_total",
             EventKind::HostCrash => "des_events_host_crash_total",
             EventKind::SdcDetected => "des_events_sdc_detected_total",
@@ -147,11 +136,10 @@ mod tests {
     fn every_event_maps_to_its_kind() {
         let events = [
             Event::JobArrival { id: 1 },
-            Event::JobCompletion { id: 2 },
-            Event::CheckpointTick { id: 3 },
-            Event::HostCrash { id: 4 },
-            Event::SdcDetected { id: 5 },
-            Event::IntensityTick { id: 6 },
+            Event::CheckpointTick { id: 2 },
+            Event::HostCrash { id: 3 },
+            Event::SdcDetected { id: 4 },
+            Event::IntensityTick { id: 5 },
         ];
         for (event, kind) in events.iter().zip(EventKind::ALL) {
             assert_eq!(event.kind(), kind);

@@ -11,8 +11,8 @@
 //! time instead of hour boundaries. This crate is the engine under that
 //! migration:
 //!
-//! * [`Event`] — the workspace's event taxonomy, six kinds (job
-//!   arrivals/completions, checkpoint ticks, host crashes, SDC detections,
+//! * [`Event`] — the workspace's event taxonomy, five kinds (job
+//!   arrivals, checkpoint ticks, host crashes, SDC detections,
 //!   intensity-feed ticks), each carrying one free-form `id` payload whose
 //!   meaning is defined by the registering system.
 //! * [`Engine`] — a `BinaryHeap<Reverse<(timestamp, seq, Event)>>` priority
@@ -48,23 +48,23 @@
 //! use sustain_des::{Engine, Event, EventKind};
 //!
 //! struct Tally {
-//!     completed: u64,
+//!     checkpoints: u64,
 //! }
 //!
 //! let mut engine: Engine<Tally> = Engine::new();
 //! engine.on(EventKind::JobArrival, |state: &mut Tally, event, timeline| {
-//!     // Each arrival completes three seconds later.
-//!     timeline.schedule_after(3, Event::JobCompletion { id: event.id() });
+//!     // Each arrival checkpoints three seconds later.
+//!     timeline.schedule_after(3, Event::CheckpointTick { id: event.id() });
 //!     let _ = state;
 //! });
-//! engine.on(EventKind::JobCompletion, |state: &mut Tally, _event, _timeline| {
-//!     state.completed += 1;
+//! engine.on(EventKind::CheckpointTick, |state: &mut Tally, _event, _timeline| {
+//!     state.checkpoints += 1;
 //! });
 //! engine.schedule_at(0, Event::JobArrival { id: 0 });
 //! engine.schedule_at(5, Event::JobArrival { id: 1 });
-//! let mut state = Tally { completed: 0 };
+//! let mut state = Tally { checkpoints: 0 };
 //! engine.run(&mut state);
-//! assert_eq!(state.completed, 2);
+//! assert_eq!(state.checkpoints, 2);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -9,10 +9,9 @@ use sustain_des::{Engine, Event, EventId, EventKind, LoggedEvent, Timestamp};
 fn event_for(slot: usize, id: u64) -> Event {
     match slot % EventKind::COUNT {
         0 => Event::JobArrival { id },
-        1 => Event::JobCompletion { id },
-        2 => Event::CheckpointTick { id },
-        3 => Event::HostCrash { id },
-        4 => Event::SdcDetected { id },
+        1 => Event::CheckpointTick { id },
+        2 => Event::HostCrash { id },
+        3 => Event::SdcDetected { id },
         _ => Event::IntensityTick { id },
     }
 }
@@ -126,22 +125,22 @@ proptest! {
         prop_assert_eq!(first.len(), n);
     }
 
-    /// A completed job's pending checkpoint, once cancelled, never fires —
+    /// A crashed job's pending checkpoint, once cancelled, never fires —
     /// for any interleaving of due times.
     #[test]
     fn cancelled_checkpoint_never_fires(
-        complete_at in 0u64..20,
+        crash_at in 0u64..20,
         checkpoint_offset in 1u64..20,
         noise in proptest::collection::vec(0u64..40, 0..16),
     ) {
         struct JobState {
             checkpoint: Option<EventId>,
             checkpoint_fired: bool,
-            completed: bool,
+            crashed: bool,
         }
         let mut engine: Engine<JobState> = Engine::new();
-        engine.on(EventKind::JobCompletion, |state: &mut JobState, _, timeline| {
-            state.completed = true;
+        engine.on(EventKind::HostCrash, |state: &mut JobState, _, timeline| {
+            state.crashed = true;
             if let Some(id) = state.checkpoint.take() {
                 timeline.cancel(id);
             }
@@ -152,23 +151,23 @@ proptest! {
             }
         });
         engine.on(EventKind::JobArrival, |_: &mut JobState, _, _| {});
-        // The job's checkpoint is strictly after its completion, so the
-        // completion handler always cancels it before it is due.
+        // The job's checkpoint is strictly after its crash, so the crash
+        // handler always cancels it before it is due.
         let checkpoint = engine.schedule_at(
-            complete_at + checkpoint_offset,
+            crash_at + checkpoint_offset,
             Event::CheckpointTick { id: 7 },
         );
-        engine.schedule_at(complete_at, Event::JobCompletion { id: 7 });
+        engine.schedule_at(crash_at, Event::HostCrash { id: 7 });
         for (i, at) in noise.iter().enumerate() {
             engine.schedule_at(*at, Event::JobArrival { id: i as u64 });
         }
         let mut state = JobState {
             checkpoint: Some(checkpoint),
             checkpoint_fired: false,
-            completed: false,
+            crashed: false,
         };
         engine.run(&mut state);
-        prop_assert!(state.completed);
+        prop_assert!(state.crashed);
         prop_assert!(!state.checkpoint_fired, "cancelled checkpoint fired");
     }
 }

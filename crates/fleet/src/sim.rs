@@ -16,12 +16,12 @@
 //! The run loop sits on the [`sustain_des`] discrete-event engine: each
 //! simulated hour is a train of events at the hour boundary — `JobArrival`,
 //! `HostCrash`/`SdcDetected` (chaos runs only), `CheckpointTick` (progress
-//! and busy-energy integration), the `JobCompletion` events it schedules,
-//! and an `IntensityTick` that rolls the hour's energy into the carbon
-//! accounts and schedules the next hour. Stable `(timestamp, seq)` ordering
-//! makes the event train replay the retired hour-stepped loop draw for
-//! draw, which [`FleetSim::run_reference`] (the loop, kept untraced) and
-//! the `des_equivalence` differential suite pin down byte-for-byte.
+//! and busy-energy integration, retiring finished jobs inline), and an
+//! `IntensityTick` that rolls the hour's energy into the carbon accounts
+//! and schedules the next hour. Stable `(timestamp, seq)` ordering makes
+//! the event train replay the retired hour-stepped loop draw for draw,
+//! which [`FleetSim::run_reference`] (the loop, kept untraced) and the
+//! `des_equivalence` differential suite pin down byte-for-byte.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -30,6 +30,7 @@ use std::collections::VecDeque;
 use sustain_cache::{Cache, CacheKey, CacheValue, KeyEncoder};
 use sustain_core::footprint::CarbonFootprint;
 use sustain_core::intensity::AccountingBasis;
+use sustain_core::operational::OperationalAccount;
 use sustain_core::quality::DataQualityReport;
 use sustain_core::stats::Poisson;
 use sustain_core::units::{Co2e, Energy, Fraction, TimeSpan};
@@ -73,6 +74,23 @@ struct RunningJob {
     total_gpu_hours: f64,
     remaining_gpu_hours: f64,
     utilization: Fraction,
+}
+
+/// A job as the event-driven core carries it: its hourly constants are
+/// computed once, when it arrives, with the exact expressions the
+/// reference loop evaluates every hour, so each hour adds the same bits.
+#[derive(Debug, Clone, Copy)]
+struct DesJob {
+    gpus: u32,
+    total_gpu_hours: f64,
+    remaining_gpu_hours: f64,
+    /// Busy energy per hour: the per-GPU share of the server envelope.
+    busy_energy: Energy,
+    /// Utilization-weighted GPU-hours per hour, `u × gpus`.
+    util_gpu_hours: f64,
+    /// GPU-hours of work retired per hour, `gpus × u × derate`; also the
+    /// rate a crash rolls back at.
+    progress: f64,
 }
 
 /// The outcome of a simulation run.
@@ -652,6 +670,7 @@ impl FleetSim {
             rng,
             series: variable_intensity,
             chaos,
+            account: self.datacenter.account(),
             step,
             steps,
             total_gpus: self.cluster.total_gpus() as f64,
@@ -664,8 +683,6 @@ impl FleetSim {
             queue: VecDeque::new(),
             running: Vec::new(),
             free_gpus: self.cluster.total_gpus(),
-            pending_completions: VecDeque::new(),
-            next_completion: 0,
             hour_energy: Energy::ZERO,
             it_energy: Energy::ZERO,
             completed: 0,
@@ -686,7 +703,6 @@ impl FleetSim {
         engine.on(EventKind::HostCrash, des_host_crash::<R>);
         engine.on(EventKind::SdcDetected, des_sdc::<R>);
         engine.on(EventKind::CheckpointTick, des_checkpoint::<R>);
-        engine.on(EventKind::JobCompletion, des_completion::<R>);
         engine.on(EventKind::IntensityTick, des_rollup::<R>);
 
         // Hour 0's head events; each hour's IntensityTick schedules the
@@ -720,7 +736,7 @@ impl FleetSim {
         let embodied = self.cluster.total_embodied()
             * (self.horizon / self.cluster.sku().embodied().lifetime());
 
-        let account = self.datacenter.account();
+        let account = state.account;
         let (operational_location, operational_market) = match variable_intensity {
             // Feed-gap hours were charged at the static location intensity
             // and cannot be proven renewable-matched: only the rest is.
@@ -772,6 +788,7 @@ struct DesRun<'a, R: Rng + ?Sized> {
     rng: &'a mut R,
     series: Option<&'a IntensitySeries>,
     chaos: &'a ChaosConfig,
+    account: OperationalAccount,
     step: TimeSpan,
     steps: usize,
     total_gpus: f64,
@@ -781,11 +798,9 @@ struct DesRun<'a, R: Rng + ?Sized> {
     sdc_dist: Option<Poisson>,
     progress_derate: f64,
     meter: Option<(FaultInjector, FaultTolerantIntegrator)>,
-    queue: VecDeque<RunningJob>,
-    running: Vec<RunningJob>,
+    queue: VecDeque<DesJob>,
+    running: Vec<DesJob>,
     free_gpus: u32,
-    pending_completions: VecDeque<u32>,
-    next_completion: u64,
     hour_energy: Energy,
     it_energy: Energy,
     completed: u64,
@@ -801,27 +816,35 @@ struct DesRun<'a, R: Rng + ?Sized> {
     jobs_arrived: u64,
 }
 
-/// `JobArrival`: samples the hour's Poisson arrival batch, then places
-/// queued jobs FIFO onto free GPUs.
+/// `JobArrival`: samples the hour's Poisson arrival batch, fixing each
+/// job's hourly constants, then places queued jobs FIFO onto free GPUs.
 fn des_arrival<R: Rng + ?Sized>(
     state: &mut DesRun<'_, R>,
     _event: Event,
     _timeline: &mut Timeline,
 ) {
-    let obs = state.sim.obs.clone();
+    let sim = state.sim;
+    let obs = &sim.obs;
     {
         let _phase = obs.span("fleet_sim.arrivals");
         let count = state.arrivals.sample_count(&mut *state.rng);
         state.jobs_arrived += count;
+        let power_model = sim.cluster.sku().power_model();
         for _ in 0..count {
-            let job = state.sim.jobs.sample(&mut *state.rng);
+            let job = sim.jobs.sample(&mut *state.rng);
             let gpu_hours = job.gpu_days() * 24.0;
-            let utilization = state.sim.utilization.sample(&mut *state.rng);
-            state.queue.push_back(RunningJob {
-                gpus: job.gpus().min(state.sim.cluster.total_gpus()),
+            let utilization = sim.utilization.sample(&mut *state.rng);
+            let gpus = job.gpus().min(sim.cluster.total_gpus());
+            let u = utilization.value();
+            state.queue.push_back(DesJob {
+                gpus,
                 total_gpu_hours: gpu_hours,
                 remaining_gpu_hours: gpu_hours,
-                utilization,
+                busy_energy: power_model.power(utilization)
+                    * state.step
+                    * (gpus as f64 / state.gpus_per_server),
+                util_gpu_hours: u * gpus as f64,
+                progress: gpus as f64 * u * state.progress_derate,
             });
         }
     }
@@ -847,7 +870,8 @@ fn des_host_crash<R: Rng + ?Sized>(
     event: Event,
     _timeline: &mut Timeline,
 ) {
-    let obs = state.sim.obs.clone();
+    let sim = state.sim;
+    let obs = &sim.obs;
     let _phase = obs.span("fleet_sim.chaos_recovery");
     let interval_hours = state.chaos.checkpoint.interval.as_hours();
     let count = match &state.crash_dist {
@@ -862,8 +886,7 @@ fn des_host_crash<R: Rng + ?Sized>(
         let victim = state.rng.gen_index(state.running.len());
         if let Some(job) = state.running.get_mut(victim) {
             let done = (job.total_gpu_hours - job.remaining_gpu_hours).max(0.0);
-            let rate = job.gpus as f64 * job.utilization.value() * state.progress_derate;
-            let lost = (0.5 * interval_hours * rate).min(done);
+            let lost = (0.5 * interval_hours * job.progress).min(done);
             job.remaining_gpu_hours += lost;
             state.recomputed_gpu_hours += lost;
             obs.event(
@@ -877,7 +900,8 @@ fn des_host_crash<R: Rng + ?Sized>(
 /// `SdcDetected`: silent data corruption re-runs a fraction of everything
 /// the victim had completed.
 fn des_sdc<R: Rng + ?Sized>(state: &mut DesRun<'_, R>, event: Event, _timeline: &mut Timeline) {
-    let obs = state.sim.obs.clone();
+    let sim = state.sim;
+    let obs = &sim.obs;
     let _phase = obs.span("fleet_sim.chaos_recovery");
     let rerun = state.chaos.sdc_rerun.value();
     let count = match &state.sdc_dist {
@@ -904,54 +928,44 @@ fn des_sdc<R: Rng + ?Sized>(state: &mut DesRun<'_, R>, event: Event, _timeline: 
 }
 
 /// `CheckpointTick`: advances every running job one hour, integrating busy
-/// energy and progress (one unit of obs work per job-hour); finished jobs
-/// become `JobCompletion` events at the same timestamp, and the hour's
-/// `IntensityTick` is scheduled after them so the rollup sees the freed
-/// GPUs.
+/// energy and progress in running-set order (one unit of obs work per
+/// job-hour). Finished jobs are retired inline — counted, their GPUs
+/// freed — and the survivors are compacted in place, keeping their order
+/// (crash and SDC victims are drawn by index). The hour's `IntensityTick`
+/// is scheduled next, so the rollup sees the freed GPUs.
 fn des_checkpoint<R: Rng + ?Sized>(
     state: &mut DesRun<'_, R>,
     event: Event,
     timeline: &mut Timeline,
 ) {
-    let obs = state.sim.obs.clone();
+    let sim = state.sim;
+    let obs = &sim.obs;
     let _phase = obs.span("fleet_sim.integrate");
     obs.add_work(state.running.len() as u64);
-    let step = state.step;
-    let mut running = std::mem::take(&mut state.running);
-    let mut still_running = Vec::with_capacity(running.len());
-    for mut job in running.drain(..) {
-        let gpu_hours = job.gpus as f64;
-        let power = state.sim.cluster.sku().power_model().power(job.utilization);
-        // Per-GPU share of the server power envelope.
-        state.hour_energy += power * step * (job.gpus as f64 / state.gpus_per_server);
-        state.busy_util_acc += job.utilization.value() * gpu_hours;
-        state.busy_gpu_hours += gpu_hours;
-        job.remaining_gpu_hours -= gpu_hours * job.utilization.value() * state.progress_derate;
+    let mut hour_energy = state.hour_energy;
+    let mut busy_util_acc = state.busy_util_acc;
+    let mut busy_gpu_hours = state.busy_gpu_hours;
+    let running = &mut state.running;
+    let mut kept = 0;
+    for i in 0..running.len() {
+        let mut job = running[i];
+        hour_energy += job.busy_energy;
+        busy_util_acc += job.util_gpu_hours;
+        busy_gpu_hours += job.gpus as f64;
+        job.remaining_gpu_hours -= job.progress;
         if job.remaining_gpu_hours <= 0.0 {
-            let id = state.next_completion;
-            state.next_completion += 1;
-            state.pending_completions.push_back(job.gpus);
-            timeline.schedule_at(timeline.now(), Event::JobCompletion { id });
+            state.completed += 1;
+            state.free_gpus += job.gpus;
         } else {
-            still_running.push(job);
+            running[kept] = job;
+            kept += 1;
         }
     }
-    state.running = still_running;
+    running.truncate(kept);
+    state.hour_energy = hour_energy;
+    state.busy_util_acc = busy_util_acc;
+    state.busy_gpu_hours = busy_gpu_hours;
     timeline.schedule_at(timeline.now(), Event::IntensityTick { id: event.id() });
-}
-
-/// `JobCompletion`: retires one finished job and returns its GPUs to the
-/// free pool. Completions pop in scheduling order (stable seq tie-break),
-/// so the FIFO hand-off from [`des_checkpoint`] is exact.
-fn des_completion<R: Rng + ?Sized>(
-    state: &mut DesRun<'_, R>,
-    _event: Event,
-    _timeline: &mut Timeline,
-) {
-    if let Some(gpus) = state.pending_completions.pop_front() {
-        state.completed += 1;
-        state.free_gpus += gpus;
-    }
 }
 
 /// `IntensityTick`: the hourly rollup adapter. Adds idle power, folds the
@@ -960,14 +974,15 @@ fn des_completion<R: Rng + ?Sized>(
 /// back to the static average), pushes the metered view through the fault
 /// injector, and schedules the next hour's head events.
 fn des_rollup<R: Rng + ?Sized>(state: &mut DesRun<'_, R>, event: Event, timeline: &mut Timeline) {
-    let obs = state.sim.obs.clone();
+    let sim = state.sim;
+    let obs = &sim.obs;
     let _phase = obs.span("fleet_sim.rollup");
     let step = state.step;
     let hour = event.id() as usize;
     // Idle servers draw idle power.
     let idle_fraction = state.free_gpus as f64 / state.total_gpus;
-    let idle_servers = state.sim.cluster.servers() as f64 * idle_fraction;
-    state.hour_energy += state.sim.cluster.sku().power(Fraction::ZERO) * step * idle_servers;
+    let idle_servers = sim.cluster.servers() as f64 * idle_fraction;
+    state.hour_energy += sim.cluster.sku().power(Fraction::ZERO) * step * idle_servers;
     state.allocation_acc += 1.0 - idle_fraction;
     state.it_energy += state.hour_energy;
     if obs.enabled() {
@@ -982,12 +997,12 @@ fn des_rollup<R: Rng + ?Sized>(state: &mut DesRun<'_, R>, event: Event, timeline
     if let Some((inj, integ)) = state.meter.as_mut() {
         let at = step * hour as f64;
         match inj.corrupt(at, step, hour_energy / step) {
-            Some((t, p)) => integ.push_traced(t, Some(p), &obs),
-            None => integ.push_traced(at, None, &obs),
+            Some((t, p)) => integ.push_traced(t, Some(p), obs),
+            None => integ.push_traced(at, None, obs),
         };
     }
     if let Some(series) = state.series {
-        let account = state.sim.datacenter.account();
+        let account = &state.account;
         let facility = account.pue().facility_energy(hour_energy);
         let gap = state.chaos.intensity_gap;
         let feed_gap = gap > Fraction::ZERO && state.rng.gen_bool(gap.value());

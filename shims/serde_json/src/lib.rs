@@ -165,20 +165,27 @@ fn write_string(out: &mut String, s: &str) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// How deep arrays and objects may nest before [`parse`] returns an error
+/// instead of recursing further: upstream `serde_json`'s default limit.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 /// Parses a JSON document into a [`Value`].
 ///
 /// # Errors
 ///
-/// Returns [`Error`] on malformed input or trailing non-whitespace.
+/// Returns [`Error`] on malformed input, on arrays and objects nested more
+/// than 128 deep, or on trailing non-whitespace.
 pub fn parse(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -222,8 +229,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -232,6 +239,18 @@ impl<'a> Parser<'a> {
             Some(_) => self.err("unexpected character"),
             None => self.err("unexpected end of input"),
         }
+    }
+
+    /// Parses one array or object a level deeper, failing past
+    /// [`MAX_DEPTH`] so hostile input cannot exhaust the stack.
+    fn nested(&mut self, parse: fn(&mut Parser<'a>) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return self.err(&format!("nesting deeper than {MAX_DEPTH}"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value> {
@@ -319,6 +338,9 @@ impl<'a> Parser<'a> {
                             {
                                 self.pos += 2;
                                 let low = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return self.err("invalid surrogate pair");
+                                }
                                 let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
                                 match char::from_u32(combined) {
                                     Some(c) => out.push(c),
@@ -361,20 +383,21 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Reads the four hex digits of a `\u` escape: ASCII hex digits only,
+    /// so a sign (which `u32::from_str_radix` would accept) is an error.
     fn hex4(&mut self) -> Result<u32> {
         let Some(chunk) = self.bytes.get(self.pos..self.pos + 4) else {
             return self.err("truncated \\u escape");
         };
-        let Ok(s) = std::str::from_utf8(chunk) else {
-            return self.err("invalid \\u escape");
-        };
-        match u32::from_str_radix(s, 16) {
-            Ok(v) => {
-                self.pos += 4;
-                Ok(v)
+        let mut cp = 0;
+        for &b in chunk {
+            match char::from(b).to_digit(16) {
+                Some(digit) => cp = cp * 16 + digit,
+                None => return self.err("invalid \\u escape"),
             }
-            Err(_) => self.err("invalid \\u escape"),
         }
+        self.pos += 4;
+        Ok(cp)
     }
 
     fn number(&mut self) -> Result<Value> {
@@ -452,6 +475,39 @@ mod tests {
         assert!(parse("1 2").is_err());
         assert!(parse("{").is_err());
         assert!(from_str::<f64>("\"no\"").is_err());
+    }
+
+    #[test]
+    fn high_surrogate_before_a_non_low_escape_is_an_error() {
+        assert!(parse(r#""\uD800\u0041""#).is_err());
+        assert!(parse(r#""\uD800\uE000""#).is_err());
+        assert!(parse(r#""\uD800""#).is_err());
+        assert_eq!(
+            parse(r#""\uD83D\uDE00""#).unwrap(),
+            Value::Str("\u{1F600}".to_string())
+        );
+    }
+
+    #[test]
+    fn unicode_escape_takes_exactly_four_hex_digits() {
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(parse(r#""\u-041""#).is_err());
+        assert!(parse(r#""\u 041""#).is_err());
+        assert!(parse(r#""\u004""#).is_err());
+        assert_eq!(parse(r#""\u00e9""#).unwrap(), Value::Str("é".to_string()));
+        assert_eq!(parse(r#""\u00E9""#).unwrap(), Value::Str("é".to_string()));
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"k\":".repeat(depth), "}".repeat(depth));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&arrays(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+        // Far past any stack: an error, not an abort.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -104,19 +104,39 @@ fn des_matches_reference_under_variable_intensity() {
 
 #[test]
 fn des_matches_reference_under_chaos_and_intensity_gaps() {
-    let series = IntensitySeries::solar_day(6);
-    let chaos = ChaosConfig::datacenter_default().with_intensity_gap(Fraction::saturating(0.25));
-    let scenario = Scenario::default()
-        .with_chaos(chaos)
-        .with_intensity(series.clone());
-    for seed in SEEDS {
-        let des = sim(10, 12.0, 5.0).simulate(&scenario, &mut StdRng::seed_from_u64(seed));
-        let reference = sim(10, 12.0, 5.0).run_reference(
-            &mut StdRng::seed_from_u64(seed),
-            Some(&series),
-            Some(&chaos),
-        );
-        assert_byte_identical(&des, &reference, &format!("seed {seed}, chaos+intensity"));
+    // The small fleet sees a crash or two per seed. The busy one (about
+    // 700 crashes and 1,200 completions per seed) draws crash and SDC
+    // victims from a running set that completions compact every hour.
+    let fleets = [
+        (
+            "small fleet",
+            sim(10, 12.0, 5.0),
+            IntensitySeries::solar_day(6),
+            ChaosConfig::datacenter_default().with_intensity_gap(Fraction::saturating(0.25)),
+        ),
+        (
+            "busy fleet",
+            sim(100, 100.0, 14.0),
+            IntensitySeries::solar_day(14),
+            ChaosConfig::datacenter_default()
+                .with_crash_rate(0.5)
+                .with_intensity_gap(Fraction::saturating(0.02)),
+        ),
+    ];
+    for (label, fleet, series, chaos) in &fleets {
+        let scenario = Scenario::default()
+            .with_chaos(*chaos)
+            .with_intensity(series.clone());
+        for seed in SEEDS {
+            let des = fleet.simulate(&scenario, &mut StdRng::seed_from_u64(seed));
+            let reference =
+                fleet.run_reference(&mut StdRng::seed_from_u64(seed), Some(series), Some(chaos));
+            assert_byte_identical(
+                &des,
+                &reference,
+                &format!("seed {seed}, {label}, chaos+intensity"),
+            );
+        }
     }
 }
 

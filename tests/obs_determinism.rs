@@ -106,8 +106,17 @@ fn work_profile_conserves_and_simulated_time_is_an_attribute() {
     assert!(dispatched > 0.0);
     assert_eq!(drain.self_time, TimeSpan::from_secs(dispatched));
 
-    // Simulated time rides on the chaos events as an attribute.
+    // Five dispatches an hour (arrival, crash, SDC, checkpoint and intensity
+    // tick), however many jobs finish: the checkpoint tick retires them, so
+    // a per-job event cannot come back unnoticed.
     let horizon_hours = TimeSpan::from_days(7.0).as_hours() as u64;
+    assert!(obs.counter("fleet_jobs_completed_total").value() > 0.0);
+    assert_eq!(dispatched, (5 * horizon_hours) as f64);
+    assert!(!obs
+        .export_prometheus()
+        .contains("des_events_job_completion_total"));
+
+    // Simulated time rides on the chaos events as an attribute.
     let mut chaos_events = 0;
     for record in obs.events() {
         if let EventRecord::Instant { name, attrs, .. } = record {

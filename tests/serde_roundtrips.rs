@@ -88,25 +88,93 @@ fn quantities_serialize_as_plain_numbers() {
     );
 }
 
-#[test]
-fn fleet_sim_report_round_trips() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+fn small_fleet() -> sustainai::fleet::sim::FleetSim {
     use sustainai::core::intensity::GridRegion;
     use sustainai::fleet::cluster::Cluster;
     use sustainai::fleet::datacenter::DataCenter;
-    use sustainai::fleet::sim::{FleetSim, Scenario};
+    use sustainai::fleet::sim::FleetSim;
     use sustainai::fleet::utilization::UtilizationModel;
     use sustainai::workload::training::{JobClass, JobGenerator};
 
-    let sim = FleetSim::new(
+    FleetSim::new(
         Cluster::gpu_training(5),
         DataCenter::hyperscale("dc", GridRegion::UsAverage, Power::from_megawatts(1.0)),
         JobGenerator::calibrated(JobClass::Research).unwrap(),
         UtilizationModel::research_cluster(),
         5.0,
         TimeSpan::from_days(3.0),
-    );
-    let report = sim.simulate(&Scenario::default(), &mut StdRng::seed_from_u64(5));
+    )
+}
+
+#[test]
+fn fleet_sim_report_round_trips() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use sustainai::fleet::sim::Scenario;
+
+    let report = small_fleet().simulate(&Scenario::default(), &mut StdRng::seed_from_u64(5));
     round_trip(&report);
+}
+
+#[test]
+fn persisted_json_parsers_survive_truncation_and_bit_flips() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use sustainai::cache::CacheValue;
+    use sustainai::fleet::chaos::ChaosConfig;
+    use sustainai::fleet::sim::{FleetSimReport, Scenario};
+    use sustainai::obs::ObsConfig;
+    use sustainai::prof::SpanTree;
+
+    // A cached replica report, data-quality report included: no strict
+    // prefix decodes, and no single-bit flip panics the decoder.
+    let report = small_fleet().simulate(
+        &Scenario::default().with_chaos(ChaosConfig::datacenter_default()),
+        &mut StdRng::seed_from_u64(5),
+    );
+    assert!(report.quality.is_some(), "chaos telemetry attaches quality");
+    let bytes = report.to_cache_bytes();
+    assert_eq!(FleetSimReport::from_cache_bytes(&bytes), Some(report));
+    for cut in 0..bytes.len() {
+        assert_eq!(
+            FleetSimReport::from_cache_bytes(&bytes[..cut]),
+            None,
+            "prefix of {cut} bytes decoded"
+        );
+    }
+    for i in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut flipped = bytes.clone();
+            flipped[i] ^= 1 << bit;
+            let _ = FleetSimReport::from_cache_bytes(&flipped);
+        }
+    }
+
+    // A small events.jsonl export: every prefix, and every flip of the low
+    // seven bits of each byte (the text stays ASCII), loads or errors.
+    let obs = ObsConfig::enabled().build();
+    {
+        let _outer = obs.span("outer");
+        obs.add_work(2);
+        let _inner = obs.span("inner");
+        obs.event(
+            "chaos.crash",
+            &[("lost_gpu_hours", 0.5.into()), ("hour", 3u64.into())],
+        );
+        obs.add_work(1);
+    }
+    let jsonl = obs.export_jsonl();
+    assert!(jsonl.is_ascii());
+    assert_eq!(SpanTree::from_jsonl(&jsonl).map(|tree| tree.len()), Ok(2));
+    for cut in 0..=jsonl.len() {
+        let _ = SpanTree::from_jsonl(&jsonl[..cut]);
+    }
+    for i in 0..jsonl.len() {
+        for bit in 0..7 {
+            let mut flipped = jsonl.clone().into_bytes();
+            flipped[i] ^= 1 << bit;
+            let text = String::from_utf8(flipped).expect("ASCII stays ASCII");
+            let _ = SpanTree::from_jsonl(&text);
+        }
+    }
 }
