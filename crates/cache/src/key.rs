@@ -63,7 +63,6 @@ mod tag {
     pub const U64: u8 = 1;
     pub const I64: u8 = 2;
     pub const F64: u8 = 3;
-    pub const BOOL: u8 = 4;
     pub const STR: u8 = 5;
     pub const BYTES: u8 = 6;
     pub const SOME: u8 = 7;
@@ -126,12 +125,6 @@ impl KeyEncoder {
         };
         self.write_tag(tag::F64);
         self.write_raw(&canonical.to_bits().to_le_bytes());
-    }
-
-    /// Encodes a boolean.
-    pub fn write_bool(&mut self, value: bool) {
-        self.write_tag(tag::BOOL);
-        self.write_raw(&[u8::from(value)]);
     }
 
     /// Encodes a length-prefixed UTF-8 string.

@@ -11,7 +11,7 @@
 //! returns bytes it cannot vouch for.
 
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::{fmt, fs};
@@ -240,14 +240,6 @@ impl<'a> EntryReader<'a> {
         buf.copy_from_slice(self.take(8)?);
         Some(u64::from_le_bytes(buf))
     }
-}
-
-/// Reads a whole file defensively (used in tests and tooling); `None` on
-/// any I/O error.
-pub fn read_entry_file(path: &Path) -> Option<Vec<u8>> {
-    let mut buf = Vec::new();
-    fs::File::open(path).ok()?.read_to_end(&mut buf).ok()?;
-    Some(buf)
 }
 
 #[cfg(test)]

@@ -54,11 +54,6 @@ impl CarbonFootprint {
         CarbonFootprint::new(operational, Co2e::ZERO)
     }
 
-    /// A purely embodied footprint.
-    pub fn embodied_only(embodied: Co2e) -> CarbonFootprint {
-        CarbonFootprint::new(Co2e::ZERO, embodied)
-    }
-
     /// The operational component.
     pub fn operational(&self) -> Co2e {
         self.operational

@@ -557,11 +557,6 @@ impl DataVolume {
         DataVolume(gb * 1e9)
     }
 
-    /// Creates a volume from terabytes (10¹² bytes).
-    pub fn from_terabytes(tb: f64) -> DataVolume {
-        DataVolume(tb * 1e12)
-    }
-
     /// Creates a volume from petabytes (10¹⁵ bytes).
     pub fn from_petabytes(pb: f64) -> DataVolume {
         DataVolume(pb * 1e15)

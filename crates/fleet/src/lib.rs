@@ -7,9 +7,8 @@
 //! * [`datacenter`] — datacenter descriptors: region, PUE, capacity,
 //!   renewable matching; produce [`OperationalAccount`](sustain_core::operational::OperationalAccount)s.
 //! * [`cluster`] — GPU clusters and their aggregate power/energy behaviour.
-//! * [`sim`] — an event-driven fleet simulation on the `sustain-des`
-//!   engine with hourly rollups: job arrivals from calibrated generators,
-//!   placement, utilization and energy tracking.
+//! * [`sim`] — an hour-stepped fleet simulation: job arrivals from
+//!   calibrated generators, placement, utilization and energy tracking.
 //! * [`chaos`] — failure injection for the simulator: host crashes with
 //!   checkpoint recovery, wear-out SDC re-runs, intensity-feed gaps, and
 //!   degraded power metering.

@@ -87,12 +87,6 @@ impl WindTrace {
             phase: 0.0,
         }
     }
-
-    /// Offsets the fluctuation phase (decorrelates multiple farms).
-    pub fn with_phase(mut self, phase: f64) -> WindTrace {
-        self.phase = phase;
-        self
-    }
 }
 
 impl GenerationTrace for WindTrace {

@@ -1,4 +1,4 @@
-//! Event-driven fleet simulation.
+//! Hour-stepped fleet simulation.
 //!
 //! [`FleetSim`] ties the workspace together: calibrated job arrivals
 //! ([`JobGenerator`]) land on a GPU [`Cluster`] inside a [`DataCenter`];
@@ -11,17 +11,16 @@
 //! ([`ChaosConfig::none`] unless set) and an optional hourly intensity feed.
 //! [`FleetSim::simulate`] runs one scenario and
 //! [`FleetSim::simulate_replicas`] runs a Monte Carlo batch of it; both go
-//! through one event-driven core.
+//! through one hourly loop.
 //!
-//! The run loop sits on the [`sustain_des`] discrete-event engine: each
-//! simulated hour is a train of events at the hour boundary — `JobArrival`,
-//! `HostCrash`/`SdcDetected` (chaos runs only), `CheckpointTick` (progress
-//! and busy-energy integration, retiring finished jobs inline), and an
-//! `IntensityTick` that rolls the hour's energy into the carbon accounts
-//! and schedules the next hour. Stable `(timestamp, seq)` ordering makes
-//! the event train replay the retired hour-stepped loop draw for draw,
-//! which [`FleetSim::run_reference`] (the loop, kept untraced) and the
-//! `des_equivalence` differential suite pin down byte-for-byte.
+//! Each simulated hour runs five steps in a fixed order: job arrivals, then
+//! FIFO placement; host crashes and SDC re-runs (chaos runs only); the
+//! job-hour integration of progress and busy energy, which retires finished
+//! jobs inline; and a rollup that adds idle power and folds the hour's
+//! energy into the carbon accounts. The RNG is drawn in that order, so a
+//! seed fixes the report byte for byte; the `fleet_golden` suite at the
+//! workspace root pins the reports of a grid of seeds, chaos presets and
+//! intensity feeds.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -30,11 +29,9 @@ use std::collections::VecDeque;
 use sustain_cache::{Cache, CacheKey, CacheValue, KeyEncoder};
 use sustain_core::footprint::CarbonFootprint;
 use sustain_core::intensity::AccountingBasis;
-use sustain_core::operational::OperationalAccount;
 use sustain_core::quality::DataQualityReport;
 use sustain_core::stats::Poisson;
 use sustain_core::units::{Co2e, Energy, Fraction, TimeSpan};
-use sustain_des::{Engine, Event, EventKind, Timeline};
 use sustain_obs::Obs;
 use sustain_telemetry::device::PowerModel;
 use sustain_telemetry::faults::{FaultInjector, ImputationPolicy};
@@ -46,10 +43,6 @@ use crate::cluster::Cluster;
 use crate::datacenter::DataCenter;
 use crate::scheduler::IntensitySeries;
 use crate::utilization::UtilizationModel;
-
-/// Seconds per simulated hour — the event-time granularity of the hourly
-/// rollup adapter.
-const SECS_PER_HOUR: u64 = 3600;
 
 /// Configuration of a fleet simulation run.
 #[derive(Debug, Clone)]
@@ -68,19 +61,10 @@ pub struct FleetSim {
     cache: Option<Cache>,
 }
 
+/// A queued or running job. Its hourly constants are computed once, when
+/// it arrives, so every hour of the job adds the same bits.
 #[derive(Debug, Clone, Copy)]
-struct RunningJob {
-    gpus: u32,
-    total_gpu_hours: f64,
-    remaining_gpu_hours: f64,
-    utilization: Fraction,
-}
-
-/// A job as the event-driven core carries it: its hourly constants are
-/// computed once, when it arrives, with the exact expressions the
-/// reference loop evaluates every hour, so each hour adds the same bits.
-#[derive(Debug, Clone, Copy)]
-struct DesJob {
+struct Job {
     gpus: u32,
     total_gpu_hours: f64,
     remaining_gpu_hours: f64,
@@ -304,7 +288,7 @@ impl FleetSim {
         self
     }
 
-    /// Runs `scenario` over the horizon, one event-driven hour at a time.
+    /// Runs `scenario` over the horizon, one simulated hour at a time.
     ///
     /// # Panics
     ///
@@ -385,114 +369,86 @@ impl FleetSim {
         self.simulate_replicas(&Scenario::default().with_chaos(*chaos), n, base_seed)
     }
 
-    /// Runs the retired hour-stepped loop, kept (untraced) as the executable
-    /// specification of the hourly-rollup adapter: for any seed, intensity
-    /// series, and chaos config, [`FleetSim::simulate`] must reproduce this
-    /// report byte-for-byte (see `tests/des_equivalence` at the workspace
-    /// root). `chaos: None` is the undisturbed loop, which a scenario with
-    /// [`ChaosConfig::none`] must reproduce; `series` applies the
-    /// market-basis gap formula.
-    pub fn run_reference<R: Rng + ?Sized>(
+    /// The hourly loop behind every entry point (see the module docs for
+    /// the order of an hour's steps, which is also the order of its RNG
+    /// draws).
+    fn simulate_with<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        series: Option<&IntensitySeries>,
-        chaos: Option<&ChaosConfig>,
-    ) -> FleetSimReport {
-        let (mut report, gap_co2) = self.run_hourly(rng, series, chaos);
-        if series.is_some() {
-            let matched = report.operational_location - gap_co2;
-            report.operational_market = matched
-                * self
-                    .datacenter
-                    .account()
-                    .renewable_matching()
-                    .complement()
-                    .value()
-                + gap_co2;
-        }
-        report
-    }
-
-    fn run_hourly<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
+        chaos: &ChaosConfig,
         variable_intensity: Option<&IntensitySeries>,
-        chaos: Option<&ChaosConfig>,
-    ) -> (FleetSimReport, Co2e) {
+    ) -> FleetSimReport {
+        crate::chaos::assert_valid_crash_rate(chaos.crash_rate_per_server_day);
+        let obs = &self.obs;
         let step = TimeSpan::from_hours(1.0);
         let steps = self.horizon.as_hours().ceil() as usize;
+        let sku = self.cluster.sku();
+        let servers = self.cluster.servers() as f64;
         let total_gpus = self.cluster.total_gpus() as f64;
+        let gpus_per_server = sku.accelerators().max(1) as f64;
+        let account = self.datacenter.account();
         // lint:allow(panic-discipline) unreachable: `new` checks this exact λ
         let arrivals = Poisson::new(self.arrivals_per_day / 24.0).expect("positive arrival rate");
 
-        let mut queue: VecDeque<RunningJob> = VecDeque::new();
-        let mut running: Vec<RunningJob> = Vec::new();
-        let mut free_gpus = self.cluster.total_gpus();
+        // Chaos machinery — every piece is inert (no RNG draws, exact ×1.0
+        // derate) under a zero-rate config, so the undisturbed simulation
+        // is reproduced bit-for-bit. A zero rate builds no Poisson process.
+        let crash_dist = Poisson::new(chaos.crash_rate_per_server_day * servers / 24.0).ok();
+        let sdc_dist = Poisson::new(chaos.sdc_rate_per_server_hour() * servers).ok();
+        let progress_derate = 1.0 / (1.0 + chaos.checkpoint.overhead.value());
+        let interval_hours = chaos.checkpoint.interval.as_hours();
+        let rerun = chaos.sdc_rerun.value();
+        let mut meter = (!chaos.telemetry.is_none()).then(|| {
+            (
+                FaultInjector::new(&chaos.telemetry, "fleet-power").with_obs(obs),
+                FaultTolerantIntegrator::new(step, ImputationPolicy::LastObservation),
+            )
+        });
 
-        let mut it_energy = Energy::ZERO;
+        let run_span = obs.span("fleet_sim.run");
+        let mut queue: VecDeque<Job> = VecDeque::new();
+        let mut running: Vec<Job> = Vec::new();
+        let mut free_gpus = self.cluster.total_gpus();
+        let mut jobs_arrived = 0u64;
         let mut completed = 0u64;
+        let mut it_energy = Energy::ZERO;
         let mut allocation_acc = 0.0;
         let mut busy_util_acc = 0.0;
         let mut busy_gpu_hours = 0.0;
-
-        let per_gpu = |sku_power: &dyn PowerModel, u: Fraction| sku_power.power(u);
-        let gpus_per_server = self.cluster.sku().accelerators().max(1) as f64;
-
-        let account = self.datacenter.account();
         let mut variable_co2 = Co2e::ZERO;
-
-        // Chaos machinery — every piece is inert (no RNG draws, exact ×1.0
-        // derate) when `chaos` is absent or zero-rate, so the undisturbed
-        // simulation is reproduced bit-for-bit.
-        let servers = self.cluster.servers() as f64;
-        let crash_dist = chaos.and_then(|c| {
-            let per_hour = c.crash_rate_per_server_day * servers / 24.0;
-            (per_hour > 0.0)
-                .then(|| Poisson::new(per_hour).ok())
-                .flatten()
-        });
-        let sdc_dist = chaos.and_then(|c| {
-            let per_hour = c.sdc_rate_per_server_hour() * servers;
-            (per_hour > 0.0)
-                .then(|| Poisson::new(per_hour).ok())
-                .flatten()
-        });
-        let progress_derate = match chaos {
-            Some(c) => 1.0 / (1.0 + c.checkpoint.overhead.value()),
-            None => 1.0,
-        };
-        let mut meter = chaos.and_then(|c| {
-            (!c.telemetry.is_none()).then(|| {
-                (
-                    FaultInjector::new(&c.telemetry, "fleet-power").with_obs(&Obs::disabled()),
-                    FaultTolerantIntegrator::new(step, ImputationPolicy::LastObservation),
-                )
-            })
-        });
+        let mut gap_co2 = Co2e::ZERO;
         let mut host_crashes = 0u64;
         let mut sdc_events = 0u64;
         let mut recomputed_gpu_hours = 0.0f64;
         let mut intensity_gap_hours = 0u64;
-        let mut gap_co2 = Co2e::ZERO;
 
         for hour in 0..steps {
-            let mut hour_energy = Energy::ZERO;
-            // Arrivals.
+            // Arrivals: each job's hourly constants are fixed as it lands.
             {
+                let _phase = obs.span("fleet_sim.arrivals");
                 let count = arrivals.sample_count(rng);
+                jobs_arrived += count;
                 for _ in 0..count {
                     let job = self.jobs.sample(rng);
                     let gpu_hours = job.gpu_days() * 24.0;
-                    queue.push_back(RunningJob {
-                        gpus: job.gpus().min(self.cluster.total_gpus()),
+                    let utilization = self.utilization.sample(rng);
+                    let gpus = job.gpus().min(self.cluster.total_gpus());
+                    let u = utilization.value();
+                    queue.push_back(Job {
+                        gpus,
                         total_gpu_hours: gpu_hours,
                         remaining_gpu_hours: gpu_hours,
-                        utilization: self.utilization.sample(rng),
+                        busy_energy: sku.power_model().power(utilization)
+                            * step
+                            * (gpus as f64 / gpus_per_server),
+                        util_gpu_hours: u * gpus as f64,
+                        progress: gpus as f64 * u * progress_derate,
                     });
                 }
             }
             // Placement (FIFO).
             {
+                let _phase = obs.span("fleet_sim.placement");
                 while let Some(job) = queue.front() {
                     if job.gpus <= free_gpus {
                         // lint:allow(panic-discipline) loop condition checked front()
@@ -507,101 +463,155 @@ impl FleetSim {
             // Chaos: host crashes roll victims back to their last checkpoint
             // (half an interval of progress lost on average); SDC events
             // re-run a fraction of everything the victim had completed.
-            if let Some(c) = chaos {
-                if let Some(dist) = &crash_dist {
-                    for _ in 0..dist.sample_count(rng) {
-                        host_crashes += 1;
-                        if running.is_empty() {
-                            continue; // the crash hit an idle server
-                        }
-                        let victim = rng.gen_index(running.len());
-                        let job = &mut running[victim];
-                        let done = (job.total_gpu_hours - job.remaining_gpu_hours).max(0.0);
-                        let rate = job.gpus as f64 * job.utilization.value() * progress_derate;
-                        let lost = (0.5 * c.checkpoint.interval.as_hours() * rate).min(done);
-                        job.remaining_gpu_hours += lost;
-                        recomputed_gpu_hours += lost;
+            // Either way the recomputed GPU-hours are real extra energy.
+            if let Some(dist) = &crash_dist {
+                let _phase = obs.span("fleet_sim.chaos_recovery");
+                for _ in 0..dist.sample_count(rng) {
+                    host_crashes += 1;
+                    if running.is_empty() {
+                        continue; // the crash hit an idle server
                     }
-                }
-                if let Some(dist) = &sdc_dist {
-                    for _ in 0..dist.sample_count(rng) {
-                        sdc_events += 1;
-                        if running.is_empty() {
-                            continue;
-                        }
-                        let victim = rng.gen_index(running.len());
-                        let job = &mut running[victim];
+                    let victim = rng.gen_index(running.len());
+                    if let Some(job) = running.get_mut(victim) {
                         let done = (job.total_gpu_hours - job.remaining_gpu_hours).max(0.0);
-                        let lost = c.sdc_rerun.value() * done;
+                        let lost = (0.5 * interval_hours * job.progress).min(done);
                         job.remaining_gpu_hours += lost;
                         recomputed_gpu_hours += lost;
+                        obs.event(
+                            "chaos.crash",
+                            &[
+                                ("lost_gpu_hours", lost.into()),
+                                ("hour", (hour as u64).into()),
+                            ],
+                        );
                     }
                 }
             }
-            // Advance running jobs one hour and integrate energy.
+            if let Some(dist) = &sdc_dist {
+                let _phase = obs.span("fleet_sim.chaos_recovery");
+                for _ in 0..dist.sample_count(rng) {
+                    sdc_events += 1;
+                    if running.is_empty() {
+                        continue;
+                    }
+                    let victim = rng.gen_index(running.len());
+                    if let Some(job) = running.get_mut(victim) {
+                        let done = (job.total_gpu_hours - job.remaining_gpu_hours).max(0.0);
+                        let lost = rerun * done;
+                        job.remaining_gpu_hours += lost;
+                        recomputed_gpu_hours += lost;
+                        obs.event(
+                            "chaos.sdc",
+                            &[
+                                ("lost_gpu_hours", lost.into()),
+                                ("hour", (hour as u64).into()),
+                            ],
+                        );
+                    }
+                }
+            }
+            // Job-hours: advance every running job one hour, integrating
+            // busy energy and progress in running-set order (one unit of obs
+            // work per job-hour). Finished jobs are retired inline and the
+            // survivors compacted in place, keeping their order (crash and
+            // SDC victims are drawn by index).
+            let mut hour_energy = Energy::ZERO;
             {
-                let mut still_running = Vec::with_capacity(running.len());
-                for mut job in running.drain(..) {
-                    let gpu_hours = job.gpus as f64;
-                    let power = per_gpu(self.cluster.sku().power_model(), job.utilization);
-                    // Per-GPU share of the server power envelope.
-                    hour_energy += power * step * (job.gpus as f64 / gpus_per_server);
-                    busy_util_acc += job.utilization.value() * gpu_hours;
-                    busy_gpu_hours += gpu_hours;
-                    job.remaining_gpu_hours -=
-                        gpu_hours * job.utilization.value() * progress_derate;
+                let _phase = obs.span("fleet_sim.integrate");
+                obs.add_work(running.len() as u64);
+                let mut kept = 0;
+                for i in 0..running.len() {
+                    let mut job = running[i];
+                    hour_energy += job.busy_energy;
+                    busy_util_acc += job.util_gpu_hours;
+                    busy_gpu_hours += job.gpus as f64;
+                    job.remaining_gpu_hours -= job.progress;
                     if job.remaining_gpu_hours <= 0.0 {
                         completed += 1;
                         free_gpus += job.gpus;
                     } else {
-                        still_running.push(job);
+                        running[kept] = job;
+                        kept += 1;
                     }
                 }
-                running = still_running;
+                running.truncate(kept);
+            }
+            // Rollup: idle power, run totals, the metered view and the
+            // carbon accounts (at the hour's feed intensity when one is
+            // attached, with chaos feed gaps falling back to the static
+            // average).
+            {
+                let _phase = obs.span("fleet_sim.rollup");
                 // Idle servers draw idle power.
                 let idle_fraction = free_gpus as f64 / total_gpus;
-                let idle_servers = self.cluster.servers() as f64 * idle_fraction;
-                hour_energy += self.cluster.sku().power(Fraction::ZERO) * step * idle_servers;
+                let idle_servers = servers * idle_fraction;
+                hour_energy += sku.power(Fraction::ZERO) * step * idle_servers;
                 allocation_acc += 1.0 - idle_fraction;
                 it_energy += hour_energy;
-            }
-            // Chaos: the fleet's own metering sees a corrupted view of the
-            // hour's mean power; the degraded-but-tolerant reading path
-            // accounts it. The simulation keeps integrating the truth.
-            if let Some((inj, integ)) = meter.as_mut() {
-                let at = step * hour as f64;
-                match inj.corrupt(at, step, hour_energy / step) {
-                    Some((t, p)) => integ.push(t, Some(p)),
-                    None => integ.push(at, None),
-                };
-            }
-            if let Some(series) = variable_intensity {
-                let facility = account.pue().facility_energy(hour_energy);
-                let feed_gap = chaos.is_some_and(|c| {
-                    c.intensity_gap > Fraction::ZERO && rng.gen_bool(c.intensity_gap.value())
-                });
-                if feed_gap {
-                    // Feed missing: fall back to the region's static average
-                    // intensity; the hour cannot be renewably matched.
-                    let co2 = account.location_based(hour_energy);
-                    variable_co2 += co2;
-                    gap_co2 += co2;
-                    intensity_gap_hours += 1;
-                } else {
-                    variable_co2 += series.at(hour).emissions(facility);
+                if obs.enabled() {
+                    obs.histogram("fleet_hour_energy_kwh")
+                        .record(hour_energy.as_kilowatt_hours());
+                    obs.gauge("fleet_free_gpus").set(free_gpus as f64);
+                }
+                // Chaos: the fleet's own metering sees a corrupted view of
+                // the hour's mean power; the degraded-but-tolerant reading
+                // path accounts it. The simulation keeps integrating the
+                // truth.
+                if let Some((inj, integ)) = meter.as_mut() {
+                    let at = step * hour as f64;
+                    match inj.corrupt(at, step, hour_energy / step) {
+                        Some((t, p)) => integ.push_traced(t, Some(p), obs),
+                        None => integ.push_traced(at, None, obs),
+                    };
+                }
+                if let Some(series) = variable_intensity {
+                    let facility = account.pue().facility_energy(hour_energy);
+                    let gap = chaos.intensity_gap;
+                    if gap > Fraction::ZERO && rng.gen_bool(gap.value()) {
+                        // Feed missing: fall back to the region's static
+                        // average intensity; the hour cannot be renewably
+                        // matched.
+                        let co2 = account.location_based(hour_energy);
+                        variable_co2 += co2;
+                        gap_co2 += co2;
+                        intensity_gap_hours += 1;
+                        obs.event("fleet_sim.intensity_gap", &[("hour", (hour as u64).into())]);
+                    } else {
+                        variable_co2 += series.at(hour).emissions(facility);
+                    }
                 }
             }
         }
 
+        drop(run_span);
+        if obs.enabled() {
+            obs.counter("fleet_jobs_arrived_total")
+                .add(jobs_arrived as f64);
+            obs.counter("fleet_jobs_completed_total")
+                .add(completed as f64);
+            obs.counter("fleet_host_crashes_total")
+                .add(host_crashes as f64);
+            obs.counter("fleet_sdc_events_total").add(sdc_events as f64);
+            obs.counter("fleet_intensity_gap_hours_total")
+                .add(intensity_gap_hours as f64);
+        }
+
         // Embodied carbon on a time-share basis: the whole cluster exists for
         // the whole horizon, whoever used it.
-        let embodied = self.cluster.total_embodied()
-            * (self.horizon / self.cluster.sku().embodied().lifetime());
+        let embodied = self.cluster.total_embodied() * (self.horizon / sku.embodied().lifetime());
 
-        let operational_location = if variable_intensity.is_some() {
-            variable_co2
-        } else {
-            account.location_based(it_energy)
+        let (operational_location, operational_market) = match variable_intensity {
+            // Feed-gap hours were charged at the static location intensity
+            // and cannot be proven renewable-matched: only the rest is.
+            Some(_) => (
+                variable_co2,
+                (variable_co2 - gap_co2) * account.renewable_matching().complement().value()
+                    + gap_co2,
+            ),
+            None => (
+                account.location_based(it_energy),
+                account.market_based(it_energy),
+            ),
         };
         let quality = meter.map(|(inj, mut integ)| {
             integ.merge_faults(&inj.counts());
@@ -609,10 +619,10 @@ impl FleetSim {
             q.faults.host_crashes += host_crashes;
             q
         });
-        let report = FleetSimReport {
+        FleetSimReport {
             it_energy,
             operational_location,
-            operational_market: account.market_based(it_energy),
+            operational_market,
             embodied,
             jobs_completed: completed,
             jobs_outstanding: (queue.len() + running.len()) as u64,
@@ -627,409 +637,7 @@ impl FleetSim {
             recomputed_gpu_hours,
             intensity_gap_hours,
             quality,
-        };
-        (report, gap_co2)
-    }
-
-    /// The event-driven run loop behind every entry point: builds a
-    /// [`sustain_des::Engine`] whose event train replays the hour-stepped
-    /// loop draw for draw (see the module docs for the per-hour event
-    /// order), drains it, and rolls the accumulated state up into the same
-    /// [`FleetSimReport`] the reference loop produces.
-    fn simulate_with<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        chaos: &ChaosConfig,
-        variable_intensity: Option<&IntensitySeries>,
-    ) -> FleetSimReport {
-        crate::chaos::assert_valid_crash_rate(chaos.crash_rate_per_server_day);
-        let step = TimeSpan::from_hours(1.0);
-        let steps = self.horizon.as_hours().ceil() as usize;
-        // lint:allow(panic-discipline) unreachable: `new` checks this exact λ
-        let arrivals = Poisson::new(self.arrivals_per_day / 24.0).expect("positive arrival rate");
-
-        // Chaos machinery — every piece is inert (no scheduled events, no
-        // RNG draws, exact ×1.0 derate) under a zero-rate config, so the
-        // undisturbed simulation is reproduced bit-for-bit. A zero rate
-        // builds no Poisson process.
-        let servers = self.cluster.servers() as f64;
-        let crash_dist = Poisson::new(chaos.crash_rate_per_server_day * servers / 24.0).ok();
-        let sdc_dist = Poisson::new(chaos.sdc_rate_per_server_hour() * servers).ok();
-        let meter = (!chaos.telemetry.is_none()).then(|| {
-            (
-                FaultInjector::new(&chaos.telemetry, "fleet-power").with_obs(&self.obs),
-                FaultTolerantIntegrator::new(step, ImputationPolicy::LastObservation),
-            )
-        });
-
-        let obs = &self.obs;
-        let run_span = obs.span("fleet_sim.run");
-
-        let mut state = DesRun {
-            sim: self,
-            rng,
-            series: variable_intensity,
-            chaos,
-            account: self.datacenter.account(),
-            step,
-            steps,
-            total_gpus: self.cluster.total_gpus() as f64,
-            gpus_per_server: self.cluster.sku().accelerators().max(1) as f64,
-            arrivals,
-            crash_dist,
-            sdc_dist,
-            progress_derate: 1.0 / (1.0 + chaos.checkpoint.overhead.value()),
-            meter,
-            queue: VecDeque::new(),
-            running: Vec::new(),
-            free_gpus: self.cluster.total_gpus(),
-            hour_energy: Energy::ZERO,
-            it_energy: Energy::ZERO,
-            completed: 0,
-            allocation_acc: 0.0,
-            busy_util_acc: 0.0,
-            busy_gpu_hours: 0.0,
-            variable_co2: Co2e::ZERO,
-            host_crashes: 0,
-            sdc_events: 0,
-            recomputed_gpu_hours: 0.0,
-            intensity_gap_hours: 0,
-            gap_co2: Co2e::ZERO,
-            jobs_arrived: 0,
-        };
-
-        let mut engine: Engine<'_, DesRun<'_, R>> = Engine::with_obs(obs);
-        engine.on(EventKind::JobArrival, des_arrival::<R>);
-        engine.on(EventKind::HostCrash, des_host_crash::<R>);
-        engine.on(EventKind::SdcDetected, des_sdc::<R>);
-        engine.on(EventKind::CheckpointTick, des_checkpoint::<R>);
-        engine.on(EventKind::IntensityTick, des_rollup::<R>);
-
-        // Hour 0's head events; each hour's IntensityTick schedules the
-        // next hour, so the queue drains exactly at the horizon.
-        engine.schedule_at(0, Event::JobArrival { id: 0 });
-        if state.crash_dist.is_some() {
-            engine.schedule_at(0, Event::HostCrash { id: 0 });
         }
-        if state.sdc_dist.is_some() {
-            engine.schedule_at(0, Event::SdcDetected { id: 0 });
-        }
-        engine.schedule_at(0, Event::CheckpointTick { id: 0 });
-        engine.run(&mut state);
-
-        drop(run_span);
-        if obs.enabled() {
-            obs.counter("fleet_jobs_arrived_total")
-                .add(state.jobs_arrived as f64);
-            obs.counter("fleet_jobs_completed_total")
-                .add(state.completed as f64);
-            obs.counter("fleet_host_crashes_total")
-                .add(state.host_crashes as f64);
-            obs.counter("fleet_sdc_events_total")
-                .add(state.sdc_events as f64);
-            obs.counter("fleet_intensity_gap_hours_total")
-                .add(state.intensity_gap_hours as f64);
-        }
-
-        // Embodied carbon on a time-share basis: the whole cluster exists for
-        // the whole horizon, whoever used it.
-        let embodied = self.cluster.total_embodied()
-            * (self.horizon / self.cluster.sku().embodied().lifetime());
-
-        let account = state.account;
-        let (operational_location, operational_market) = match variable_intensity {
-            // Feed-gap hours were charged at the static location intensity
-            // and cannot be proven renewable-matched: only the rest is.
-            Some(_) => (
-                state.variable_co2,
-                (state.variable_co2 - state.gap_co2)
-                    * account.renewable_matching().complement().value()
-                    + state.gap_co2,
-            ),
-            None => (
-                account.location_based(state.it_energy),
-                account.market_based(state.it_energy),
-            ),
-        };
-        let quality = state.meter.map(|(inj, mut integ)| {
-            integ.merge_faults(&inj.counts());
-            let mut q = integ.report();
-            q.faults.host_crashes += state.host_crashes;
-            q
-        });
-        FleetSimReport {
-            it_energy: state.it_energy,
-            operational_location,
-            operational_market,
-            embodied,
-            jobs_completed: state.completed,
-            jobs_outstanding: (state.queue.len() + state.running.len()) as u64,
-            mean_allocation: Fraction::saturating(state.allocation_acc / steps as f64),
-            mean_busy_utilization: if state.busy_gpu_hours > 0.0 {
-                Fraction::saturating(state.busy_util_acc / state.busy_gpu_hours)
-            } else {
-                Fraction::ZERO
-            },
-            host_crashes: state.host_crashes,
-            sdc_events: state.sdc_events,
-            recomputed_gpu_hours: state.recomputed_gpu_hours,
-            intensity_gap_hours: state.intensity_gap_hours,
-            quality,
-        }
-    }
-}
-
-/// Shared state threaded through the DES handlers: the simulation config,
-/// the caller's RNG (the *only* randomness source — handlers draw from it
-/// in a fixed per-hour order so the event train replays the hour-stepped
-/// loop exactly), and every accumulator of the retired loop.
-struct DesRun<'a, R: Rng + ?Sized> {
-    sim: &'a FleetSim,
-    rng: &'a mut R,
-    series: Option<&'a IntensitySeries>,
-    chaos: &'a ChaosConfig,
-    account: OperationalAccount,
-    step: TimeSpan,
-    steps: usize,
-    total_gpus: f64,
-    gpus_per_server: f64,
-    arrivals: Poisson,
-    crash_dist: Option<Poisson>,
-    sdc_dist: Option<Poisson>,
-    progress_derate: f64,
-    meter: Option<(FaultInjector, FaultTolerantIntegrator)>,
-    queue: VecDeque<DesJob>,
-    running: Vec<DesJob>,
-    free_gpus: u32,
-    hour_energy: Energy,
-    it_energy: Energy,
-    completed: u64,
-    allocation_acc: f64,
-    busy_util_acc: f64,
-    busy_gpu_hours: f64,
-    variable_co2: Co2e,
-    host_crashes: u64,
-    sdc_events: u64,
-    recomputed_gpu_hours: f64,
-    intensity_gap_hours: u64,
-    gap_co2: Co2e,
-    jobs_arrived: u64,
-}
-
-/// `JobArrival`: samples the hour's Poisson arrival batch, fixing each
-/// job's hourly constants, then places queued jobs FIFO onto free GPUs.
-fn des_arrival<R: Rng + ?Sized>(
-    state: &mut DesRun<'_, R>,
-    _event: Event,
-    _timeline: &mut Timeline,
-) {
-    let sim = state.sim;
-    let obs = &sim.obs;
-    {
-        let _phase = obs.span("fleet_sim.arrivals");
-        let count = state.arrivals.sample_count(&mut *state.rng);
-        state.jobs_arrived += count;
-        let power_model = sim.cluster.sku().power_model();
-        for _ in 0..count {
-            let job = sim.jobs.sample(&mut *state.rng);
-            let gpu_hours = job.gpu_days() * 24.0;
-            let utilization = sim.utilization.sample(&mut *state.rng);
-            let gpus = job.gpus().min(sim.cluster.total_gpus());
-            let u = utilization.value();
-            state.queue.push_back(DesJob {
-                gpus,
-                total_gpu_hours: gpu_hours,
-                remaining_gpu_hours: gpu_hours,
-                busy_energy: power_model.power(utilization)
-                    * state.step
-                    * (gpus as f64 / state.gpus_per_server),
-                util_gpu_hours: u * gpus as f64,
-                progress: gpus as f64 * u * state.progress_derate,
-            });
-        }
-    }
-    {
-        let _phase = obs.span("fleet_sim.placement");
-        while let Some(job) = state.queue.front() {
-            if job.gpus <= state.free_gpus {
-                // lint:allow(panic-discipline) loop condition checked front()
-                let job = state.queue.pop_front().expect("front exists");
-                state.free_gpus -= job.gpus;
-                state.running.push(job);
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-/// `HostCrash`: crashes roll victims back to their last checkpoint — half
-/// an interval of progress lost on average, recomputed as real energy.
-fn des_host_crash<R: Rng + ?Sized>(
-    state: &mut DesRun<'_, R>,
-    event: Event,
-    _timeline: &mut Timeline,
-) {
-    let sim = state.sim;
-    let obs = &sim.obs;
-    let _phase = obs.span("fleet_sim.chaos_recovery");
-    let interval_hours = state.chaos.checkpoint.interval.as_hours();
-    let count = match &state.crash_dist {
-        Some(dist) => dist.sample_count(&mut *state.rng),
-        None => return,
-    };
-    for _ in 0..count {
-        state.host_crashes += 1;
-        if state.running.is_empty() {
-            continue; // the crash hit an idle server
-        }
-        let victim = state.rng.gen_index(state.running.len());
-        if let Some(job) = state.running.get_mut(victim) {
-            let done = (job.total_gpu_hours - job.remaining_gpu_hours).max(0.0);
-            let lost = (0.5 * interval_hours * job.progress).min(done);
-            job.remaining_gpu_hours += lost;
-            state.recomputed_gpu_hours += lost;
-            obs.event(
-                "chaos.crash",
-                &[("lost_gpu_hours", lost.into()), ("hour", event.id().into())],
-            );
-        }
-    }
-}
-
-/// `SdcDetected`: silent data corruption re-runs a fraction of everything
-/// the victim had completed.
-fn des_sdc<R: Rng + ?Sized>(state: &mut DesRun<'_, R>, event: Event, _timeline: &mut Timeline) {
-    let sim = state.sim;
-    let obs = &sim.obs;
-    let _phase = obs.span("fleet_sim.chaos_recovery");
-    let rerun = state.chaos.sdc_rerun.value();
-    let count = match &state.sdc_dist {
-        Some(dist) => dist.sample_count(&mut *state.rng),
-        None => return,
-    };
-    for _ in 0..count {
-        state.sdc_events += 1;
-        if state.running.is_empty() {
-            continue;
-        }
-        let victim = state.rng.gen_index(state.running.len());
-        if let Some(job) = state.running.get_mut(victim) {
-            let done = (job.total_gpu_hours - job.remaining_gpu_hours).max(0.0);
-            let lost = rerun * done;
-            job.remaining_gpu_hours += lost;
-            state.recomputed_gpu_hours += lost;
-            obs.event(
-                "chaos.sdc",
-                &[("lost_gpu_hours", lost.into()), ("hour", event.id().into())],
-            );
-        }
-    }
-}
-
-/// `CheckpointTick`: advances every running job one hour, integrating busy
-/// energy and progress in running-set order (one unit of obs work per
-/// job-hour). Finished jobs are retired inline — counted, their GPUs
-/// freed — and the survivors are compacted in place, keeping their order
-/// (crash and SDC victims are drawn by index). The hour's `IntensityTick`
-/// is scheduled next, so the rollup sees the freed GPUs.
-fn des_checkpoint<R: Rng + ?Sized>(
-    state: &mut DesRun<'_, R>,
-    event: Event,
-    timeline: &mut Timeline,
-) {
-    let sim = state.sim;
-    let obs = &sim.obs;
-    let _phase = obs.span("fleet_sim.integrate");
-    obs.add_work(state.running.len() as u64);
-    let mut hour_energy = state.hour_energy;
-    let mut busy_util_acc = state.busy_util_acc;
-    let mut busy_gpu_hours = state.busy_gpu_hours;
-    let running = &mut state.running;
-    let mut kept = 0;
-    for i in 0..running.len() {
-        let mut job = running[i];
-        hour_energy += job.busy_energy;
-        busy_util_acc += job.util_gpu_hours;
-        busy_gpu_hours += job.gpus as f64;
-        job.remaining_gpu_hours -= job.progress;
-        if job.remaining_gpu_hours <= 0.0 {
-            state.completed += 1;
-            state.free_gpus += job.gpus;
-        } else {
-            running[kept] = job;
-            kept += 1;
-        }
-    }
-    running.truncate(kept);
-    state.hour_energy = hour_energy;
-    state.busy_util_acc = busy_util_acc;
-    state.busy_gpu_hours = busy_gpu_hours;
-    timeline.schedule_at(timeline.now(), Event::IntensityTick { id: event.id() });
-}
-
-/// `IntensityTick`: the hourly rollup adapter. Adds idle power, folds the
-/// hour's energy into the run totals and the carbon accounts (at the
-/// hour's feed intensity when one is attached, with chaos feed gaps falling
-/// back to the static average), pushes the metered view through the fault
-/// injector, and schedules the next hour's head events.
-fn des_rollup<R: Rng + ?Sized>(state: &mut DesRun<'_, R>, event: Event, timeline: &mut Timeline) {
-    let sim = state.sim;
-    let obs = &sim.obs;
-    let _phase = obs.span("fleet_sim.rollup");
-    let step = state.step;
-    let hour = event.id() as usize;
-    // Idle servers draw idle power.
-    let idle_fraction = state.free_gpus as f64 / state.total_gpus;
-    let idle_servers = sim.cluster.servers() as f64 * idle_fraction;
-    state.hour_energy += sim.cluster.sku().power(Fraction::ZERO) * step * idle_servers;
-    state.allocation_acc += 1.0 - idle_fraction;
-    state.it_energy += state.hour_energy;
-    if obs.enabled() {
-        obs.histogram("fleet_hour_energy_kwh")
-            .record(state.hour_energy.as_kilowatt_hours());
-        obs.gauge("fleet_free_gpus").set(state.free_gpus as f64);
-    }
-    // Chaos: the fleet's own metering sees a corrupted view of the hour's
-    // mean power; the degraded-but-tolerant reading path accounts it. The
-    // simulation keeps integrating the truth.
-    let hour_energy = state.hour_energy;
-    if let Some((inj, integ)) = state.meter.as_mut() {
-        let at = step * hour as f64;
-        match inj.corrupt(at, step, hour_energy / step) {
-            Some((t, p)) => integ.push_traced(t, Some(p), obs),
-            None => integ.push_traced(at, None, obs),
-        };
-    }
-    if let Some(series) = state.series {
-        let account = &state.account;
-        let facility = account.pue().facility_energy(hour_energy);
-        let gap = state.chaos.intensity_gap;
-        let feed_gap = gap > Fraction::ZERO && state.rng.gen_bool(gap.value());
-        if feed_gap {
-            // Feed missing: fall back to the region's static average
-            // intensity; the hour cannot be renewably matched.
-            let co2 = account.location_based(hour_energy);
-            state.variable_co2 += co2;
-            state.gap_co2 += co2;
-            state.intensity_gap_hours += 1;
-            obs.event("fleet_sim.intensity_gap", &[("hour", (hour as u64).into())]);
-        } else {
-            state.variable_co2 += series.at(hour).emissions(facility);
-        }
-    }
-    state.hour_energy = Energy::ZERO;
-    let next = hour + 1;
-    if next < state.steps {
-        let at = next as u64 * SECS_PER_HOUR;
-        timeline.schedule_at(at, Event::JobArrival { id: next as u64 });
-        if state.crash_dist.is_some() {
-            timeline.schedule_at(at, Event::HostCrash { id: next as u64 });
-        }
-        if state.sdc_dist.is_some() {
-            timeline.schedule_at(at, Event::SdcDetected { id: next as u64 });
-        }
-        timeline.schedule_at(at, Event::CheckpointTick { id: next as u64 });
     }
 }
 

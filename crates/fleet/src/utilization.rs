@@ -141,12 +141,6 @@ impl UtilizationSweep {
         self
     }
 
-    /// Sets the power-envelope point an occupied trainer draws at (default 85 %).
-    pub fn with_occupied_draw(mut self, draw: Fraction) -> UtilizationSweep {
-        self.occupied_draw = draw;
-        self
-    }
-
     /// Evaluates the sweep at one utilization.
     ///
     /// # Panics

@@ -1,10 +1,9 @@
 //! End-to-end chaos determinism: the same seed and [`ChaosConfig`] must
 //! yield a byte-identical serialized [`FleetSimReport`], a zero-rate config
-//! must reproduce the undisturbed hour-stepped reference exactly, and a
-//! nonzero fault plan must surface in the report as sub-unity coverage with
-//! imputed energy accounted separately from measured. The workspace's
-//! `des_equivalence` suite extends the zero-rate check to every seed,
-//! chaos preset and intensity feed it covers.
+//! must inject nothing, and a nonzero fault plan must surface in the report
+//! as sub-unity coverage with imputed energy accounted separately from
+//! measured. The workspace's `fleet_golden` suite pins the zero-rate
+//! config byte for byte to reports generated with no chaos at all.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,17 +59,11 @@ fn different_seeds_diverge() {
 }
 
 #[test]
-fn zero_rate_config_matches_undisturbed_run_byte_for_byte() {
-    let plain = sim().run_reference(&mut StdRng::seed_from_u64(7), None, None);
-    let chaotic = run(ChaosConfig::none(), 7);
-    assert_eq!(
-        serde_json::to_string(&plain).expect("serializes"),
-        serde_json::to_string(&chaotic).expect("serializes"),
-        "ChaosConfig::none() must be a strict no-op"
-    );
-    assert!(plain.quality.is_none());
-    assert_eq!(plain.host_crashes, 0);
-    assert_eq!(plain.recomputed_gpu_hours, 0.0);
+fn zero_rate_config_is_inert() {
+    let report = run(ChaosConfig::none(), 7);
+    assert!(report.quality.is_none());
+    assert_eq!(report.host_crashes, 0);
+    assert_eq!(report.recomputed_gpu_hours, 0.0);
 }
 
 #[test]

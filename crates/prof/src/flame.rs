@@ -71,7 +71,7 @@ pub fn to_folded(tree: &SpanTree) -> String {
 /// # Errors
 ///
 /// Returns a message naming the first line without a trailing integer
-/// count.
+/// count, or the line whose count overflows its stack's merged total.
 pub fn parse_folded(text: &str) -> Result<BTreeMap<String, u128>, String> {
     let mut counts = BTreeMap::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -84,7 +84,10 @@ pub fn parse_folded(text: &str) -> Result<BTreeMap<String, u128>, String> {
         let count: u128 = count
             .parse()
             .map_err(|_| format!("folded line {}: non-integer count `{count}`", lineno + 1))?;
-        *counts.entry(stack.to_owned()).or_insert(0) += count;
+        let total = counts.entry(stack.to_owned()).or_insert(0u128);
+        *total = total
+            .checked_add(count)
+            .ok_or_else(|| format!("folded line {}: count overflows `{stack}`", lineno + 1))?;
     }
     Ok(counts)
 }
@@ -195,6 +198,8 @@ mod tests {
         let err = parse_folded("stack_without_count\n").unwrap_err();
         assert!(err.contains("line 1"), "{err}");
         let err = parse_folded("a 1\nb xyz\n").unwrap_err();
+        assert!(err.contains("line 2"), "{err}");
+        let err = parse_folded("a 340282366920938463463374607431768211455\na 1\n").unwrap_err();
         assert!(err.contains("line 2"), "{err}");
     }
 

@@ -6,7 +6,8 @@
 //! fabricates raw `EventRecord`s with arbitrary parents and timestamps
 //! (overlaps, orphans, inverted spans).
 //! Conservation must hold exactly on the first and degrade only via
-//! reported clamping on the second.
+//! reported clamping on the second. A third feeds arbitrary bytes to every
+//! loader of persisted text, which must return rather than panic.
 
 use proptest::prelude::*;
 
@@ -132,5 +133,17 @@ proptest! {
         let split = (pivot % (rotated.len() + 1).max(1)).min(rotated.len());
         rotated.rotate_left(split);
         prop_assert_eq!(forward, profile_records(&rotated));
+    }
+
+    /// Arbitrary bytes, read as lossy UTF-8, go through the folded-stack
+    /// parser, the `events.jsonl` loader and the JSON parser under it: each
+    /// returns `Ok` or `Err`, and none panics.
+    #[test]
+    fn text_loaders_survive_arbitrary_input(bytes in prop::collection::vec(0u16..256, 0..512)) {
+        let bytes: Vec<u8> = bytes.into_iter().map(|byte| byte as u8).collect();
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = parse_folded(&text);
+        let _ = SpanTree::from_jsonl(&text);
+        let _ = serde_json::parse(&text);
     }
 }

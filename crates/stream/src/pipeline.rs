@@ -108,12 +108,6 @@ impl StreamConfig {
         self
     }
 
-    /// Sets the per-shard reorder capacity.
-    pub fn with_reorder_capacity(mut self, capacity: usize) -> StreamConfig {
-        self.reorder_capacity = capacity;
-        self
-    }
-
     /// Sets the backpressure policy.
     pub fn with_backpressure(mut self, policy: BackpressurePolicy) -> StreamConfig {
         self.backpressure = policy;
@@ -388,11 +382,6 @@ impl StreamPipeline {
         self.sources
             .push(MeterSource::new(label, plan, shard, local));
         self
-    }
-
-    /// Number of registered sources.
-    pub fn source_count(&self) -> usize {
-        self.sources.len()
     }
 
     /// Ticks ingested so far.

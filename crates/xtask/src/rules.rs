@@ -21,7 +21,6 @@ pub(crate) const SIM_CRATES: &[&str] = &[
     "cache",
     "stream",
     "prof",
-    "des",
 ];
 
 /// Crates allowed to touch raw thread primitives (rule 5 carve-out):

@@ -919,17 +919,18 @@ fn prof_crate_bans_nondeterminism_sources() {
     assert!(hits.contains(&Rule::Determinism), "got {hits:?}");
 }
 
-// -------------------------------------------------------------- des crate
+// ------------------------------------------------------- handler registry
 
-/// The event engine's dispatch order IS the simulation's semantics: a
-/// hash-ordered handler registry or cancel set would make the event log
-/// layout-dependent. SIM_CRATES membership turns the taint rules on.
-const DES_LIB: &str = "crates/des/src/engine.rs";
+/// A simulation's dispatch order is its semantics: a hash-ordered handler
+/// registry or cancel set would make a run's side effects layout-dependent.
+/// SIM_CRATES membership turns the taint rules on. The fixture is linted
+/// under the scheduler, a fleet file outside the obs-coverage hot set.
+const SCHEDULER_LIB: &str = "crates/fleet/src/scheduler.rs";
 
 #[test]
-fn des_registry_fixture_trips_determinism_taint() {
-    let src = include_str!("fixtures/des_registry.rs");
-    let diags = lint_source(DES_LIB, src);
+fn handler_registry_fixture_trips_determinism_taint() {
+    let src = include_str!("fixtures/handler_registry.rs");
+    let diags = lint_source(SCHEDULER_LIB, src);
     let msgs: Vec<_> = diags
         .iter()
         .filter(|d| d.rule == Rule::DeterminismTaint)
@@ -940,9 +941,9 @@ fn des_registry_fixture_trips_determinism_taint() {
 }
 
 #[test]
-fn des_fixture_clean_when_densely_indexed_and_btree_ordered() {
-    // The corrected form of the same registry — the shape the real engine
-    // uses: handlers in a dense per-kind vector, the cancel set ordered.
+fn handler_registry_clean_when_densely_indexed_and_btree_ordered() {
+    // The corrected form of the same registry: handlers in a dense vector,
+    // the cancel set ordered.
     let src = "use std::collections::BTreeSet;\n\
                pub struct HandlerRegistry {\n\
                \x20   handlers: Vec<Vec<String>>,\n\
@@ -962,12 +963,12 @@ fn des_fixture_clean_when_densely_indexed_and_btree_ordered() {
                \x20       dropped\n\
                \x20   }\n\
                }\n";
-    assert_clean(DES_LIB, src);
+    assert_clean(SCHEDULER_LIB, src);
 }
 
 #[test]
-fn des_taint_not_enforced_outside_sim_crates() {
-    let src = include_str!("fixtures/des_registry.rs");
+fn handler_registry_taint_not_enforced_outside_sim_crates() {
+    let src = include_str!("fixtures/handler_registry.rs");
     let diags = lint_source(CORE_LIB, src);
     assert!(
         !diags.iter().any(|d| d.rule == Rule::DeterminismTaint),
@@ -976,11 +977,11 @@ fn des_taint_not_enforced_outside_sim_crates() {
 }
 
 #[test]
-fn des_crate_bans_nondeterminism_sources() {
-    // Wall-clock or ambient randomness inside the engine would break the
-    // same-seed-same-log replay contract the proptests pin.
+fn scheduler_bans_nondeterminism_sources() {
+    // Ambient randomness in the scheduler would break the same-seed,
+    // same-report contract the fleet golden pins.
     let src = "fn f() { let _r = rand::thread_rng(); }\n";
-    let hits = rules_hit("crates/des/src/event.rs", src);
+    let hits = rules_hit(SCHEDULER_LIB, src);
     assert!(hits.contains(&Rule::Determinism), "got {hits:?}");
 }
 

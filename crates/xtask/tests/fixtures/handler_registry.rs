@@ -1,11 +1,10 @@
-//! Planted violation: a discrete-event handler registry keyed on a
-//! `HashMap`. Draining the pending-kind set to dispatch makes handler
-//! firing order depend on hash layout — two runs of the "same" schedule
-//! interleave their side effects differently, so the event log (and every
-//! rollup built on it) diffs against itself. The real engine indexes
-//! handlers by a dense `EventKind::index()` vector and keeps its cancel
-//! set in a `BTreeSet`. Linted under a `crates/des` path by the fixture
-//! tests; never compiled.
+//! Planted violation: a handler registry keyed on a `HashMap`. Sweeping
+//! it to dispatch makes handler firing order depend on hash layout — two
+//! runs of the "same" schedule interleave their side effects differently,
+//! so every rollup built on them diffs against itself. The corrected form
+//! indexes handlers by a dense vector and keeps its cancel set in a
+//! `BTreeSet`. Linted under a `crates/fleet` path by the fixture tests;
+//! never compiled.
 
 use std::collections::{HashMap, HashSet};
 

@@ -13,9 +13,6 @@
 //!   backpressure queues, watermark reordering, retrying meter reads, and
 //!   a validation harness scoring degradation against exact integration.
 //! * [`workload`] — ML model descriptors, job distributions, scaling laws.
-//! * [`des`] — the deterministic discrete-event engine: a timestamped
-//!   event queue with stable seq tie-breaks, replay logging, and
-//!   cancellation, driving the fleet simulation at event granularity.
 //! * [`fleet`] — datacenter fleet simulation and carbon-aware scheduling.
 //! * [`optim`] — the optimization-pass framework (caching, quantization, …).
 //! * [`edge`] — federated-learning and on-device carbon simulation.
@@ -52,7 +49,6 @@
 
 pub use sustain_cache as cache;
 pub use sustain_core as core;
-pub use sustain_des as des;
 pub use sustain_edge as edge;
 pub use sustain_fleet as fleet;
 pub use sustain_obs as obs;

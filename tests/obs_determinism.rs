@@ -99,22 +99,38 @@ fn work_profile_conserves_and_simulated_time_is_an_attribute() {
         profile.self_total(),
         profile.root_total()
     );
-    // The engine counts one unit of work per dispatch, outside the handler
-    // spans, so its drain span's self work is exactly the dispatch count.
-    let drain = profile.stats("des.drain").expect("des.drain span");
-    let dispatched = obs.counter("des_events_total").value();
-    assert!(dispatched > 0.0);
-    assert_eq!(drain.self_time, TimeSpan::from_secs(dispatched));
-
-    // Five dispatches an hour (arrival, crash, SDC, checkpoint and intensity
-    // tick), however many jobs finish: the checkpoint tick retires them, so
-    // a per-job event cannot come back unnoticed.
+    // Each simulated hour opens its phases once, in a fixed order, however
+    // many jobs arrive or finish; crashes and SDC re-runs each open a
+    // recovery phase every hour the chaos preset runs them.
     let horizon_hours = TimeSpan::from_days(7.0).as_hours() as u64;
+    for phase in ["arrivals", "placement", "integrate", "rollup"] {
+        let name = format!("fleet_sim.{phase}");
+        let calls = profile.stats(&name).map(|stats| stats.calls);
+        assert_eq!(calls, Some(horizon_hours), "{name}");
+    }
+    let recovery = profile
+        .stats("fleet_sim.chaos_recovery")
+        .map(|stats| stats.calls);
+    assert_eq!(recovery, Some(2 * horizon_hours));
+
+    // Job-hours are a run's only work: the run's total is its integrate
+    // phases', so no per-hour or per-job dispatch can add work unnoticed.
+    let run = profile.stats("fleet_sim.run").expect("fleet_sim.run span");
+    let integrate = profile
+        .stats("fleet_sim.integrate")
+        .expect("integrate span");
+    assert!(run.total > TimeSpan::ZERO);
+    assert_eq!(run.total, integrate.total);
     assert!(obs.counter("fleet_jobs_completed_total").value() > 0.0);
-    assert_eq!(dispatched, (5 * horizon_hours) as f64);
+    assert!(
+        !profile.by_name().keys().any(|name| name.starts_with("des")),
+        "{:?}",
+        profile.by_name().keys()
+    );
     assert!(!obs
         .export_prometheus()
-        .contains("des_events_job_completion_total"));
+        .lines()
+        .any(|line| line.trim_start_matches("# TYPE ").starts_with("des")));
 
     // Simulated time rides on the chaos events as an attribute.
     let mut chaos_events = 0;
@@ -132,8 +148,8 @@ fn work_profile_conserves_and_simulated_time_is_an_attribute() {
     }
     assert!(chaos_events > 0, "the chaos preset must inject faults");
 
-    // Tracing stays proportionate: a per-dispatch record (about 12 records
-    // per simulated hour in all) must not come back unnoticed.
+    // Tracing stays proportionate: six phase spans an hour plus the chaos
+    // events. A per-job record would break this bound.
     assert!(
         obs.event_count() as u64 <= 8 * horizon_hours,
         "{} records over {horizon_hours} simulated hours",
