@@ -1,23 +1,31 @@
-//! Prints every reproduced figure/experiment table in paper order.
+//! Prints every reproduced figure/experiment table in paper order — or, with
+//! `--only <name>`, one family or one table.
 //!
-//! Figures fan out on the deterministic `sustain-par` pool; `--threads <n>`
+//! `<name>` is a family — `extensions`, `faults` (the robustness tables,
+//! committed as `faults_output.txt`) or `stream` (the streaming-ingestion
+//! tables, committed as `stream_output.txt`) — or one table's span name
+//! without its `figure.` prefix, such as `fig07_waterfall`. Without
+//! `--only` the run prints the paper figures, the prose experiments and the
+//! extension studies, committed as `figures_output.txt`.
+//!
+//! Tables fan out on the deterministic `sustain-par` pool; `--threads <n>`
 //! (or `SUSTAIN_THREADS`) picks the worker count and stdout is byte-identical
 //! for any choice, including 1.
 //!
-//! With `--cache <dir>` the run memoizes figure tables content-addressed
-//! under `<dir>` through `sustain-cache`: a cold run computes and stores
-//! every table, a warm run serves them from disk, and stdout stays
-//! byte-identical either way (a corrupted entry silently degrades to a
-//! recompute). `--no-cache` forces recomputation even when `--cache` is
-//! given. Cache statistics go to stderr.
+//! With `--cache <dir>` the run memoizes tables content-addressed under
+//! `<dir>` through `sustain-cache`: a cold run computes and stores every
+//! table, a warm run serves them from disk, and stdout stays byte-identical
+//! either way (a corrupted entry silently degrades to a recompute). Without
+//! `--cache` every table is recomputed. Cache statistics go to stderr.
 //!
 //! With `--obs <dir>` the run is additionally profiled through `sustain-obs`
-//! on a wall clock: every figure regenerator records a `figure.<name>` span,
+//! on a wall clock: every table regenerator records a `figure.<name>` span,
 //! each pool task a `par.task` span, every cache lookup a `cache.lookup`
 //! span settling as a `cache.hit`/`cache.miss` event, the instrumented
 //! simulators (fleet phases, chaos, telemetry faults, gap imputation, FL
-//! rounds, carbon tracker) report through the same recorder, and five
-//! exports land in `<dir>`:
+//! rounds, carbon tracker) report through the same recorder — the ones no
+//! printed table reaches run afterwards in [`figs::coverage_sweep`] — and
+//! five exports land in `<dir>`:
 //!
 //! * `events.jsonl` — the structured event log,
 //! * `trace.json` — Chrome trace-event JSON (open in Perfetto),
@@ -31,8 +39,8 @@
 //! the profile finds actual hotspots. `--obs-clock sim` stamps spans from
 //! the deterministic work clock instead: durations count work units, the
 //! profile conserves, and `profile.txt`, `flame.folded` and `metrics.prom`
-//! are byte-identical across thread counts and runs — CI diffs the profile
-//! against the committed `work_profile.txt`.
+//! are byte-identical across thread counts and runs — the default run's
+//! profile is the committed `work_profile.txt`.
 //!
 //! Stdout is byte-identical with and without `--obs`; the observability
 //! summary goes to stderr.
@@ -40,6 +48,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use sustain_bench::figs::{self, NamedFigure};
 use sustain_cache::Cache;
 use sustain_obs::{Obs, ObsConfig};
 use sustain_par::ParPool;
@@ -49,7 +58,7 @@ struct Args {
     sim_clock: bool,
     threads: Option<usize>,
     cache_dir: Option<PathBuf>,
-    no_cache: bool,
+    tables: Vec<NamedFigure>,
 }
 
 fn main() -> ExitCode {
@@ -59,7 +68,7 @@ fn main() -> ExitCode {
             eprintln!("{msg}");
             eprintln!(
                 "usage: all_figures [--obs <dir>] [--obs-clock wall|sim] [--threads <n>] \
-                 [--cache <dir>] [--no-cache]"
+                 [--cache <dir>] [--only <name>]"
             );
             return ExitCode::FAILURE;
         }
@@ -67,9 +76,9 @@ fn main() -> ExitCode {
     if let Some(threads) = args.threads {
         ParPool::set_threads(threads);
     }
-    let cache = match (&args.cache_dir, args.no_cache) {
-        (Some(dir), false) => match Cache::at_dir(dir) {
-            Ok(cache) => Some((dir.clone(), cache)),
+    let cache = match &args.cache_dir {
+        Some(dir) => match Cache::at_dir(dir) {
+            Ok(cache) => Some(cache),
             Err(err) => {
                 eprintln!(
                     "all_figures: cannot open cache dir {}: {err}",
@@ -78,50 +87,47 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         },
-        _ => None,
+        None => None,
     };
-    let print_all = |cache: Option<&Cache>| {
-        for table in sustain_bench::figs::all_with_pool_cached(&ParPool::current(), cache) {
-            println!("{table}");
-        }
-    };
-    let report_cache = |cache: &Option<(PathBuf, Cache)>| {
-        if let Some((dir, cache)) = cache {
-            eprintln!(
-                "all_figures: cache {}: {} hits, {} misses",
-                dir.display(),
-                cache.hits(),
-                cache.misses(),
-            );
-        }
-    };
+    let obs = args.obs_dir.as_ref().map(|_| {
+        let obs = if args.sim_clock {
+            ObsConfig::enabled().build() // deterministic work clock
+        } else {
+            ObsConfig::enabled().with_wall_clock().build()
+        };
+        sustain_obs::install(&obs);
+        obs
+    });
 
-    let Some(dir) = args.obs_dir else {
-        print_all(cache.as_ref().map(|(_, c)| c));
-        report_cache(&cache);
+    let pool = ParPool::current();
+    for table in figs::fan_out(&pool, &args.tables, cache.as_ref()) {
+        println!("{table}");
+    }
+    let swept = if obs.is_some() {
+        figs::coverage_sweep(&pool)
+    } else {
+        0
+    };
+    if let (Some(dir), Some(cache)) = (&args.cache_dir, &cache) {
+        eprintln!(
+            "all_figures: cache {}: {} hits, {} misses",
+            dir.display(),
+            cache.hits(),
+            cache.misses(),
+        );
+    }
+    let (Some(dir), Some(obs)) = (args.obs_dir, obs) else {
         return ExitCode::SUCCESS;
     };
-
-    let obs = if args.sim_clock {
-        ObsConfig::enabled().build() // deterministic work clock
-    } else {
-        ObsConfig::enabled().with_wall_clock().build()
-    };
-    sustain_obs::install(&obs);
-    print_all(cache.as_ref().map(|(_, c)| c));
-    coverage_sweep();
-    report_cache(&cache);
 
     // Every traced regenerator bumps `figures_generated_total` exactly once
     // and every cache hit skips exactly one regenerator (adopting a fork
     // folds its counters into the parent) — so after the sweep, generated
-    // plus cache-served must equal the full catalogue, whatever the threads.
-    let expected = (sustain_bench::figs::FIGURES.len()
-        + sustain_bench::figs::extras::TABLES.len()
-        + sustain_bench::figs::extensions::TABLES.len()
-        + sustain_bench::figs::faults::TABLES.len()) as f64;
+    // plus cache-served must equal the printed tables plus the swept ones,
+    // whatever the threads.
+    let expected = (args.tables.len() + swept) as f64;
     let generated = obs.counter("figures_generated_total").value();
-    let served = cache.as_ref().map_or(0.0, |(_, c)| c.hits() as f64);
+    let served = cache.as_ref().map_or(0.0, |c| c.hits() as f64);
     assert!(
         (generated + served - expected).abs() < 0.5,
         "figures_generated_total = {generated} + cache hits = {served}, expected {expected}: \
@@ -138,7 +144,7 @@ fn main() -> ExitCode {
         obs.registry().len(),
         dir.display(),
         generated,
-        ParPool::current().threads(),
+        pool.threads(),
     );
     ExitCode::SUCCESS
 }
@@ -149,7 +155,7 @@ fn parse_args() -> Result<Args, String> {
         sim_clock: false,
         threads: None,
         cache_dir: None,
-        no_cache: false,
+        tables: figs::catalogue(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -171,48 +177,34 @@ fn parse_args() -> Result<Args, String> {
                 Some(dir) => parsed.cache_dir = Some(PathBuf::from(dir)),
                 None => return Err("--cache requires a cache directory".to_string()),
             },
-            "--no-cache" => parsed.no_cache = true,
+            "--only" => {
+                let name = args
+                    .next()
+                    .ok_or_else(|| "--only requires a family or table name".to_string())?;
+                parsed.tables = select(&name)
+                    .ok_or_else(|| format!("--only: no family or table named `{name}`"))?;
+            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
     Ok(parsed)
 }
 
-/// Exercises the instrumented subsystems the printed figures do not reach
-/// (the robustness tables live in the separate `fig_faults` binary, and no
-/// paper figure builds a `CarbonTracker`), so the exports cover the whole
-/// instrumented surface. Runs under the same pool as the figures, and never
-/// through the cache — the sweep exists to exercise the simulators, so
-/// serving it from disk would defeat it. Nothing is printed: stdout stays
-/// byte-identical.
-fn coverage_sweep() {
-    use sustain_core::intensity::{AccountingBasis, CarbonIntensity};
-    use sustain_core::lifecycle::MlPhase;
-    use sustain_core::operational::OperationalAccount;
-    use sustain_core::pue::Pue;
-    use sustain_core::units::{Energy, TimeSpan};
-    use sustain_telemetry::tracker::CarbonTracker;
-
-    // Fleet phases, chaos recovery, Monte Carlo replicas, fault injection,
-    // and gap imputation — fanned out on the pool like the paper figures.
-    for table in sustain_bench::figs::faults::all() {
-        let _ = table.to_string();
-    }
-
-    // Job-level carbon tracking.
-    let account = OperationalAccount::new(
-        CarbonIntensity::US_AVERAGE_2021,
-        // lint:allow(panic-discipline) fixed, known-good PUE
-        Pue::new(1.1).expect("valid PUE"),
-    );
-    let tracker = CarbonTracker::new("obs-coverage", account);
-    tracker.record_energy(
-        "gpu0",
-        MlPhase::OfflineTraining,
-        Energy::from_kilowatt_hours(10.0),
-    );
-    tracker.record_machine_time(TimeSpan::from_hours(2.0));
-    let _ = tracker.report(AccountingBasis::LocationBased);
+/// The tables `--only <name>` prints: the `extensions`, `faults` or `stream`
+/// family, or the one table whose span name is `figure.<name>`.
+fn select(name: &str) -> Option<Vec<NamedFigure>> {
+    let tables = match name {
+        "extensions" => figs::extensions::TABLES.to_vec(),
+        "faults" => figs::faults::TABLES.to_vec(),
+        "stream" => figs::stream::TABLES.to_vec(),
+        _ => figs::catalogue()
+            .into_iter()
+            .chain(figs::faults::TABLES.iter().copied())
+            .chain(figs::stream::TABLES.iter().copied())
+            .filter(|(span, _)| span.strip_prefix("figure.") == Some(name))
+            .collect(),
+    };
+    (!tables.is_empty()).then_some(tables)
 }
 
 /// Hotspot rows printed in `profile.txt` — every span name this workspace

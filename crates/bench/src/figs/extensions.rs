@@ -32,13 +32,6 @@ pub const TABLES: &[super::NamedFigure] = &[
     ("figure.ext_data_pipeline", data_pipeline),
 ];
 
-/// All extension tables, fanned out on the current pool.
-pub fn all() -> Vec<Table> {
-    sustain_par::ParPool::current().map_indexed(TABLES.to_vec(), |_, (name, generate)| {
-        super::traced(name, generate)
-    })
-}
-
 /// §IV-C: follow-the-sun placement across three timezone-shifted regions.
 pub fn geo_placement() -> Table {
     let regions = follow_the_sun_fleet(3, 64);
@@ -299,14 +292,6 @@ pub fn estimation_error() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn all_extension_tables_generate() {
-        for t in all() {
-            assert!(!t.rows().is_empty(), "{} has no rows", t.title());
-        }
-        assert_eq!(all().len(), 8);
-    }
 
     #[test]
     fn geo_table_shows_spatial_gain() {

@@ -28,13 +28,6 @@ pub const TABLES: &[super::NamedFigure] = &[
     ("figure.extras_experimentation", experimentation),
 ];
 
-/// All extra experiment tables, fanned out on the current pool.
-pub fn all() -> Vec<Table> {
-    sustain_par::ParPool::current().map_indexed(TABLES.to_vec(), |_, (name, generate)| {
-        super::traced(name, generate)
-    })
-}
-
 /// §II-A / §IV-B: experimentation campaigns and early stopping.
 pub fn experimentation() -> Table {
     let mut rng = StdRng::seed_from_u64(SEED);
@@ -290,10 +283,5 @@ mod tests {
         assert!(capped.total_co2() >= aware.total_co2());
         // But carbon-aware needs more concurrent capacity.
         assert!(aware.peak_concurrency(&jobs) > immediate.peak_concurrency(&jobs));
-    }
-
-    #[test]
-    fn all_extras_generate() {
-        assert_eq!(all().len(), 6);
     }
 }

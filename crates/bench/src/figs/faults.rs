@@ -1,8 +1,8 @@
 //! Robustness experiments: fault injection through the telemetry reading
 //! path and the fleet simulator — fault rate vs accounting error, chaos
 //! recovery energy, and renewable-feed gaps degrading market-based
-//! accounting. Printed by the `fig_faults` binary; intentionally *not*
-//! part of [`crate::figs::all`], so the paper-figure outputs stay
+//! accounting. Printed by `all_figures --only faults`; intentionally *not*
+//! part of [`crate::figs::catalogue`], so the paper-figure outputs stay
 //! byte-identical with or without this module.
 
 use rand::rngs::StdRng;
@@ -31,15 +31,6 @@ pub const TABLES: &[super::NamedFigure] = &[
     ("figure.faults_chaos_fleet", chaos_fleet),
     ("figure.faults_renewable_gaps", renewable_gaps),
 ];
-
-/// All robustness tables, in narrative order, fanned out on the current
-/// pool (each table additionally parallelizes its own sweep; nested pools
-/// degrade to one worker, so this never oversubscribes).
-pub fn all() -> Vec<Table> {
-    ParPool::current().map_indexed(TABLES.to_vec(), |_, (name, generate)| {
-        super::traced(name, generate)
-    })
-}
 
 /// One day of minutely samples from a smooth synthetic load curve.
 fn synthetic_day() -> (TimeSpan, Vec<Power>) {
@@ -260,15 +251,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_fault_tables_generate() {
-        for t in all() {
-            assert!(!t.rows().is_empty(), "{} has no rows", t.title());
-            assert!(!t.to_string().is_empty());
-        }
-        assert_eq!(all().len(), 3);
-    }
-
-    #[test]
     fn sweep_zero_rate_row_is_pristine() {
         let t = telemetry_fault_sweep();
         let first = &t.rows()[0];
@@ -324,12 +306,5 @@ mod tests {
             .map(|r| r[1].parse().expect("gap-hours cell"))
             .collect();
         assert!(gaps[gaps.len() - 1] > gaps[0]);
-    }
-
-    #[test]
-    fn generation_is_deterministic() {
-        let a: Vec<String> = all().iter().map(|t| t.to_string()).collect();
-        let b: Vec<String> = all().iter().map(|t| t.to_string()).collect();
-        assert_eq!(a, b);
     }
 }

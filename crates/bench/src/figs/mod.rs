@@ -2,6 +2,8 @@
 //!
 //! Every module exposes `generate() -> Table` (deterministic under
 //! [`crate::SEED`]) plus typed accessors used by the integration tests.
+//! A family of tables is a list of [`NamedFigure`]s, and [`fan_out`] is the
+//! one function that regenerates any such list.
 
 pub mod extensions;
 pub mod extras;
@@ -21,7 +23,13 @@ pub mod fig12_pareto;
 pub mod stream;
 
 use sustain_cache::{Cache, CacheKey, KeyEncoder};
+use sustain_core::intensity::{AccountingBasis, CarbonIntensity};
+use sustain_core::lifecycle::MlPhase;
+use sustain_core::operational::OperationalAccount;
+use sustain_core::pue::Pue;
+use sustain_core::units::{Energy, TimeSpan};
 use sustain_par::ParPool;
+use sustain_telemetry::tracker::CarbonTracker;
 
 use crate::table::Table;
 
@@ -53,21 +61,8 @@ pub const FIGURES: &[NamedFigure] = &[
 /// key. Code changes within one workspace version are *not* part of the
 /// key — the cache is opt-in precisely so the default path always
 /// recomputes (see DESIGN.md, "Incremental recomputation").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FigureSpec {
+struct FigureSpec {
     name: &'static str,
-}
-
-impl FigureSpec {
-    /// The spec for a named figure generator.
-    pub fn new(name: &'static str) -> FigureSpec {
-        FigureSpec { name }
-    }
-
-    /// The figure's span name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
 }
 
 impl CacheKey for FigureSpec {
@@ -84,7 +79,7 @@ impl CacheKey for FigureSpec {
 /// Runs one figure generator inside a `figure.<name>` span on the
 /// process-global obs handle — per-figure wall time when `all_figures` runs
 /// with `--obs` and a wall clock, a pure pass-through otherwise.
-pub(crate) fn traced(name: &'static str, generate: fn() -> Table) -> Table {
+fn traced(name: &'static str, generate: fn() -> Table) -> Table {
     let obs = sustain_obs::handle();
     let _span = obs.span(name);
     let table = generate();
@@ -94,51 +89,83 @@ pub(crate) fn traced(name: &'static str, generate: fn() -> Table) -> Table {
     table
 }
 
-/// Generates every figure's table, in paper order, fanned out on
-/// [`ParPool::current`] (one figure per task).
-///
-/// The robustness tables in [`faults`] are deliberately excluded: they are
-/// printed by the separate `fig_faults` binary so the paper-figure outputs
-/// stay byte-identical.
-pub fn all() -> Vec<Table> {
-    all_with_pool(&ParPool::current())
-}
-
-/// [`all`] on an explicit pool. Tables come back in submission (= paper)
-/// order whatever the thread count, and each figure's spans are adopted
-/// back into the calling thread's obs recording in that same order — the
-/// parallelism is invisible in every output byte except the `worker`
-/// attribute on `par.task` events.
-pub fn all_with_pool(pool: &ParPool) -> Vec<Table> {
-    all_with_pool_cached(pool, None)
-}
-
-/// [`all_with_pool`] with optional memoization: with a cache, each figure
-/// is looked up by its [`FigureSpec`] fingerprint and only regenerated on
-/// a miss (a hit therefore records a `cache.hit` event but no
-/// `figure.<name>` span and no `figures_generated_total` bump). Output
-/// order and bytes are identical either way — the differential suite in
-/// `tests/cache_correctness.rs` holds this to byte equality.
-pub fn all_with_pool_cached(pool: &ParPool, cache: Option<&Cache>) -> Vec<Table> {
-    let figures: Vec<NamedFigure> = FIGURES
+/// The tables `all_figures` prints by default, in paper order: the paper
+/// figures, the prose experiments ([`extras`]) and the extension studies
+/// ([`extensions`]). The robustness ([`faults`]) and streaming ([`stream`])
+/// families print only under `--only`, so a change to them never moves
+/// `figures_output.txt`.
+pub fn catalogue() -> Vec<NamedFigure> {
+    FIGURES
         .iter()
         .chain(extras::TABLES)
         .chain(extensions::TABLES)
         .copied()
-        .collect();
-    match cache {
-        None => pool.map_indexed(figures, |_, (name, generate)| traced(name, generate)),
-        Some(cache) => pool.map_indexed(figures, |_, (name, generate)| {
-            cache.get_or_compute(&FigureSpec::new(name), || traced(name, generate))
-        }),
-    }
+        .collect()
+}
+
+/// Regenerates `tables` on `pool`, one table per task, each inside its
+/// `figure.<name>` span. Tables come back in submission order whatever the
+/// thread count, and each table's spans are adopted back into the calling
+/// thread's obs recording in that same order — the parallelism is
+/// invisible in every output byte except the `worker` attribute on
+/// `par.task` events. A table that fans out its own sweep gets a nested
+/// pool, which degrades to one worker, so this never oversubscribes.
+///
+/// With a cache, each table is looked up by its name and the workspace
+/// seed and only regenerated on a miss (a hit therefore records a
+/// `cache.hit` event but no `figure.<name>` span and no
+/// `figures_generated_total` bump). Output order and bytes are identical
+/// either way — `tests/cache_correctness.rs` holds this to byte equality.
+pub fn fan_out(pool: &ParPool, tables: &[NamedFigure], cache: Option<&Cache>) -> Vec<Table> {
+    pool.map_indexed(tables.to_vec(), |_, (name, generate)| match cache {
+        None => traced(name, generate),
+        Some(cache) => cache.get_or_compute(&FigureSpec { name }, || traced(name, generate)),
+    })
+}
+
+/// [`fan_out`] over the [`catalogue`], uncached: the tables of
+/// `figures_output.txt`.
+pub fn all_with_pool(pool: &ParPool) -> Vec<Table> {
+    fan_out(pool, &catalogue(), None)
+}
+
+/// What `all_figures --obs` runs after its printed tables: the instrumented
+/// subsystems no default table reaches, so the exports cover the whole
+/// instrumented surface. It regenerates the [`faults`] tables on `pool`
+/// (fleet phases, chaos recovery, Monte Carlo replicas, fault injection and
+/// gap imputation) and reports one job through a `CarbonTracker`, which no
+/// table builds. It never goes through a cache — the sweep exists to
+/// exercise the simulators — and prints nothing. Returns the number of
+/// tables it regenerated.
+pub fn coverage_sweep(pool: &ParPool) -> usize {
+    let swept = fan_out(pool, faults::TABLES, None).len();
+    let account = OperationalAccount::new(CarbonIntensity::US_AVERAGE_2021, Pue::HYPERSCALE);
+    let tracker = CarbonTracker::new("obs-coverage", account);
+    tracker.record_energy(
+        "gpu0",
+        MlPhase::OfflineTraining,
+        Energy::from_kilowatt_hours(10.0),
+    );
+    tracker.record_machine_time(TimeSpan::from_hours(2.0));
+    let _ = tracker.report(AccountingBasis::LocationBased);
+    swept
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+
+    /// Every table of every family, the ones only `--only` prints included.
+    fn every_table() -> Vec<Table> {
+        let mut tables = catalogue();
+        tables.extend_from_slice(faults::TABLES);
+        tables.extend_from_slice(stream::TABLES);
+        fan_out(&ParPool::current(), &tables, None)
+    }
+
     #[test]
     fn every_figure_generates_nonempty_output() {
-        for table in super::all() {
+        for table in every_table() {
             assert!(!table.rows().is_empty(), "{} has no rows", table.title());
             assert!(!table.to_string().is_empty());
         }
@@ -146,8 +173,8 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a: Vec<String> = super::all().iter().map(|t| t.to_string()).collect();
-        let b: Vec<String> = super::all().iter().map(|t| t.to_string()).collect();
+        let a: Vec<String> = every_table().iter().map(|t| t.to_string()).collect();
+        let b: Vec<String> = every_table().iter().map(|t| t.to_string()).collect();
         assert_eq!(a, b);
     }
 }

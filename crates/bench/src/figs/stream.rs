@@ -1,12 +1,12 @@
 //! Streaming-ingestion validation tables: the `sustain-stream` pipeline
 //! replayed against exact integration, swept along its three degradation
 //! axes (fault scale, lateness bound, queue capacity) plus a fleet-chaos
-//! feed. Printed by the `fig_stream` binary; intentionally *not* part of
-//! [`crate::figs::all`], so the paper-figure outputs stay byte-identical.
+//! feed. Printed by `all_figures --only stream`; intentionally *not* part
+//! of [`crate::figs::catalogue`], so the paper-figure outputs stay
+//! byte-identical.
 
 use sustain_core::units::TimeSpan;
 use sustain_fleet::chaos::ChaosConfig;
-use sustain_par::ParPool;
 use sustain_stream::pipeline::{StreamConfig, StreamPipeline};
 use sustain_stream::validate::{self, ValidationPoint};
 
@@ -19,15 +19,6 @@ pub const TABLES: &[super::NamedFigure] = &[
     ("figure.stream_capacity_sweep", capacity_sweep),
     ("figure.stream_chaos_fleet", chaos_fed_stream),
 ];
-
-/// All streaming tables, in narrative order, fanned out on the current
-/// pool (each sweep point already runs a whole pipeline; nested pools
-/// degrade to one worker, so this never oversubscribes).
-pub fn all() -> Vec<Table> {
-    ParPool::current().map_indexed(TABLES.to_vec(), |_, (name, generate)| {
-        super::traced(name, generate)
-    })
-}
 
 const SOURCES: usize = 16;
 const TICKS: u64 = 1200;
@@ -203,16 +194,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_stream_tables_generate() {
-        let tables = all();
-        assert_eq!(tables.len(), 4);
-        for t in &tables {
-            assert!(!t.rows().is_empty(), "{} has no rows", t.title());
-            assert!(!t.to_string().is_empty());
-        }
-    }
-
-    #[test]
     fn fault_sweep_zero_scale_is_near_exact() {
         let t = fault_sweep();
         let first = &t.rows()[0];
@@ -248,12 +229,5 @@ mod tests {
             .find(|r| r[0] == "conserved")
             .expect("conserved row");
         assert_eq!(conserved[1], "yes");
-    }
-
-    #[test]
-    fn generation_is_deterministic() {
-        let a: Vec<String> = all().iter().map(|t| t.to_string()).collect();
-        let b: Vec<String> = all().iter().map(|t| t.to_string()).collect();
-        assert_eq!(a, b);
     }
 }

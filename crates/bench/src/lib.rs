@@ -2,8 +2,9 @@
 //!
 //! The reproduction harness: one module per figure of Wu et al. (MLSys 2022),
 //! each regenerating the figure's series/rows from the workspace's simulators
-//! and models. The `fig*` binaries print the tables; the `benchmark/` package
-//! times the fan-out; `EXPERIMENTS.md` records paper-vs-measured values.
+//! and models. The `all_figures` binary prints the tables (`--only <name>`
+//! picks a family or one table); the `benchmark/` package times the fan-out;
+//! `EXPERIMENTS.md` records paper-vs-measured values.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -149,14 +149,16 @@ impl Table {
     }
 
     /// Inverse of [`Table::to_cache_bytes`]; `None` on any malformed
-    /// input, including trailing bytes.
+    /// input, including trailing bytes and a row whose cell count differs
+    /// from the header count (which [`Table::row`] never builds, and which
+    /// `Display` could not render).
     pub fn from_cache_bytes(bytes: &[u8]) -> Option<Table> {
         let mut r = codec::Reader::new(bytes);
         let title = r.take_str()?;
         let headers = r.take_strs()?;
         let row_count = r.take_count()?;
         let rows = (0..row_count)
-            .map(|_| r.take_strs())
+            .map(|_| r.take_strs().filter(|row| row.len() == headers.len()))
             .collect::<Option<Vec<_>>>()?;
         let claims = r.take_strs()?;
         if !r.is_exhausted() {
@@ -271,5 +273,10 @@ mod tests {
         extended.push(0);
         assert!(Table::from_cache_bytes(&extended).is_none());
         assert!(Table::from_cache_bytes(&[0xff; 3]).is_none());
+        let ragged = Table {
+            rows: vec![vec!["a".into(), "b".into()]],
+            ..t
+        };
+        assert!(Table::from_cache_bytes(&ragged.to_cache_bytes()).is_none());
     }
 }

@@ -18,7 +18,7 @@ use sustain_bench::figs;
 /// The exact bytes `all_figures` writes to stdout for the figure
 /// catalogue, generated on `pool` through `cache`.
 fn render(pool: &ParPool, cache: Option<&Cache>) -> String {
-    figs::all_with_pool_cached(pool, cache)
+    figs::fan_out(pool, &figs::catalogue(), cache)
         .iter()
         .map(|table| format!("{table}\n"))
         .collect()

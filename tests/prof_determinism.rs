@@ -1,38 +1,31 @@
-//! Profiling determinism suite: the work-counter profile of the full
-//! figure catalogue conserves and is byte-identical at any thread count,
-//! and the wall-clock profile attributes the fig07 hot path to a named
-//! inner span instead of leaving it as unexplained self time.
+//! Profiling determinism suite: the work-counter profile of an
+//! `all_figures --obs` run conserves and equals the committed
+//! `work_profile.txt` at any thread count, and the wall-clock profile
+//! attributes the fig07 hot path to a named inner span instead of leaving
+//! it as unexplained self time.
 
+use sustain_bench::figs;
 use sustainai::obs::{Obs, ObsConfig};
 use sustainai::par::ParPool;
 use sustainai::prof;
 
-/// Regenerates every figure on a pool of `threads` workers under a fresh
-/// recording scoped to this thread, exactly as
-/// `all_figures --obs <dir> --threads <n>` does.
-fn instrumented_figures(obs: &Obs, threads: usize) {
-    let pool = ParPool::new(threads);
-    let tables =
-        sustainai::obs::with_task_handle(obs, || sustain_bench::figs::all_with_pool(&pool));
+/// Regenerates every figure on `pool` under a fresh recording scoped to
+/// this thread, exactly as `all_figures --obs <dir> --threads <n>` does
+/// before its coverage sweep.
+fn instrumented_figures(obs: &Obs, pool: &ParPool) {
+    let tables = sustainai::obs::with_task_handle(obs, || figs::all_with_pool(pool));
     assert!(!tables.is_empty(), "figure catalogue must regenerate");
 }
 
-/// The work-clock profile of the figure catalogue plus the fault tables
-/// (FleetSim replicas, chaos and gap imputation on nested pools), as
-/// `all_figures --obs <dir> --obs-clock sim --threads <n>` records them.
+/// The work-clock profile of what
+/// `all_figures --obs <dir> --obs-clock sim --threads <n>` runs: the figure
+/// catalogue, then the coverage sweep (FleetSim replicas, chaos and gap
+/// imputation on nested pools, and a tracker demo).
 fn sim_profile(threads: usize) -> (String, String) {
     let obs = ObsConfig::enabled().build();
-    instrumented_figures(&obs, threads);
     let pool = ParPool::new(threads);
-    sustainai::obs::with_task_handle(&obs, || {
-        pool.map_indexed(
-            sustain_bench::figs::faults::TABLES.to_vec(),
-            |_, (name, generate)| {
-                let _span = sustainai::obs::handle().span(name);
-                generate()
-            },
-        )
-    });
+    instrumented_figures(&obs, &pool);
+    sustainai::obs::with_task_handle(&obs, || figs::coverage_sweep(&pool));
     let tree = prof::SpanTree::from_records(&obs.events());
     let profile = prof::Profile::from_tree(&tree);
     assert_eq!(profile.clamped_spans(), 0, "{threads} threads");
@@ -47,6 +40,7 @@ fn sim_profile(threads: usize) -> (String, String) {
 
 #[test]
 fn work_counter_profile_is_byte_identical_across_thread_counts() {
+    let golden = include_str!("../work_profile.txt");
     let (report_one, folded_one) = sim_profile(1);
     let (report_four, folded_four) = sim_profile(4);
     assert!(
@@ -57,10 +51,13 @@ fn work_counter_profile_is_byte_identical_across_thread_counts() {
         report_one.contains("conservation: ok"),
         "the work profile must conserve: {report_one}"
     );
-    assert_eq!(
-        report_one, report_four,
-        "profile.txt must not depend on threads"
-    );
+    for (threads, report) in [(1, &report_one), (4, &report_four)] {
+        assert!(
+            report == golden,
+            "the {threads}-thread profile differs from work_profile.txt; a change in work \
+             counts regenerates it with `all_figures --obs <dir> --obs-clock sim`:\n{report}"
+        );
+    }
     assert_eq!(
         folded_one, folded_four,
         "flame.folded must not depend on threads"
@@ -71,7 +68,7 @@ fn work_counter_profile_is_byte_identical_across_thread_counts() {
 #[test]
 fn wall_clock_profile_attributes_the_fig07_hot_path() {
     let obs = ObsConfig::enabled().with_wall_clock().build();
-    instrumented_figures(&obs, 2);
+    instrumented_figures(&obs, &ParPool::new(2));
     let profile = prof::profile_records(&obs.events());
     // The acceptance bar from the profiling work: at least 90% of the
     // fig07_waterfall figure's inclusive time must land in a *named* inner
