@@ -104,7 +104,7 @@ fn main() -> ExitCode {
         println!("{table}");
     }
     let swept = if obs.is_some() {
-        figs::coverage_sweep(&pool)
+        figs::coverage_sweep(&pool, &args.tables)
     } else {
         0
     };

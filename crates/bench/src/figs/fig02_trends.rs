@@ -1,6 +1,7 @@
 //! Figure 2: the growth of data, models, and AI infrastructure.
 
 use sustain_core::units::TimeSpan;
+use sustain_telemetry::device::DeviceSpec;
 use sustain_workload::datagrowth::{GrowthTrend, IngestionDemand};
 use sustain_workload::scaling::QualityScalingLaw;
 
@@ -75,9 +76,10 @@ pub fn generate() -> Table {
         "data volume at +2y: {} (exabyte scale)",
         demand.volume_at(two_years)
     ));
+    let memory = |spec: DeviceSpec| spec.memory_gb().expect("accelerators list their memory");
     table.claim(format!(
         "accelerator memory growth per 2y (V100->A100): {:.2}x (< 2x)",
-        (80.0f64 / 32.0).powf(2.0 / 3.0)
+        (memory(DeviceSpec::A100) / memory(DeviceSpec::V100)).powf(2.0 / 3.0)
     ));
     table
         .claim("paper: 2.4x/1.9x data, 3.2x bandwidth, 20x RM size, 2.9x/2.5x capacity".to_owned());

@@ -71,6 +71,6 @@ mod tests {
     #[test]
     fn lm_row_is_inference_dominated() {
         let lm = ProductionModel::Lm;
-        assert!(lm.inference_co2() > lm.training_co2());
+        assert!(lm.footprint_by_phase()[MlPhase::Inference] > lm.training_co2());
     }
 }

@@ -24,8 +24,8 @@ pub fn generate() -> Table {
         ],
     );
 
-    // One grid point per pool task, flattened data-outer/model-inner so the
-    // submission-order join reproduces `law.grid(..)` exactly.
+    // One grid point per pool task, flattened data-outer/model-inner; the
+    // submission-order join keeps that row order.
     let pairs: Vec<(f64, f64)> = SCALES
         .iter()
         .flat_map(|&d| SCALES.iter().map(move |&m| (d, m)))
@@ -93,7 +93,10 @@ mod tests {
         // Every frontier point must have balanced scales (no extreme
         // data-only or model-only configuration wins).
         let law = RecsysScalingLaw::paper_default();
-        let points = law.grid(&SCALES, &SCALES);
+        let points: Vec<_> = SCALES
+            .iter()
+            .flat_map(|&d| SCALES.iter().map(move |&m| law.point(d, m)))
+            .collect();
         let candidates: Vec<Candidate> = points
             .iter()
             .enumerate()

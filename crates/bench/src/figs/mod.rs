@@ -125,20 +125,26 @@ pub fn fan_out(pool: &ParPool, tables: &[NamedFigure], cache: Option<&Cache>) ->
 
 /// [`fan_out`] over the [`catalogue`], uncached: the tables of
 /// `figures_output.txt`.
+// lint:allow(test-only-pub) benchmark: only benchmark/ renders the default catalogue through it
 pub fn all_with_pool(pool: &ParPool) -> Vec<Table> {
     fan_out(pool, &catalogue(), None)
 }
 
 /// What `all_figures --obs` runs after its printed tables: the instrumented
-/// subsystems no default table reaches, so the exports cover the whole
-/// instrumented surface. It regenerates the [`faults`] tables on `pool`
-/// (fleet phases, chaos recovery, Monte Carlo replicas, fault injection and
-/// gap imputation) and reports one job through a `CarbonTracker`, which no
-/// table builds. It never goes through a cache — the sweep exists to
-/// exercise the simulators — and prints nothing. Returns the number of
-/// tables it regenerated.
-pub fn coverage_sweep(pool: &ParPool) -> usize {
-    let swept = fan_out(pool, faults::TABLES, None).len();
+/// subsystems no printed table reaches, so the exports cover the whole
+/// instrumented surface. It regenerates on `pool` each [`faults`] table that
+/// `printed` does not already hold (fleet phases, chaos recovery, Monte
+/// Carlo replicas, fault injection and gap imputation) and reports one job
+/// through a `CarbonTracker`, which no table builds. It never goes through a
+/// cache — the sweep exists to exercise the simulators — and prints
+/// nothing. Returns the number of tables it regenerated.
+pub fn coverage_sweep(pool: &ParPool, printed: &[NamedFigure]) -> usize {
+    let unprinted: Vec<NamedFigure> = faults::TABLES
+        .iter()
+        .filter(|(name, _)| printed.iter().all(|(done, _)| done != name))
+        .copied()
+        .collect();
+    let swept = fan_out(pool, &unprinted, None).len();
     let account = OperationalAccount::new(CarbonIntensity::US_AVERAGE_2021, Pue::HYPERSCALE);
     let tracker = CarbonTracker::new("obs-coverage", account);
     tracker.record_energy(

@@ -1,6 +1,7 @@
 //! The `all_figures` command line: `--only` prints one family or one table
-//! byte for byte as the committed goldens have it, and bad input exits
-//! non-zero with usage on stderr and nothing on stdout.
+//! byte for byte as the committed goldens have it, `--obs` regenerates no
+//! printed table a second time, and bad input exits non-zero with usage on
+//! stderr and nothing on stdout.
 
 use std::process::{Command, Output};
 
@@ -58,6 +59,35 @@ fn only_one_table_prints_its_block_of_the_figures_golden() {
     assert_eq!(table_count(&printed), 1);
     assert!(printed.starts_with("== Figure 7: "), "{printed}");
     assert!(FIGURES.contains(&format!("\n{printed}")));
+}
+
+#[test]
+fn only_faults_with_obs_generates_each_fault_table_once() {
+    let dir = std::env::temp_dir().join(format!("all-figures-cli-obs-{}", std::process::id()));
+    let printed = stdout(&[
+        "--only",
+        "faults",
+        "--obs",
+        dir.to_str().expect("temp dir is UTF-8"),
+        "--obs-clock",
+        "sim",
+    ]);
+    assert_eq!(printed, include_str!("../../../faults_output.txt"));
+    let metrics = std::fs::read_to_string(dir.join("metrics.prom")).expect("metrics.prom");
+    let events = std::fs::read_to_string(dir.join("events.jsonl")).expect("events.jsonl");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        metrics.lines().any(|l| l == "figures_generated_total 3.0"),
+        "{metrics}"
+    );
+    for (name, _) in sustain_bench::figs::faults::TABLES {
+        let named = format!("\"name\":\"{name}\"");
+        let spans = events
+            .lines()
+            .filter(|l| l.starts_with("{\"type\":\"span\",") && l.contains(&named))
+            .count();
+        assert_eq!(spans, 1, "{name}");
+    }
 }
 
 #[test]

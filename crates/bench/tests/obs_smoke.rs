@@ -62,7 +62,7 @@ fn obs_enabled_run_exports_all_subsystems() {
     sustain_obs::install(&obs);
     let pool = ParPool::current();
     figs::all_with_pool(&pool);
-    figs::coverage_sweep(&pool);
+    figs::coverage_sweep(&pool, &figs::catalogue());
     // Leave later obs interactions in this process disabled again.
     sustain_obs::install(&sustain_obs::Obs::disabled());
 

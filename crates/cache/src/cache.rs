@@ -72,6 +72,7 @@ pub struct Cache {
 
 impl Cache {
     /// A purely in-memory cache (no persistence across processes).
+    // lint:allow(test-only-pub) benchmark: only benchmark/'s sweep_cache builds an in-memory cache
     pub fn in_memory() -> Cache {
         Cache {
             inner: Arc::new(Inner {

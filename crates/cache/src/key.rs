@@ -61,10 +61,8 @@ impl fmt::Display for Fingerprint {
 /// different types can never alias each other's byte streams.
 mod tag {
     pub const U64: u8 = 1;
-    pub const I64: u8 = 2;
     pub const F64: u8 = 3;
     pub const STR: u8 = 5;
-    pub const BYTES: u8 = 6;
     pub const SOME: u8 = 7;
     pub const NONE: u8 = 8;
 }
@@ -78,7 +76,6 @@ mod tag {
 #[derive(Debug, Clone)]
 pub struct KeyEncoder {
     state: u64,
-    bytes_written: u64,
 }
 
 impl KeyEncoder {
@@ -86,13 +83,11 @@ impl KeyEncoder {
     pub fn new() -> KeyEncoder {
         KeyEncoder {
             state: FNV_OFFSET_BASIS,
-            bytes_written: 0,
         }
     }
 
     fn write_raw(&mut self, bytes: &[u8]) {
         self.state = fnv1a_fold(self.state, bytes);
-        self.bytes_written += bytes.len() as u64;
     }
 
     fn write_tag(&mut self, tag: u8) {
@@ -102,12 +97,6 @@ impl KeyEncoder {
     /// Encodes an unsigned integer.
     pub fn write_u64(&mut self, value: u64) {
         self.write_tag(tag::U64);
-        self.write_raw(&value.to_le_bytes());
-    }
-
-    /// Encodes a signed integer.
-    pub fn write_i64(&mut self, value: i64) {
-        self.write_tag(tag::I64);
         self.write_raw(&value.to_le_bytes());
     }
 
@@ -134,13 +123,6 @@ impl KeyEncoder {
         self.write_raw(value.as_bytes());
     }
 
-    /// Encodes a length-prefixed byte slice.
-    pub fn write_bytes(&mut self, value: &[u8]) {
-        self.write_tag(tag::BYTES);
-        self.write_raw(&(value.len() as u64).to_le_bytes());
-        self.write_raw(value);
-    }
-
     /// Encodes an optional value: a presence tag, then (when present) the
     /// value via `encode`.
     pub fn write_option<T>(&mut self, value: Option<&T>, encode: impl FnOnce(&mut KeyEncoder, &T)) {
@@ -163,11 +145,6 @@ impl KeyEncoder {
     /// final value).
     pub fn write_debug<T: fmt::Debug>(&mut self, value: &T) {
         self.write_str(&format!("{value:?}"));
-    }
-
-    /// Total bytes folded so far (diagnostic; the hash is the product).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
     }
 
     /// The fingerprint of everything written.
@@ -254,15 +231,15 @@ mod tests {
     fn type_tags_disambiguate_equal_payloads() {
         let as_u64 = {
             let mut e = KeyEncoder::new();
-            e.write_u64(42);
+            e.write_u64(42.0f64.to_bits());
             e.finish()
         };
-        let as_i64 = {
+        let as_f64 = {
             let mut e = KeyEncoder::new();
-            e.write_i64(42);
+            e.write_f64(42.0);
             e.finish()
         };
-        assert_ne!(as_u64, as_i64);
+        assert_ne!(as_u64, as_f64);
     }
 
     #[test]
@@ -349,8 +326,5 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-        let mut e = KeyEncoder::new();
-        e.write_bytes(b"xy");
-        assert_eq!(e.bytes_written(), 1 + 8 + 2);
     }
 }

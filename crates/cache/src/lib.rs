@@ -51,7 +51,3 @@ pub mod store;
 pub use cache::{Cache, CacheValue};
 pub use key::{fnv1a, CacheKey, Fingerprint, KeyEncoder};
 pub use store::{DiskStore, MemoryStore};
-
-/// Conventional on-disk location for the workspace cache, relative to the
-/// workspace root.
-pub const DEFAULT_DIR: &str = "target/sustain-cache";

@@ -116,11 +116,6 @@ impl DiskStore {
         })
     }
 
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The entry file path for a key.
     pub fn entry_path(&self, namespace: &str, fingerprint: Fingerprint) -> PathBuf {
         self.dir

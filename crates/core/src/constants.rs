@@ -14,22 +14,3 @@ pub const GPU_SERVER_EMBODIED_KG: f64 = 2000.0;
 /// Embodied footprint of a CPU-only web/storage server, in kg CO₂e — the
 /// paper treats it as roughly half the GPU server's manufacturing cost.
 pub const CPU_SERVER_EMBODIED_KG: f64 = 1000.0;
-
-/// Per-component embodied breakdown of the GPU server (sums to
-/// [`GPU_SERVER_EMBODIED_KG`]): CPU package and motherboard silicon.
-pub const GPU_SERVER_CPU_KG: f64 = 120.0;
-
-/// Accelerator cards — the single largest slice of the embodied total.
-pub const GPU_SERVER_ACCELERATOR_KG: f64 = 640.0;
-
-/// DDR DRAM; memory fabrication dominates embodied cost per "Chasing Carbon".
-pub const GPU_SERVER_DRAM_KG: f64 = 420.0;
-
-/// High-bandwidth memory stacks on the accelerator packages.
-pub const GPU_SERVER_HBM_KG: f64 = 260.0;
-
-/// Flash storage; NAND fabrication is the other embodied hotspot.
-pub const GPU_SERVER_SSD_KG: f64 = 360.0;
-
-/// Chassis, power delivery, NICs, and remaining platform components.
-pub const GPU_SERVER_PLATFORM_KG: f64 = 200.0;

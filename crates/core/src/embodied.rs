@@ -15,7 +15,6 @@
 //!   mechanism behind Figure 9's utilization sweep.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::error::{Error, Result};
@@ -142,6 +141,7 @@ impl EmbodiedModel {
     /// # Errors
     ///
     /// Returns [`Error::ZeroDuration`] if `lifetime` is not positive.
+    // lint:allow(test-only-pub) (d) the lifetime term ROADMAP item 4(b) sweeps
     pub fn with_lifetime(&self, lifetime: TimeSpan) -> Result<EmbodiedModel> {
         EmbodiedModel::new(self.total, lifetime, self.expected_utilization)
     }
@@ -175,162 +175,6 @@ impl EmbodiedModel {
         self.amortize(TimeSpan::from_secs(1.0), policy)
             // lint:allow(panic-discipline) amortize only errs on non-positive spans
             .expect("1 second is a valid span")
-    }
-}
-
-/// A named hardware component with an embodied footprint, for building
-/// system-level inventories (the paper notes per-component footprints can be
-/// orders of magnitude apart across CMOS/DDRx/HBM/SSD/HDD generations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum Component {
-    /// Host CPU package(s).
-    Cpu,
-    /// Training/inference accelerator (GPU, TPU, ASIC).
-    Accelerator,
-    /// DRAM.
-    Dram,
-    /// High-bandwidth memory stacks on accelerators.
-    Hbm,
-    /// NAND-flash SSD.
-    Ssd,
-    /// Spinning disk.
-    Hdd,
-    /// Mainboard, chassis, PSU, NIC and everything else.
-    Platform,
-}
-
-impl Component {
-    /// All components, in declaration order.
-    pub const ALL: [Component; 7] = [
-        Component::Cpu,
-        Component::Accelerator,
-        Component::Dram,
-        Component::Hbm,
-        Component::Ssd,
-        Component::Hdd,
-        Component::Platform,
-    ];
-}
-
-impl fmt::Display for Component {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            Component::Cpu => "cpu",
-            Component::Accelerator => "accelerator",
-            Component::Dram => "dram",
-            Component::Hbm => "hbm",
-            Component::Ssd => "ssd",
-            Component::Hdd => "hdd",
-            Component::Platform => "platform",
-        };
-        f.write_str(name)
-    }
-}
-
-/// A per-component embodied-carbon inventory for one system.
-///
-/// ```rust
-/// use sustain_core::embodied::{Component, ComponentInventory};
-/// use sustain_core::units::Co2e;
-///
-/// let mut inv = ComponentInventory::new();
-/// inv.set(Component::Accelerator, Co2e::from_kilograms(600.0));
-/// inv.set(Component::Ssd, Co2e::from_kilograms(320.0));
-/// assert_eq!(inv.total(), Co2e::from_kilograms(920.0));
-/// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct ComponentInventory {
-    parts: BTreeMap<Component, Co2e>,
-}
-
-impl ComponentInventory {
-    /// Creates an empty inventory.
-    pub fn new() -> ComponentInventory {
-        ComponentInventory::default()
-    }
-
-    /// A representative GPU training server (sums to the paper's 2000 kg):
-    /// dominated by accelerators, memory and flash — consistent with the
-    /// "Chasing Carbon" observation that memory/storage dominate embodied cost.
-    pub fn gpu_server() -> ComponentInventory {
-        let mut inv = ComponentInventory::new();
-        use crate::constants as k;
-        inv.set(Component::Cpu, Co2e::from_kilograms(k::GPU_SERVER_CPU_KG));
-        inv.set(
-            Component::Accelerator,
-            Co2e::from_kilograms(k::GPU_SERVER_ACCELERATOR_KG),
-        );
-        inv.set(Component::Dram, Co2e::from_kilograms(k::GPU_SERVER_DRAM_KG));
-        inv.set(Component::Hbm, Co2e::from_kilograms(k::GPU_SERVER_HBM_KG));
-        inv.set(Component::Ssd, Co2e::from_kilograms(k::GPU_SERVER_SSD_KG));
-        inv.set(
-            Component::Platform,
-            Co2e::from_kilograms(k::GPU_SERVER_PLATFORM_KG),
-        );
-        inv
-    }
-
-    /// Sets (replaces) a component's footprint.
-    pub fn set(&mut self, component: Component, co2: Co2e) -> &mut ComponentInventory {
-        self.parts.insert(component, co2);
-        self
-    }
-
-    /// The footprint recorded for a component, if any.
-    pub fn get(&self, component: Component) -> Option<Co2e> {
-        self.parts.get(&component).copied()
-    }
-
-    /// Iterates `(component, co2)` entries in component order.
-    pub fn iter(&self) -> impl Iterator<Item = (Component, Co2e)> + '_ {
-        self.parts.iter().map(|(c, v)| (*c, *v))
-    }
-
-    /// Total embodied footprint across components.
-    pub fn total(&self) -> Co2e {
-        self.parts.values().copied().sum()
-    }
-
-    /// Share of the total contributed by `component` (0 if absent or empty).
-    pub fn share(&self, component: Component) -> Fraction {
-        let total = self.total();
-        if total.is_zero() {
-            return Fraction::ZERO;
-        }
-        Fraction::saturating(self.get(component).unwrap_or(Co2e::ZERO) / total)
-    }
-
-    /// Converts the inventory into an [`EmbodiedModel`] with the given
-    /// lifetime and expected utilization.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EmbodiedModel::new`] validation errors.
-    pub fn into_model(
-        self,
-        lifetime: TimeSpan,
-        expected_utilization: Fraction,
-    ) -> Result<EmbodiedModel> {
-        EmbodiedModel::new(self.total(), lifetime, expected_utilization)
-    }
-}
-
-impl FromIterator<(Component, Co2e)> for ComponentInventory {
-    fn from_iter<I: IntoIterator<Item = (Component, Co2e)>>(iter: I) -> ComponentInventory {
-        let mut inv = ComponentInventory::new();
-        for (c, v) in iter {
-            inv.set(c, v);
-        }
-        inv
-    }
-}
-
-impl Extend<(Component, Co2e)> for ComponentInventory {
-    fn extend<I: IntoIterator<Item = (Component, Co2e)>>(&mut self, iter: I) {
-        for (c, v) in iter {
-            self.set(c, v);
-        }
     }
 }
 
@@ -418,45 +262,5 @@ mod tests {
         assert!(m
             .amortize(TimeSpan::from_secs(-1.0), AllocationPolicy::TimeShare)
             .is_err());
-    }
-
-    #[test]
-    fn component_inventory_totals_and_shares() {
-        let inv = ComponentInventory::gpu_server();
-        assert_eq!(inv.total(), Co2e::from_kilograms(2000.0));
-        // Accelerators are the single biggest component here.
-        for c in Component::ALL {
-            assert!(inv.share(c) <= inv.share(Component::Accelerator));
-        }
-        let shares: f64 = Component::ALL.iter().map(|c| inv.share(*c).value()).sum();
-        assert!((shares - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_inventory_has_zero_share() {
-        let inv = ComponentInventory::new();
-        assert!(inv.total().is_zero());
-        assert_eq!(inv.share(Component::Cpu), Fraction::ZERO);
-    }
-
-    #[test]
-    fn inventory_collects_and_extends() {
-        let mut inv: ComponentInventory = vec![
-            (Component::Cpu, Co2e::from_kilograms(10.0)),
-            (Component::Dram, Co2e::from_kilograms(20.0)),
-        ]
-        .into_iter()
-        .collect();
-        inv.extend([(Component::Ssd, Co2e::from_kilograms(5.0))]);
-        assert_eq!(inv.total(), Co2e::from_kilograms(35.0));
-        assert_eq!(inv.iter().count(), 3);
-    }
-
-    #[test]
-    fn inventory_into_model() {
-        let m = ComponentInventory::gpu_server()
-            .into_model(TimeSpan::from_years(4.0), Fraction::new(0.45).unwrap())
-            .unwrap();
-        assert_eq!(m.total(), Co2e::from_kilograms(2000.0));
     }
 }

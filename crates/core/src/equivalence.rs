@@ -80,11 +80,6 @@ impl fmt::Display for Equivalences {
     }
 }
 
-/// The inverse translation: CO₂e of a number of vehicle-miles.
-pub fn co2_of_vehicle_miles(miles: f64) -> Co2e {
-    Co2e::from_grams(miles * GRAMS_PER_VEHICLE_MILE)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,13 +94,6 @@ mod tests {
             "got {} miles",
             eq.vehicle_miles
         );
-    }
-
-    #[test]
-    fn round_trips_with_inverse() {
-        let co2 = co2_of_vehicle_miles(1000.0);
-        let eq = Equivalences::of(co2);
-        assert!((eq.vehicle_miles - 1000.0).abs() < 1e-9);
     }
 
     #[test]

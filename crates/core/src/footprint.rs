@@ -49,11 +49,6 @@ impl CarbonFootprint {
         }
     }
 
-    /// A purely operational footprint.
-    pub fn operational_only(operational: Co2e) -> CarbonFootprint {
-        CarbonFootprint::new(operational, Co2e::ZERO)
-    }
-
     /// The operational component.
     pub fn operational(&self) -> Co2e {
         self.operational
@@ -78,6 +73,7 @@ impl CarbonFootprint {
     }
 
     /// Operational share of the total (0 when the total is zero).
+    // lint:allow(test-only-pub) (b) tests read the operational share of remaining footprints
     pub fn operational_share(&self) -> Fraction {
         if self.total().is_zero() {
             return Fraction::ZERO;
@@ -174,12 +170,6 @@ impl FootprintReport {
         }
     }
 
-    /// Attaches a telemetry data-quality report (builder style).
-    pub fn with_quality(mut self, quality: DataQualityReport) -> FootprintReport {
-        self.quality = Some(quality);
-        self
-    }
-
     /// Records operational carbon for a phase and adds it to the ledger.
     pub fn record_phase(&mut self, phase: MlPhase, co2: Co2e) -> &mut FootprintReport {
         self.by_phase[phase] += co2;
@@ -188,6 +178,7 @@ impl FootprintReport {
 
     /// Whether the per-phase ledger is consistent with the operational total
     /// (within `tolerance` grams). An empty ledger is always consistent.
+    // lint:allow(test-only-pub) (b) tests check tracker and model reports against their phase ledger
     pub fn is_phase_consistent(&self, tolerance: Co2e) -> bool {
         let ledger = self.by_phase.total();
         if ledger.is_zero() {
@@ -257,7 +248,7 @@ mod tests {
 
     #[test]
     fn report_phase_ledger_consistency() {
-        let fp = CarbonFootprint::operational_only(Co2e::from_kilograms(100.0));
+        let fp = CarbonFootprint::new(Co2e::from_kilograms(100.0), Co2e::ZERO);
         let mut report = FootprintReport::new(
             "LM",
             AccountingBasis::LocationBased,
@@ -313,13 +304,15 @@ mod tests {
             ..DataQualityReport::default()
         };
         q.faults.record(FaultKind::Dropout);
-        let report = FootprintReport::new(
-            "LM",
-            AccountingBasis::LocationBased,
-            Energy::from_megawatt_hours(1.0),
-            CarbonFootprint::ZERO,
-        )
-        .with_quality(q);
+        let report = FootprintReport {
+            quality: Some(q),
+            ..FootprintReport::new(
+                "LM",
+                AccountingBasis::LocationBased,
+                Energy::from_megawatt_hours(1.0),
+                CarbonFootprint::ZERO,
+            )
+        };
         let json = serde_json::to_string(&report).unwrap();
         let back: FootprintReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);

@@ -17,7 +17,7 @@ use std::fmt;
 use std::ops::Mul;
 
 use crate::error::{Error, Result};
-use crate::units::{Co2e, Energy, Fraction};
+use crate::units::{Co2e, Energy};
 
 /// Carbon intensity of delivered energy, in grams of CO₂e per kilowatt-hour.
 ///
@@ -55,27 +55,6 @@ impl CarbonIntensity {
     /// Emissions produced by consuming `energy` at this intensity.
     pub fn emissions(&self, energy: Energy) -> Co2e {
         Co2e::from_grams(self.0 * energy.as_kilowatt_hours())
-    }
-
-    /// Validates that the intensity is finite and non-negative.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NegativeQuantity`] / [`Error::NonFiniteQuantity`] on
-    /// invalid values.
-    pub fn validated(self) -> Result<CarbonIntensity> {
-        if !self.0.is_finite() {
-            return Err(Error::NonFiniteQuantity {
-                quantity: "carbon intensity",
-            });
-        }
-        if self.0 < 0.0 {
-            return Err(Error::NegativeQuantity {
-                quantity: "carbon intensity",
-                value: self.0,
-            });
-        }
-        Ok(self)
     }
 }
 
@@ -152,26 +131,6 @@ impl EnergySource {
         };
         CarbonIntensity::from_grams_per_kwh(g)
     }
-
-    /// Whether the source is considered carbon-free for matching purposes
-    /// (its direct combustion emissions are zero even though life-cycle
-    /// emissions are not).
-    pub fn is_carbon_free(&self) -> bool {
-        matches!(
-            self,
-            EnergySource::Nuclear
-                | EnergySource::Hydro
-                | EnergySource::Wind
-                | EnergySource::Solar
-                | EnergySource::Geothermal
-        )
-    }
-
-    /// Whether the source is intermittent (generation fluctuates with weather),
-    /// the property motivating the paper's carbon-aware scheduling discussion.
-    pub fn is_intermittent(&self) -> bool {
-        matches!(self, EnergySource::Wind | EnergySource::Solar)
-    }
 }
 
 impl fmt::Display for EnergySource {
@@ -244,25 +203,9 @@ impl EnergyMix {
         Ok(EnergyMix { components })
     }
 
-    /// A mix of a single source.
-    pub fn pure(source: EnergySource) -> EnergyMix {
-        EnergyMix {
-            components: vec![(source, 1.0)],
-        }
-    }
-
     /// The component `(source, share)` pairs.
     pub fn components(&self) -> &[(EnergySource, f64)] {
         &self.components
-    }
-
-    /// The share of a particular source (0 if absent).
-    pub fn share(&self, source: EnergySource) -> f64 {
-        self.components
-            .iter()
-            .filter(|(s, _)| *s == source)
-            .map(|(_, share)| share)
-            .sum()
     }
 
     /// The blended carbon intensity of the mix.
@@ -273,17 +216,6 @@ impl EnergyMix {
             .map(|(s, share)| s.intensity().as_grams_per_kwh() * share)
             .sum();
         CarbonIntensity::from_grams_per_kwh(g)
-    }
-
-    /// The fraction of the mix that is carbon-free.
-    pub fn carbon_free_fraction(&self) -> Fraction {
-        let share = self
-            .components
-            .iter()
-            .filter(|(s, _)| s.is_carbon_free())
-            .map(|(_, share)| share)
-            .sum();
-        Fraction::saturating(share)
     }
 }
 
@@ -443,15 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn carbon_free_and_intermittent_flags() {
-        assert!(EnergySource::Solar.is_carbon_free());
-        assert!(EnergySource::Solar.is_intermittent());
-        assert!(EnergySource::Nuclear.is_carbon_free());
-        assert!(!EnergySource::Nuclear.is_intermittent());
-        assert!(!EnergySource::Coal.is_carbon_free());
-    }
-
-    #[test]
     fn mix_requires_normalized_shares() {
         let err =
             EnergyMix::new(vec![(EnergySource::Coal, 0.5), (EnergySource::Gas, 0.2)]).unwrap_err();
@@ -467,30 +390,11 @@ mod tests {
     }
 
     #[test]
-    fn pure_mix_matches_source_intensity() {
-        let mix = EnergyMix::pure(EnergySource::Solar);
-        assert_eq!(mix.intensity(), EnergySource::Solar.intensity());
-        assert_eq!(mix.share(EnergySource::Solar), 1.0);
-        assert_eq!(mix.share(EnergySource::Coal), 0.0);
-    }
-
-    #[test]
     fn blended_intensity_is_weighted_mean() {
         let mix =
             EnergyMix::new(vec![(EnergySource::Coal, 0.5), (EnergySource::Wind, 0.5)]).unwrap();
         let expect = (820.0 + 11.0) / 2.0;
         assert!((mix.intensity().as_grams_per_kwh() - expect).abs() < 1e-9);
-    }
-
-    #[test]
-    fn carbon_free_fraction() {
-        let mix = EnergyMix::new(vec![
-            (EnergySource::Coal, 0.3),
-            (EnergySource::Wind, 0.4),
-            (EnergySource::Nuclear, 0.3),
-        ])
-        .unwrap();
-        assert!((mix.carbon_free_fraction().value() - 0.7).abs() < 1e-9);
     }
 
     #[test]
@@ -507,19 +411,6 @@ mod tests {
         );
         // US Midwest is dirtier than US average.
         assert!(GridRegion::UsMidwest.intensity() > GridRegion::UsAverage.intensity());
-    }
-
-    #[test]
-    fn intensity_validation() {
-        assert!(CarbonIntensity::from_grams_per_kwh(-1.0)
-            .validated()
-            .is_err());
-        assert!(CarbonIntensity::from_grams_per_kwh(f64::INFINITY)
-            .validated()
-            .is_err());
-        assert!(CarbonIntensity::from_grams_per_kwh(400.0)
-            .validated()
-            .is_ok());
     }
 
     #[test]

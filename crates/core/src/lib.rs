@@ -13,7 +13,7 @@
 //!   energy sources and grid mixes, location- vs market-based accounting.
 //! * [`pue`] — datacenter Power Usage Effectiveness.
 //! * [`operational`] — operational-footprint accounting (energy × PUE × intensity),
-//!   renewable matching and offsets.
+//!   renewable matching.
 //! * [`embodied`] — embodied (manufacturing) carbon and its amortization over the
 //!   hardware life cycle, with pluggable allocation policies.
 //! * [`lifecycle`] — the ML development phases (Data, Experimentation, Training,
@@ -21,7 +21,6 @@
 //! * [`footprint`] — combined operational + embodied ledgers and serializable reports.
 //! * [`quality`] — telemetry data-quality accounting: measured vs imputed energy,
 //!   sample coverage, and per-class fault tallies behind every report.
-//! * [`scopes`] — GHG-protocol Scope 1/2/3 ledger.
 //! * [`equivalence`] — EPA-style equivalences (miles driven, homes powered, …).
 //! * [`metrics`] — sustainability metrics and efficiency-aware leaderboards (§V-A).
 //! * [`modelcard`] — carbon impact statements / model cards (§V-A).
@@ -61,7 +60,6 @@ pub mod modelcard;
 pub mod operational;
 pub mod pue;
 pub mod quality;
-pub mod scopes;
 pub mod stats;
 pub mod units;
 

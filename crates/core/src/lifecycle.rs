@@ -1,22 +1,21 @@
-//! Life-cycle phases for ML models and system hardware (paper §II, Figure 3).
+//! Life-cycle phases of ML model development (paper §II, Figure 3).
 //!
 //! The paper structures its accounting around two life cycles:
 //!
 //! * the **ML development cycle** — Data Processing → Experimentation →
 //!   Training (offline + online) → Inference;
 //! * the **hardware life cycle** — Manufacturing → Transport → Use → Recycling,
-//!   of which manufacturing (embodied) and use (operational) dominate.
+//!   of which manufacturing (embodied) and use (operational) dominate; the
+//!   `embodied` and `operational` modules account for those two.
 //!
-//! [`PhaseBreakdown`] is the ledger type used everywhere a quantity is split
+//! [`Breakdown`] is the ledger type used everywhere a quantity is split
 //! across phases (Figure 3's 10:20:70 power split, Figure 4's training vs
 //! inference bars, …).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Index, Mul};
-
-use crate::units::Fraction;
+use std::ops::{Add, AddAssign, Index, Mul};
 
 /// A phase of the ML model development cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -43,12 +42,6 @@ impl MlPhase {
         MlPhase::OnlineTraining,
         MlPhase::Inference,
     ];
-
-    /// Whether the phase is part of "training" in the paper's coarse
-    /// Experimentation/Training/Inference capacity split.
-    pub fn is_training(&self) -> bool {
-        matches!(self, MlPhase::OfflineTraining | MlPhase::OnlineTraining)
-    }
 }
 
 impl fmt::Display for MlPhase {
@@ -59,42 +52,6 @@ impl fmt::Display for MlPhase {
             MlPhase::OfflineTraining => "offline-training",
             MlPhase::OnlineTraining => "online-training",
             MlPhase::Inference => "inference",
-        };
-        f.write_str(name)
-    }
-}
-
-/// A phase of the hardware life cycle (classic LCA stages).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum HardwarePhase {
-    /// Fab, assembly, and materials — the *embodied* carbon.
-    Manufacturing,
-    /// Shipping to the datacenter.
-    Transport,
-    /// Operational use — the *operational* carbon.
-    Use,
-    /// End-of-life recycling / up-cycling.
-    Recycling,
-}
-
-impl HardwarePhase {
-    /// All phases, in life-cycle order.
-    pub const ALL: [HardwarePhase; 4] = [
-        HardwarePhase::Manufacturing,
-        HardwarePhase::Transport,
-        HardwarePhase::Use,
-        HardwarePhase::Recycling,
-    ];
-}
-
-impl fmt::Display for HardwarePhase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            HardwarePhase::Manufacturing => "manufacturing",
-            HardwarePhase::Transport => "transport",
-            HardwarePhase::Use => "use",
-            HardwarePhase::Recycling => "recycling",
         };
         f.write_str(name)
     }
@@ -119,10 +76,6 @@ impl fmt::Display for HardwarePhase {
 pub struct Breakdown<T> {
     values: [T; 5],
 }
-
-/// Alias kept for readers of the paper-oriented docs: a [`Breakdown`] keyed by
-/// [`MlPhase`].
-pub type PhaseBreakdown<T> = Breakdown<T>;
 
 impl<T: Copy + Default> Breakdown<T> {
     /// A breakdown with every phase at `T::default()`.
@@ -187,25 +140,6 @@ impl<T: Copy + Default + Add<Output = T>> Breakdown<T> {
     }
 }
 
-impl<T> Breakdown<T>
-where
-    T: Copy + Default + Add<Output = T> + Div<T, Output = f64>,
-{
-    /// The share of the total contributed by each phase.
-    ///
-    /// Phases of an all-zero breakdown get share 0.
-    pub fn shares(&self) -> Breakdown<Fraction>
-    where
-        T: PartialEq,
-    {
-        let total = self.total();
-        if total == T::default() {
-            return Breakdown::zero();
-        }
-        Breakdown::from_fn(|p| Fraction::saturating(self.get(p) / total))
-    }
-}
-
 impl<T: Copy + Default + Add<Output = T>> Add for Breakdown<T> {
     type Output = Breakdown<T>;
     fn add(self, rhs: Breakdown<T>) -> Breakdown<T> {
@@ -261,16 +195,6 @@ mod tests {
     use crate::units::Energy;
 
     #[test]
-    fn phase_classification() {
-        assert!(MlPhase::OfflineTraining.is_training());
-        assert!(MlPhase::OnlineTraining.is_training());
-        assert!(!MlPhase::Inference.is_training());
-        assert!(!MlPhase::DataProcessing.is_training());
-        assert_eq!(MlPhase::ALL.len(), 5);
-        assert_eq!(HardwarePhase::ALL.len(), 4);
-    }
-
-    #[test]
     fn breakdown_total_and_index() {
         let mut b = Breakdown::<Energy>::zero();
         b[MlPhase::Inference] = Energy::from_joules(4.0);
@@ -290,27 +214,6 @@ mod tests {
         b[MlPhase::Inference] = 70.0;
         let (exp, train, inf) = b.coarse();
         assert_eq!((exp, train, inf), (10.0, 20.0, 70.0));
-    }
-
-    #[test]
-    fn shares_sum_to_one() {
-        let mut b = Breakdown::<Energy>::zero();
-        b[MlPhase::DataProcessing] = Energy::from_joules(31.0);
-        b[MlPhase::OfflineTraining] = Energy::from_joules(29.0);
-        b[MlPhase::Inference] = Energy::from_joules(40.0);
-        let shares = b.shares();
-        let total: f64 = MlPhase::ALL.iter().map(|p| shares[*p].value()).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        assert!((shares[MlPhase::Inference].value() - 0.40).abs() < 1e-9);
-    }
-
-    #[test]
-    fn shares_of_zero_breakdown_are_zero() {
-        let b = Breakdown::<Energy>::zero();
-        let shares = b.shares();
-        for p in MlPhase::ALL {
-            assert_eq!(shares[p], Fraction::ZERO);
-        }
     }
 
     #[test]
@@ -337,7 +240,6 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(MlPhase::DataProcessing.to_string(), "data-processing");
-        assert_eq!(HardwarePhase::Manufacturing.to_string(), "manufacturing");
     }
 
     #[test]

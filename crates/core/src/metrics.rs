@@ -4,9 +4,8 @@
 //! consider sustainability metrics including *energy consumption* and *carbon
 //! footprint* along with measures of *model quality* and *system
 //! performance*." This module provides the normalized metrics the paper calls
-//! for — energy/carbon per prediction, carbon per quality point, and a
-//! leaderboard that ranks candidates by quality *subject to* an efficiency
-//! budget instead of quality alone.
+//! for: a leaderboard that ranks candidates by quality *subject to* a carbon
+//! budget, or by quality gained per tonne, instead of by quality alone.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -63,34 +62,6 @@ impl MeasuredCandidate {
             predictions,
         })
     }
-
-    /// Carbon per 1 000 predictions (`None` when nothing was served).
-    pub fn carbon_per_kilo_prediction(&self) -> Option<Co2e> {
-        if self.predictions <= 0.0 {
-            return None;
-        }
-        Some(self.footprint.total() / (self.predictions / 1_000.0))
-    }
-
-    /// Energy per prediction (`None` when nothing was served).
-    pub fn energy_per_prediction(&self) -> Option<Energy> {
-        if self.predictions <= 0.0 {
-            return None;
-        }
-        Some(self.training_energy / self.predictions)
-    }
-
-    /// Carbon cost of each quality point above a baseline quality —
-    /// the normalization factor the appendix says the field lacks.
-    ///
-    /// Returns `None` if the candidate does not beat the baseline.
-    pub fn carbon_per_quality_point(&self, baseline_quality: f64) -> Option<Co2e> {
-        let gain = self.quality - baseline_quality;
-        if gain <= 0.0 {
-            return None;
-        }
-        Some(self.footprint.total() / gain)
-    }
 }
 
 /// How a leaderboard ranks candidates.
@@ -128,11 +99,6 @@ impl Leaderboard {
     pub fn add(&mut self, candidate: MeasuredCandidate) -> &mut Leaderboard {
         self.candidates.push(candidate);
         self
-    }
-
-    /// The candidates, unranked.
-    pub fn candidates(&self) -> &[MeasuredCandidate] {
-        &self.candidates
     }
 
     /// Ranks candidates under a ranking policy; excluded candidates are
@@ -194,7 +160,7 @@ mod tests {
             name,
             quality,
             Energy::from_megawatt_hours(tonnes * 2.0),
-            CarbonFootprint::operational_only(Co2e::from_tonnes(tonnes)),
+            CarbonFootprint::new(Co2e::from_tonnes(tonnes), Co2e::ZERO),
             1.0e9,
         )
         .unwrap()
@@ -246,30 +212,6 @@ mod tests {
             baseline_quality: 0.75,
         });
         assert!(ranked.iter().all(|c| c.name != "worse"));
-    }
-
-    #[test]
-    fn per_prediction_metrics() {
-        let c = candidate("m", 0.8, 10.0);
-        let per_k = c.carbon_per_kilo_prediction().unwrap();
-        assert!(
-            (per_k.as_grams() - 10.0).abs() < 1e-9,
-            "10t / 1e6 k-predictions"
-        );
-        assert!(c.energy_per_prediction().unwrap() > Energy::ZERO);
-        let idle =
-            MeasuredCandidate::new("unserved", 0.5, Energy::ZERO, CarbonFootprint::ZERO, 0.0)
-                .unwrap();
-        assert!(idle.carbon_per_kilo_prediction().is_none());
-        assert!(idle.energy_per_prediction().is_none());
-    }
-
-    #[test]
-    fn carbon_per_quality_point() {
-        let c = candidate("m", 0.80, 10.0);
-        let cost = c.carbon_per_quality_point(0.75).unwrap();
-        assert!((cost.as_tonnes() - 200.0).abs() < 1e-9, "10t / 0.05");
-        assert!(c.carbon_per_quality_point(0.85).is_none());
     }
 
     #[test]

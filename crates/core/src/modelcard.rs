@@ -94,19 +94,9 @@ impl CarbonCard {
         &self.model_name
     }
 
-    /// The hardware disclosure.
-    pub fn hardware(&self) -> &HardwareDisclosure {
-        &self.hardware
-    }
-
     /// The training footprint.
     pub fn training(&self) -> CarbonFootprint {
         self.training
-    }
-
-    /// The per-day inference footprint, if deployed.
-    pub fn inference_per_day(&self) -> Option<CarbonFootprint> {
-        self.inference_per_day
     }
 
     /// Total disclosed energy.
@@ -289,8 +279,6 @@ mod tests {
     fn accessors() {
         let c = card();
         assert_eq!(c.model_name(), "LM");
-        assert_eq!(c.hardware().machines, 1);
-        assert!(c.inference_per_day().is_none());
         assert!((c.training().total().as_kilograms() - 626.0).abs() < 1e-9);
         assert_eq!(c.energy(), Energy::from_megawatt_hours(1.2));
     }
@@ -299,9 +287,7 @@ mod tests {
     fn inference_section_renders_when_deployed() {
         let c = CarbonCard::builder("RM1")
             .hardware("CPU inference tier", 200, TimeSpan::from_days(90.0))
-            .inference_per_day(CarbonFootprint::operational_only(Co2e::from_kilograms(
-                50.0,
-            )))
+            .inference_per_day(CarbonFootprint::new(Co2e::from_kilograms(50.0), Co2e::ZERO))
             .build()
             .unwrap();
         assert!(c.to_markdown().contains("per day"));

@@ -1,10 +1,10 @@
 //! Operational-carbon accounting: energy × PUE × carbon intensity, with
-//! renewable matching and offsets.
+//! renewable matching.
 //!
 //! This module implements the paper's operational methodology (§III-A):
 //! measure total IT energy, apply a datacenter PUE (1.1 for the Facebook fleet),
 //! and convert with a location-based carbon intensity. Market-based figures
-//! subtract contractually-matched renewable energy and purchased offsets.
+//! subtract contractually-matched renewable energy.
 
 use serde::{Deserialize, Serialize};
 
@@ -36,7 +36,6 @@ pub struct OperationalAccount {
     intensity: CarbonIntensity,
     pue: Pue,
     renewable_matching: Fraction,
-    offsets: Co2e,
 }
 
 impl OperationalAccount {
@@ -47,7 +46,6 @@ impl OperationalAccount {
             intensity,
             pue,
             renewable_matching: Fraction::ZERO,
-            offsets: Co2e::ZERO,
         }
     }
 
@@ -56,18 +54,6 @@ impl OperationalAccount {
     pub fn with_renewable_matching(mut self, fraction: Fraction) -> OperationalAccount {
         self.renewable_matching = fraction;
         self
-    }
-
-    /// Sets an absolute amount of purchased offsets subtracted from the
-    /// market-based figure.
-    pub fn with_offsets(mut self, offsets: Co2e) -> OperationalAccount {
-        self.offsets = offsets;
-        self
-    }
-
-    /// The configured grid intensity.
-    pub fn intensity(&self) -> CarbonIntensity {
-        self.intensity
     }
 
     /// The configured facility PUE.
@@ -91,10 +77,9 @@ impl OperationalAccount {
     }
 
     /// Market-based operational emissions: location-based, minus the matched
-    /// renewable share, minus offsets. Can go negative if offsets exceed the
-    /// residual (over-offsetting).
+    /// renewable share.
     pub fn market_based(&self, it_energy: Energy) -> Co2e {
-        self.location_based(it_energy) * self.renewable_matching.complement().value() - self.offsets
+        self.location_based(it_energy) * self.renewable_matching.complement().value()
     }
 
     /// Emissions under the requested basis.
@@ -104,49 +89,11 @@ impl OperationalAccount {
             AccountingBasis::MarketBased => self.market_based(it_energy),
         }
     }
-
-    /// The effective carbon intensity seen by the workload under a basis
-    /// (facility-level, i.e. including PUE), in gCO₂e per IT kWh.
-    pub fn effective_intensity(&self, basis: AccountingBasis) -> CarbonIntensity {
-        let per_kwh = self
-            // lint:allow(magic-constant) 1 kWh probe: unit conversion, not a constant
-            .emissions(Energy::from_kilowatt_hours(1.0), basis)
-            .as_grams();
-        CarbonIntensity::from_grams_per_kwh(per_kwh.max(0.0))
-    }
-}
-
-/// Convenience: emissions of running a constant power draw for a span of time.
-///
-/// ```rust
-/// use sustain_core::operational::{constant_load_emissions, OperationalAccount};
-/// use sustain_core::intensity::CarbonIntensity;
-/// use sustain_core::pue::Pue;
-/// use sustain_core::units::{Power, TimeSpan};
-///
-/// # fn main() -> Result<(), sustain_core::Error> {
-/// let account = OperationalAccount::new(CarbonIntensity::US_AVERAGE_2021, Pue::new(1.1)?);
-/// let co2 = constant_load_emissions(
-///     &account,
-///     Power::from_watts(300.0),
-///     TimeSpan::from_days(10.0),
-/// );
-/// assert!(co2.as_kilograms() > 30.0);
-/// # Ok(())
-/// # }
-/// ```
-pub fn constant_load_emissions(
-    account: &OperationalAccount,
-    power: crate::units::Power,
-    duration: crate::units::TimeSpan,
-) -> Co2e {
-    account.location_based(power * duration)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::{Power, TimeSpan};
 
     fn account() -> OperationalAccount {
         OperationalAccount::new(
@@ -172,42 +119,11 @@ mod tests {
     }
 
     #[test]
-    fn offsets_can_drive_market_based_negative() {
-        let acct = account().with_offsets(Co2e::from_kilograms(100.0));
-        let market = acct.market_based(Energy::from_kilowatt_hours(10.0));
-        assert!(market < Co2e::ZERO);
-    }
-
-    #[test]
     fn emissions_dispatches_on_basis() {
         let acct = account().with_renewable_matching(Fraction::ONE);
         let it = Energy::from_kilowatt_hours(1.0);
         assert!(acct.emissions(it, AccountingBasis::MarketBased).is_zero());
         assert!(!acct.emissions(it, AccountingBasis::LocationBased).is_zero());
-    }
-
-    #[test]
-    fn effective_intensity_includes_pue() {
-        let eff = account().effective_intensity(AccountingBasis::LocationBased);
-        assert!((eff.as_grams_per_kwh() - 600.0).abs() < 1e-9);
-        // Fully matched market-based intensity is zero (clamped, not negative).
-        let acct = account()
-            .with_renewable_matching(Fraction::ONE)
-            .with_offsets(Co2e::from_kilograms(1.0));
-        assert_eq!(
-            acct.effective_intensity(AccountingBasis::MarketBased)
-                .as_grams_per_kwh(),
-            0.0
-        );
-    }
-
-    #[test]
-    fn constant_load_helper_matches_manual_math() {
-        let acct = account();
-        let via_helper =
-            constant_load_emissions(&acct, Power::from_watts(100.0), TimeSpan::from_hours(10.0));
-        let manual = acct.location_based(Energy::from_kilowatt_hours(1.0));
-        assert_eq!(via_helper, manual);
     }
 
     #[test]

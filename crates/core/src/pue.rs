@@ -33,9 +33,6 @@ impl Pue {
     /// Facebook's hyperscale fleet PUE reported in the paper (~1.10).
     pub const HYPERSCALE: Pue = Pue(1.10);
 
-    /// A typical small datacenter (~1.57, Uptime Institute 2021 survey).
-    pub const TYPICAL_SMALL_DC: Pue = Pue(1.57);
-
     /// Creates a PUE, validating it is finite and at least 1.0.
     ///
     /// # Errors
@@ -56,17 +53,6 @@ impl Pue {
     /// Total facility energy needed to deliver `it_energy` to IT equipment.
     pub fn facility_energy(&self, it_energy: Energy) -> Energy {
         it_energy * self.0
-    }
-
-    /// The overhead energy (cooling, power distribution) above the IT energy.
-    pub fn overhead_energy(&self, it_energy: Energy) -> Energy {
-        it_energy * (self.0 - 1.0)
-    }
-
-    /// Relative facility-energy saving of `self` versus a `baseline` PUE for
-    /// the same IT load, as a fraction in `[0, 1)` when `self` is better.
-    pub fn saving_vs(&self, baseline: Pue) -> f64 {
-        1.0 - self.0 / baseline.0
     }
 }
 
@@ -95,35 +81,12 @@ mod tests {
     }
 
     #[test]
-    fn facility_and_overhead_energy() {
+    fn facility_energy_scales_it_energy() {
         let pue = Pue::new(1.5).unwrap();
         let it = Energy::from_kilowatt_hours(10.0);
         assert!((pue.facility_energy(it).as_kilowatt_hours() - 15.0).abs() < 1e-9);
-        assert!((pue.overhead_energy(it).as_kilowatt_hours() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ideal_pue_has_no_overhead() {
         let it = Energy::from_joules(123.0);
         assert_eq!(Pue::IDEAL.facility_energy(it), it);
-        assert!(Pue::IDEAL.overhead_energy(it).is_zero());
-    }
-
-    #[test]
-    fn hyperscale_is_about_40_percent_better_than_typical() {
-        // The paper: "Facebook's data centers are about 40% more efficient
-        // than small-scale, typical data centers."
-        let saving = Pue::HYPERSCALE.saving_vs(Pue::TYPICAL_SMALL_DC);
-        assert!(saving > 0.25 && saving < 0.35, "saving {saving}");
-        // Interpreted as overhead reduction, the claim is ~83%:
-        let overhead_cut = 1.0
-            - Pue::HYPERSCALE
-                .overhead_energy(Energy::from_joules(1.0))
-                .as_joules()
-                / Pue::TYPICAL_SMALL_DC
-                    .overhead_energy(Energy::from_joules(1.0))
-                    .as_joules();
-        assert!(overhead_cut > 0.8);
     }
 
     #[test]

@@ -204,17 +204,8 @@ impl DataQualityReport {
         self.measured_energy + self.imputed_energy
     }
 
-    /// Whether this report records no activity and no faults at all —
-    /// the state a fault-free, never-used collector is in.
-    pub fn is_empty(&self) -> bool {
-        self.expected_samples == 0
-            && self.observed_samples == 0
-            && self.measured_energy.is_zero()
-            && self.imputed_energy.is_zero()
-            && self.faults.is_empty()
-    }
-
     /// Whether every expected sample arrived and nothing was imputed.
+    // lint:allow(test-only-pub) (b) stream and meter tests observe clean runs through it
     pub fn is_pristine(&self) -> bool {
         self.observed_samples >= self.expected_samples
             && self.imputed_energy.is_zero()
@@ -277,7 +268,6 @@ mod tests {
     #[test]
     fn empty_report_is_pristine_with_full_coverage() {
         let q = DataQualityReport::default();
-        assert!(q.is_empty());
         assert!(q.is_pristine());
         assert_eq!(q.coverage(), Fraction::ONE);
         assert_eq!(q.imputed_share(), Fraction::ZERO);

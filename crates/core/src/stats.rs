@@ -67,16 +67,6 @@ impl Normal {
         }
         Ok(Normal { mean, std })
     }
-
-    /// The mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// The standard deviation.
-    pub fn std(&self) -> f64 {
-        self.std
-    }
 }
 
 impl Sampler for Normal {
@@ -153,11 +143,6 @@ impl LogNormal {
         self.mu.exp()
     }
 
-    /// The distribution's mean (`exp(mu + sigma²/2)`).
-    pub fn mean(&self) -> f64 {
-        (self.mu + self.sigma * self.sigma / 2.0).exp()
-    }
-
     /// The 99th percentile.
     pub fn p99(&self) -> f64 {
         (self.mu + self.sigma * Z_99).exp()
@@ -165,6 +150,7 @@ impl LogNormal {
 
     /// The quantile at probability `p` (0 < p < 1), via an inverse-normal
     /// approximation (Acklam's algorithm, |ε| < 1.15e-9).
+    // lint:allow(test-only-pub) (d) the percentile helper ROADMAP item 4(a) needs for p5/p50/p95
     pub fn quantile(&self, p: f64) -> f64 {
         (self.mu + self.sigma * inverse_normal_cdf(p)).exp()
     }
@@ -180,67 +166,11 @@ impl Sampler for LogNormal {
     }
 }
 
-/// Exponential distribution with a given rate (λ).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Exponential {
-    rate: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidDistribution`] unless `rate > 0` and finite.
-    pub fn new(rate: f64) -> Result<Exponential> {
-        if !rate.is_finite() || rate <= 0.0 {
-            return Err(Error::InvalidDistribution {
-                distribution: "exponential",
-                reason: "rate must be positive",
-            });
-        }
-        Ok(Exponential { rate })
-    }
-
-    /// Creates from the mean (1/λ).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidDistribution`] unless `mean > 0`.
-    pub fn from_mean(mean: f64) -> Result<Exponential> {
-        if !mean.is_finite() || mean <= 0.0 {
-            return Err(Error::InvalidDistribution {
-                distribution: "exponential",
-                reason: "mean must be positive",
-            });
-        }
-        Exponential::new(1.0 / mean)
-    }
-
-    /// The rate λ.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// The mean 1/λ.
-    pub fn mean(&self) -> f64 {
-        1.0 / self.rate
-    }
-}
-
-impl Sampler for Exponential {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = 1.0 - rng.gen::<f64>();
-        -u.ln() / self.rate
-    }
-}
-
 /// Zipf distribution over ranks `1..=n` with exponent `s` — the skewed access
 /// pattern of embedding lookups that makes platform-level caching effective.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Zipf {
     n: usize,
-    s: f64,
     cdf: Vec<f64>,
     /// Chen–Asau guide table over `n` equal buckets of `[0, 1)`: `guide[b]`
     /// is the first rank index whose CDF value falls in a bucket at or above
@@ -297,7 +227,7 @@ impl Zipf {
         }
         debug_assert_eq!(guide.len(), n, "the CDF must end at exactly 1.0");
         guide.push(last);
-        Ok(Zipf { n, s, cdf, guide })
+        Ok(Zipf { n, cdf, guide })
     }
 
     /// The guide bucket of a probability among `buckets` equal slices of
@@ -320,16 +250,6 @@ impl Zipf {
         start + self.cdf[start..end].partition_point(|&c| c < u)
     }
 
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The exponent.
-    pub fn s(&self) -> f64 {
-        self.s
-    }
-
     /// Draws a rank in `1..=n` (1 is the most popular) by inversion: one
     /// uniform `u`, then the first rank whose CDF value is at least `u`.
     ///
@@ -342,15 +262,6 @@ impl Zipf {
     /// are equal, so a seeded stream draws the same ranks either way.
     pub fn sample_rank<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         self.index_of(rng.gen()) + 1
-    }
-
-    /// Probability mass of rank `k` (1-based). Returns 0 outside `1..=n`.
-    pub fn pmf(&self, k: usize) -> f64 {
-        if k == 0 || k > self.n {
-            return 0.0;
-        }
-        let prev = if k == 1 { 0.0 } else { self.cdf[k - 2] };
-        self.cdf[k - 1] - prev
     }
 }
 
@@ -380,11 +291,6 @@ impl Poisson {
             });
         }
         Ok(Poisson { lambda })
-    }
-
-    /// The mean λ.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
     }
 
     /// Draws a count. Uses Knuth's method for small λ and a normal
@@ -557,6 +463,7 @@ pub fn percentile_sorted(sorted: &[f64], pct: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `values` is empty or contains NaN.
+// lint:allow(test-only-pub) (d) the percentile helper ROADMAP item 4(a) needs for p5/p50/p95
 pub fn percentile(values: &[f64], pct: f64) -> f64 {
     let mut sorted = values.to_vec();
     sorted.sort_by(f64::total_cmp);
@@ -603,13 +510,6 @@ impl Histogram {
             (((value - self.lo) / (self.hi - self.lo)) * bins as f64) as usize
         };
         self.counts[idx.min(bins - 1)] += 1;
-    }
-
-    /// Records many observations.
-    pub fn record_all<I: IntoIterator<Item = f64>>(&mut self, values: I) {
-        for v in values {
-            self.record(v);
-        }
     }
 
     /// Bin counts.
@@ -700,16 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_converges() {
-        let d = Exponential::from_mean(5.0).unwrap();
-        assert!((d.rate() - 0.2).abs() < 1e-12);
-        let samples = d.sample_n(&mut rng(), 50_000);
-        let s = Summary::of(&samples).unwrap();
-        assert!((s.mean - 5.0).abs() < 0.1, "mean {}", s.mean);
-        assert!(s.min >= 0.0);
-    }
-
-    #[test]
     fn zipf_is_head_heavy() {
         let d = Zipf::new(1000, 1.0).unwrap();
         let mut counts = vec![0u64; 1001];
@@ -787,16 +677,6 @@ mod tests {
     }
 
     #[test]
-    fn zipf_pmf_sums_to_one() {
-        let d = Zipf::new(50, 1.2).unwrap();
-        let sum: f64 = (1..=50).map(|k| d.pmf(k)).sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-        assert_eq!(d.pmf(0), 0.0);
-        assert_eq!(d.pmf(51), 0.0);
-        assert!(d.pmf(1) > d.pmf(2));
-    }
-
-    #[test]
     fn poisson_mean_and_variance_converge() {
         for lambda in [3.0, 50.0] {
             let d = Poisson::new(lambda).unwrap();
@@ -859,7 +739,9 @@ mod tests {
     #[test]
     fn histogram_bins_and_mass() {
         let mut h = Histogram::new(0.0, 1.0, 10).unwrap();
-        h.record_all([0.05, 0.15, 0.35, 0.35, 0.45, 0.95, 1.5, -0.5]);
+        for v in [0.05, 0.15, 0.35, 0.35, 0.45, 0.95, 1.5, -0.5] {
+            h.record(v);
+        }
         assert_eq!(h.total(), 8);
         // Overflow/underflow land in edge bins.
         assert_eq!(h.counts()[0], 2); // 0.05 and -0.5

@@ -232,6 +232,7 @@ impl Energy {
     }
 
     /// Creates an energy from watt-hours.
+    // lint:allow(test-only-pub) (c) the units constructor ladder, kept whole
     pub fn from_watt_hours(wh: f64) -> Energy {
         Energy::from_joules(wh * 3_600.0)
     }
@@ -247,6 +248,7 @@ impl Energy {
     }
 
     /// Creates an energy from gigawatt-hours.
+    // lint:allow(test-only-pub) (c) the units constructor ladder, kept whole
     pub fn from_gigawatt_hours(gwh: f64) -> Energy {
         Energy::from_joules(gwh * 3.6e12)
     }
@@ -257,6 +259,7 @@ impl Energy {
     }
 
     /// The value in watt-hours.
+    // lint:allow(test-only-pub) (c) the units constructor ladder, kept whole
     pub fn as_watt_hours(&self) -> f64 {
         self.0 / 3_600.0
     }
@@ -329,6 +332,7 @@ impl Power {
     }
 
     /// Creates a power from kilowatts.
+    // lint:allow(test-only-pub) (c) the units constructor ladder, kept whole
     pub fn from_kilowatts(kw: f64) -> Power {
         Power::from_watts(kw * 1e3)
     }
@@ -558,6 +562,7 @@ impl DataVolume {
     }
 
     /// Creates a volume from petabytes (10¹⁵ bytes).
+    // lint:allow(test-only-pub) (c) the units constructor ladder, kept whole
     pub fn from_petabytes(pb: f64) -> DataVolume {
         DataVolume(pb * 1e15)
     }
@@ -707,6 +712,7 @@ impl Fraction {
     /// # Errors
     ///
     /// Returns [`Error::FractionOutOfRange`] if `pct / 100` is outside `[0, 1]`.
+    // lint:allow(test-only-pub) (c) the units constructor ladder, kept whole
     pub fn from_percent(pct: f64) -> Result<Fraction> {
         Fraction::new(pct / 100.0)
     }

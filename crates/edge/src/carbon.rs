@@ -64,17 +64,6 @@ impl EdgeCarbonEstimator {
         }
     }
 
-    /// Overrides the grid intensity (e.g. for regional studies).
-    pub fn with_intensity(mut self, intensity: CarbonIntensity) -> EdgeCarbonEstimator {
-        self.intensity = intensity;
-        self
-    }
-
-    /// The assumed device power.
-    pub fn device_power(&self) -> Power {
-        self.device_power
-    }
-
     /// Estimates the footprint of a client log.
     pub fn estimate(&self, log: &ClientLog) -> EdgeCarbonBreakdown {
         let device_energy = self.device_power * log.total_compute();
@@ -248,21 +237,6 @@ mod tests {
         assert!(out.total_energy().is_zero());
         assert!(out.co2.is_zero());
         assert_eq!(out.comm_share(), Fraction::ZERO);
-    }
-
-    #[test]
-    fn custom_intensity_scales_emissions() {
-        let mut log = ClientLog::ninety_day();
-        log.push(ClientLogEntry {
-            compute: TimeSpan::from_hours(100.0),
-            download: TimeSpan::ZERO,
-            upload: TimeSpan::ZERO,
-        });
-        let clean = EdgeCarbonEstimator::paper_default()
-            .with_intensity(CarbonIntensity::from_grams_per_kwh(47.5));
-        let dirty = EdgeCarbonEstimator::paper_default();
-        let ratio = dirty.estimate(&log).co2 / clean.estimate(&log).co2;
-        assert!((ratio - 10.0).abs() < 1e-9);
     }
 
     #[test]

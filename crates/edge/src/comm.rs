@@ -2,8 +2,7 @@
 //!
 //! "The wireless communication energy cost takes up a significant portion of
 //! the overall energy footprint of federated learning." Transfers keep the
-//! home router (7.5 W per the paper) busy for the transfer duration, and the
-//! device radio adds its own draw.
+//! home router (7.5 W per the paper) busy for the transfer duration.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,7 +12,6 @@ use sustain_core::units::{DataRate, DataVolume, Energy, Power, TimeSpan};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CommModel {
     router_power: Power,
-    device_radio_power: Power,
 }
 
 impl CommModel {
@@ -24,24 +22,12 @@ impl CommModel {
     pub fn paper_default() -> CommModel {
         CommModel {
             router_power: Power::from_watts(crate::constants::ROUTER_WATTS),
-            device_radio_power: Power::ZERO,
         }
-    }
-
-    /// A stricter model that also charges the device radio.
-    pub fn with_device_radio(mut self, power: Power) -> CommModel {
-        self.device_radio_power = power;
-        self
-    }
-
-    /// Router power.
-    pub fn router_power(&self) -> Power {
-        self.router_power
     }
 
     /// Total power while transferring.
     pub fn active_power(&self) -> Power {
-        self.router_power + self.device_radio_power
+        self.router_power
     }
 
     /// Time to transfer `volume` at `rate`.
@@ -52,11 +38,6 @@ impl CommModel {
     pub fn transfer_time(&self, volume: DataVolume, rate: DataRate) -> TimeSpan {
         assert!(rate.as_bytes_per_sec() > 0.0, "rate must be positive");
         TimeSpan::from_secs(volume.as_bytes() / rate.as_bytes_per_sec())
-    }
-
-    /// Energy to transfer `volume` at `rate`.
-    pub fn transfer_energy(&self, volume: DataVolume, rate: DataRate) -> Energy {
-        self.active_power() * self.transfer_time(volume, rate)
     }
 
     /// Energy for a communication window of known duration.
@@ -72,7 +53,6 @@ mod tests {
     #[test]
     fn paper_model_matches_methodology() {
         let m = CommModel::paper_default();
-        assert_eq!(m.router_power(), Power::from_watts(7.5));
         assert_eq!(m.active_power(), Power::from_watts(7.5));
     }
 
@@ -84,16 +64,8 @@ mod tests {
         let rate = DataRate::from_bytes_per_sec(2.5e6);
         let t = m.transfer_time(vol, rate);
         assert!((t.as_secs() - 30.0).abs() < 1e-9);
-        let e = m.transfer_energy(vol, rate);
+        let e = m.energy_for(t);
         assert!((e.as_joules() - 225.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn device_radio_adds_power() {
-        let m = CommModel::paper_default().with_device_radio(Power::from_watts(1.5));
-        assert_eq!(m.active_power(), Power::from_watts(9.0));
-        let e = m.energy_for(TimeSpan::from_secs(10.0));
-        assert!((e.as_joules() - 90.0).abs() < 1e-9);
     }
 
     #[test]

@@ -96,21 +96,6 @@ impl FlApp {
         self
     }
 
-    /// The application name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Total client sessions over the window.
-    pub fn total_sessions(&self) -> u64 {
-        self.rounds as u64 * self.clients_per_round as u64
-    }
-
-    /// The per-round model/update transfer size.
-    pub fn update_size(&self) -> DataVolume {
-        self.update_size
-    }
-
     /// Simulates all rounds, producing a 90-day client log.
     ///
     /// Per session: a tier is drawn from the fleet mix, the local compute
@@ -222,11 +207,14 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn fl1_produces_expected_session_count() {
-        let app = FlApp::fl1();
-        assert_eq!(app.total_sessions(), 1_000_000);
-        // Simulate a scaled-down version for test speed.
-        let small = FlApp::new("t", 20, 50, app.update_size(), TimeSpan::from_minutes(4.0));
+    fn one_session_per_client_and_round() {
+        let small = FlApp::new(
+            "t",
+            20,
+            50,
+            DataVolume::from_bytes(20e6),
+            TimeSpan::from_minutes(4.0),
+        );
         let log = small.simulate(&mut StdRng::seed_from_u64(1));
         assert_eq!(log.len(), 1000);
     }

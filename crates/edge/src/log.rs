@@ -26,13 +26,6 @@ impl ClientLogEntry {
     pub fn communication(&self) -> TimeSpan {
         self.download + self.upload
     }
-
-    /// Merges another entry into this one.
-    pub fn merge(&mut self, other: &ClientLogEntry) {
-        self.compute += other.compute;
-        self.download += other.download;
-        self.upload += other.upload;
-    }
 }
 
 /// A windowed collection of client log entries.
@@ -59,11 +52,6 @@ impl ClientLog {
             window,
             entries: Vec::new(),
         }
-    }
-
-    /// The logging window.
-    pub fn window(&self) -> TimeSpan {
-        self.window
     }
 
     /// Appends a client's entry.
@@ -123,15 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates() {
-        let mut a = entry(1.0, 1.0, 1.0);
-        a.merge(&entry(2.0, 3.0, 4.0));
-        assert!((a.compute.as_minutes() - 3.0).abs() < 1e-12);
-        assert!((a.download.as_minutes() - 4.0).abs() < 1e-12);
-        assert!((a.upload.as_minutes() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn log_aggregates_across_clients() {
         let mut log = ClientLog::ninety_day();
         log.push(entry(10.0, 1.0, 1.0));
@@ -140,7 +119,6 @@ mod tests {
         assert!(!log.is_empty());
         assert!((log.total_compute().as_minutes() - 30.0).abs() < 1e-12);
         assert!((log.total_communication().as_minutes() - 6.0).abs() < 1e-12);
-        assert!((log.window().as_days() - 90.0).abs() < 1e-12);
     }
 
     #[test]

@@ -83,41 +83,9 @@ impl ChaosConfig {
         }
     }
 
-    /// Sets the crash rate (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is negative, infinite or NaN: the crash process
-    /// would otherwise be dropped without a word. A fleet simulation makes
-    /// the same check on the public field before it runs.
-    pub fn with_crash_rate(mut self, rate: f64) -> ChaosConfig {
-        assert_valid_crash_rate(rate);
-        self.crash_rate_per_server_day = rate;
-        self
-    }
-
-    /// Sets the checkpoint recovery policy.
-    pub fn with_checkpoint(mut self, policy: CheckpointPolicy) -> ChaosConfig {
-        self.checkpoint = policy;
-        self
-    }
-
-    /// Enables wear-out SDC events at the given fleet age.
-    pub fn with_wearout(mut self, model: WearoutModel, age: TimeSpan) -> ChaosConfig {
-        self.wearout = Some(model);
-        self.fleet_age = age;
-        self
-    }
-
     /// Sets the per-hour intensity-feed gap probability.
     pub fn with_intensity_gap(mut self, gap: Fraction) -> ChaosConfig {
         self.intensity_gap = gap;
-        self
-    }
-
-    /// Sets the telemetry fault plan.
-    pub fn with_telemetry(mut self, plan: FaultPlan) -> ChaosConfig {
-        self.telemetry = plan;
         self
     }
 
@@ -203,12 +171,15 @@ mod tests {
     }
 
     #[test]
-    fn builders_compose() {
-        let c = ChaosConfig::none()
-            .with_crash_rate(0.1)
-            .with_wearout(WearoutModel::fleet_processor(), TimeSpan::from_years(5.0))
-            .with_intensity_gap(Fraction::saturating(0.5))
-            .with_telemetry(FaultPlan::degraded());
+    fn fields_compose_with_the_gap_builder() {
+        let c = ChaosConfig {
+            crash_rate_per_server_day: 0.1,
+            wearout: Some(WearoutModel::fleet_processor()),
+            fleet_age: TimeSpan::from_years(5.0),
+            telemetry: FaultPlan::degraded(),
+            ..ChaosConfig::none()
+        }
+        .with_intensity_gap(Fraction::saturating(0.5));
         assert!(!c.is_none());
         assert!(
             c.sdc_rate_per_server_hour()
@@ -218,8 +189,10 @@ mod tests {
 
     #[test]
     fn stream_plans_decorrelate_hosts_but_stay_reproducible() {
-        let c =
-            ChaosConfig::datacenter_default().with_telemetry(FaultPlan::degraded().with_seed(5));
+        let c = ChaosConfig {
+            telemetry: FaultPlan::degraded().with_seed(5),
+            ..ChaosConfig::datacenter_default()
+        };
         let a = c.stream_plan(0);
         let b = c.stream_plan(1);
         assert_ne!(a.seed, b.seed, "hosts must draw decorrelated streams");
@@ -239,17 +212,5 @@ mod tests {
         let json = serde_json::to_string(&c).unwrap();
         let back: ChaosConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, c);
-    }
-
-    #[test]
-    #[should_panic(expected = "crash rate must be non-negative")]
-    fn rejects_negative_crash_rate() {
-        let _ = ChaosConfig::none().with_crash_rate(-1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "crash rate must be non-negative and finite")]
-    fn rejects_infinite_crash_rate() {
-        let _ = ChaosConfig::none().with_crash_rate(f64::INFINITY);
     }
 }

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use sustain_core::units::{Co2e, Energy, Fraction, Power, TimeSpan};
+use sustain_core::units::{Co2e, Fraction, Power};
 
 use crate::server::{ServerKind, ServerSku};
 
@@ -45,24 +45,9 @@ impl Cluster {
     }
 
     /// Cluster power when every server runs at `utilization`.
+    // lint:allow(test-only-pub) (a) the power envelope a FleetSim energy test is held to
     pub fn power_at(&self, utilization: Fraction) -> Power {
         self.sku.power(utilization) * self.servers as f64
-    }
-
-    /// Cluster power with `busy` servers at `utilization` and the rest idle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `busy > servers`.
-    pub fn mixed_power(&self, busy: u32, utilization: Fraction) -> Power {
-        assert!(busy <= self.servers, "busy exceeds cluster size");
-        self.sku.power(utilization) * busy as f64
-            + self.sku.power(Fraction::ZERO) * (self.servers - busy) as f64
-    }
-
-    /// Energy over a span at constant cluster utilization.
-    pub fn energy_over(&self, utilization: Fraction, span: TimeSpan) -> Energy {
-        self.power_at(utilization) * span
     }
 
     /// Total embodied carbon of the cluster.
@@ -90,29 +75,6 @@ mod tests {
         let full = c.power_at(Fraction::ONE);
         assert!((idle.as_kilowatts() - 4.2).abs() < 1e-9);
         assert!((full.as_kilowatts() - 28.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mixed_power_between_extremes() {
-        let c = Cluster::gpu_training(10);
-        let mixed = c.mixed_power(5, Fraction::ONE);
-        assert!(mixed > c.power_at(Fraction::ZERO));
-        assert!(mixed < c.power_at(Fraction::ONE));
-        // 5 busy at 2.8 kW + 5 idle at 0.42 kW = 16.1 kW.
-        assert!((mixed.as_kilowatts() - 16.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn energy_over_span() {
-        let c = Cluster::gpu_training(1);
-        let e = c.energy_over(Fraction::ONE, TimeSpan::from_hours(1.0));
-        assert!((e.as_kilowatt_hours() - 2.8).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "busy exceeds cluster size")]
-    fn mixed_power_validates_busy() {
-        let _ = Cluster::gpu_training(2).mixed_power(3, Fraction::ONE);
     }
 
     #[test]

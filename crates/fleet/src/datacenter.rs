@@ -55,40 +55,9 @@ impl DataCenter {
         }
     }
 
-    /// A typical small datacenter: PUE 1.57, no renewable program.
-    pub fn typical(name: impl Into<String>, region: GridRegion, it_capacity: Power) -> DataCenter {
-        DataCenter::new(name, region, Pue::TYPICAL_SMALL_DC, it_capacity)
-    }
-
-    /// Sets the renewable-matching fraction.
-    pub fn with_renewable_matching(mut self, fraction: Fraction) -> DataCenter {
-        self.renewable_matching = fraction;
-        self
-    }
-
-    /// The facility name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The grid region.
-    pub fn region(&self) -> GridRegion {
-        self.region
-    }
-
     /// The facility PUE.
     pub fn pue(&self) -> Pue {
         self.pue
-    }
-
-    /// The IT power-capacity envelope.
-    pub fn it_capacity(&self) -> Power {
-        self.it_capacity
-    }
-
-    /// Total facility power at full IT load.
-    pub fn facility_capacity(&self) -> Power {
-        self.it_capacity * self.pue.value()
     }
 
     /// The location-based grid intensity.
@@ -150,17 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn hyperscale_beats_typical_on_facility_energy() {
-        let cap = Power::from_megawatts(10.0);
-        let hyper = DataCenter::hyperscale("a", GridRegion::UsAverage, cap);
-        let typical = DataCenter::typical("b", GridRegion::UsAverage, cap);
-        assert!(hyper.facility_capacity() < typical.facility_capacity());
-        let ratio = 1.0 - hyper.facility_capacity() / typical.facility_capacity();
-        // "about 40% more efficient" in overall PUE terms ≈ 30% facility energy.
-        assert!(ratio > 0.25 && ratio < 0.35);
-    }
-
-    #[test]
     fn region_determines_intensity() {
         let cap = Power::from_megawatts(1.0);
         let nordic = DataCenter::new("n", GridRegion::Nordic, Pue::HYPERSCALE, cap);
@@ -172,7 +130,12 @@ mod tests {
 
     #[test]
     fn display_contains_name_and_region() {
-        let dc = DataCenter::typical("dc1", GridRegion::France, Power::from_megawatts(5.0));
+        let dc = DataCenter::new(
+            "dc1",
+            GridRegion::France,
+            Pue::HYPERSCALE,
+            Power::from_megawatts(5.0),
+        );
         let s = dc.to_string();
         assert!(s.contains("dc1") && s.contains("france"));
     }

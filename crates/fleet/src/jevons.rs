@@ -135,14 +135,6 @@ impl ElectricityTrend {
         &self.anchors
     }
 
-    /// Electricity use in a given year, if recorded.
-    pub fn year(&self, year: u32) -> Option<Energy> {
-        self.anchors
-            .iter()
-            .find(|(y, _)| *y == year)
-            .map(|&(_, e)| e)
-    }
-
     /// The mean annual growth factor across the anchors.
     ///
     /// # Panics
@@ -200,9 +192,9 @@ mod tests {
     #[test]
     fn electricity_reaches_published_2020_figure() {
         let t = ElectricityTrend::facebook_published();
-        let e2020 = t.year(2020).unwrap();
+        let (year, e2020) = *t.anchors().last().unwrap();
+        assert_eq!(year, 2020);
         assert!((e2020.as_megawatt_hours() - 7.17e6).abs() < 1.0);
-        assert!(t.year(2030).is_none());
     }
 
     #[test]

@@ -12,13 +12,11 @@
 //! * [`chaos`] — failure injection for the simulator: host crashes with
 //!   checkpoint recovery, wear-out SDC re-runs, intensity-feed gaps, and
 //!   degraded power metering.
-//! * [`renewable`] — intermittent solar/wind generation traces and the
+//! * [`renewable`] — intermittent solar generation traces and the
 //!   time-varying grid carbon intensity they induce.
 //! * [`storage`] — battery energy storage for 24/7 carbon-free operation.
 //! * [`scheduler`] — FIFO vs carbon-aware job scheduling under a varying
 //!   intensity signal (the paper's §IV-C design space).
-//! * [`autoscale`] — diurnal load and auto-scaling that frees up to 25 % of
-//!   capacity off-peak for opportunistic training.
 //! * [`utilization`] — GPU utilization distributions (Fig 10) and the
 //!   utilization sweep behind Fig 9.
 //! * [`jevons`] — efficiency-vs-demand dynamics (Fig 8) and the fleet
@@ -28,7 +26,6 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod autoscale;
 pub mod capacity;
 pub mod chaos;
 pub mod cluster;

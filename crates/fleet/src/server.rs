@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use sustain_core::embodied::EmbodiedModel;
-use sustain_core::units::{Co2e, Fraction, Power, TimeSpan};
+use sustain_core::units::{Fraction, Power};
 use sustain_telemetry::device::{LinearPowerModel, PowerModel};
 
 /// The workload tier a server SKU is customized for.
@@ -103,11 +103,6 @@ impl ServerSku {
         )
     }
 
-    /// The SKU kind.
-    pub fn kind(&self) -> ServerKind {
-        self.kind
-    }
-
     /// Number of accelerators on board.
     pub fn accelerators(&self) -> u32 {
         self.accelerators
@@ -131,24 +126,6 @@ impl ServerSku {
     fn embodied_ref(&self) -> &EmbodiedModel {
         &self.embodied
     }
-
-    /// Embodied carbon amortized per unit wall-clock time (time-share basis).
-    pub fn embodied_rate(&self) -> Co2e {
-        self.embodied
-            .amortize(
-                TimeSpan::from_secs(1.0),
-                sustain_core::embodied::AllocationPolicy::TimeShare,
-            )
-            // lint:allow(panic-discipline) amortize only errs on non-positive spans
-            .expect("1 second is a valid span")
-    }
-
-    /// Performance-density argument (§III-C): how many of `other` this SKU
-    /// replaces if it has `throughput_ratio`× the throughput; returns the
-    /// embodied carbon avoided per replacement server deployed.
-    pub fn consolidation_saving(&self, other: &ServerSku, throughput_ratio: f64) -> Co2e {
-        other.embodied.total() * throughput_ratio - self.embodied.total()
-    }
 }
 
 impl fmt::Display for ServerSku {
@@ -166,12 +143,12 @@ impl fmt::Display for ServerSku {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sustain_core::units::Co2e;
 
     #[test]
     fn presets_exist_for_all_kinds() {
         for kind in ServerKind::ALL {
             let sku = ServerSku::preset(kind);
-            assert_eq!(sku.kind(), kind);
             assert!(sku.power(Fraction::ONE) > sku.power(Fraction::ZERO));
         }
     }
@@ -184,30 +161,6 @@ mod tests {
         // CPU SKUs carry half.
         let cpu = ServerSku::preset(ServerKind::Compute);
         assert_eq!(cpu.embodied().total(), Co2e::from_kilograms(1000.0));
-    }
-
-    #[test]
-    fn embodied_rate_is_positive_and_tiny_per_second() {
-        let sku = ServerSku::preset(ServerKind::GpuTraining);
-        let rate = sku.embodied_rate();
-        assert!(rate > Co2e::ZERO);
-        // 2000 kg over 4 years ≈ 15.9 mg/s.
-        assert!((rate.as_grams() - 0.01585).abs() < 0.001, "rate {rate:?}");
-    }
-
-    #[test]
-    fn consolidation_saves_embodied_carbon() {
-        // One accelerator server replacing 3 CPU servers' throughput saves
-        // embodied carbon overall.
-        let gpu = ServerSku::preset(ServerKind::GpuTraining);
-        let cpu = ServerSku::preset(ServerKind::Inference);
-        let saving = gpu.consolidation_saving(&cpu, 3.0);
-        assert!(
-            saving > Co2e::ZERO,
-            "3 CPU servers (3 t) > 1 GPU server (2 t)"
-        );
-        // Replacing a single CPU server is a net loss.
-        assert!(gpu.consolidation_saving(&cpu, 1.0) < Co2e::ZERO);
     }
 
     #[test]

@@ -283,6 +283,7 @@ impl FleetSim {
     /// byte-for-byte the report a fresh run would produce — and is excluded
     /// from the [`CacheKey`] encoding.
     #[must_use]
+    // lint:allow(test-only-pub) benchmark: only benchmark/'s sweep_cache attaches a replica cache
     pub fn with_cache(mut self, cache: &Cache) -> FleetSim {
         self.cache = Some(cache.clone());
         self
@@ -293,7 +294,7 @@ impl FleetSim {
     /// # Panics
     ///
     /// Panics if the scenario's chaos crash rate is negative, infinite or
-    /// NaN (see [`ChaosConfig::with_crash_rate`]).
+    /// NaN: the crash process would otherwise be dropped without a word.
     pub fn simulate<R: Rng + ?Sized>(&self, scenario: &Scenario, rng: &mut R) -> FleetSimReport {
         self.simulate_with(rng, &scenario.chaos, scenario.intensity.as_ref())
     }
@@ -345,6 +346,7 @@ impl FleetSim {
     /// # Panics
     ///
     /// Panics on the invalid crash rates [`FleetSim::simulate`] rejects.
+    // lint:allow(test-only-pub) benchmark: a forward only benchmark/ calls; ROADMAP Pending retires it
     pub fn run_with_chaos_and_intensity<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -360,6 +362,7 @@ impl FleetSim {
     /// # Panics
     ///
     /// Panics on the invalid crash rates [`FleetSim::simulate`] rejects.
+    // lint:allow(test-only-pub) benchmark: a forward only benchmark/ calls; ROADMAP Pending retires it
     pub fn run_replicas_with_chaos(
         &self,
         n: usize,
@@ -853,26 +856,41 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "crash rate must be non-negative and finite")]
-    fn nan_crash_rate_field_is_rejected_before_the_run() {
-        let mut chaos = crate::chaos::ChaosConfig::none();
-        chaos.crash_rate_per_server_day = f64::NAN;
-        sim(10, 10.0, 5.0).simulate(
-            &Scenario::default().with_chaos(chaos),
-            &mut StdRng::seed_from_u64(7),
-        );
+    fn invalid_crash_rate_fields_are_rejected_before_the_run() {
+        for rate in [f64::NAN, -1.0, f64::INFINITY] {
+            let chaos = crate::chaos::ChaosConfig {
+                crash_rate_per_server_day: rate,
+                ..crate::chaos::ChaosConfig::none()
+            };
+            let run = std::panic::catch_unwind(|| {
+                sim(10, 10.0, 5.0).simulate(
+                    &Scenario::default().with_chaos(chaos),
+                    &mut StdRng::seed_from_u64(7),
+                )
+            });
+            let payload = run.expect_err("an invalid crash rate must stop the run");
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or_default();
+            assert_eq!(
+                message, "crash rate must be non-negative and finite",
+                "rate {rate}"
+            );
+        }
     }
 
     #[test]
     fn chaos_burns_extra_energy_through_recovery() {
         use crate::chaos::ChaosConfig;
-        let chaos = ChaosConfig::datacenter_default()
-            .with_telemetry(sustain_telemetry::faults::FaultPlan::none())
-            .with_crash_rate(0.5)
-            .with_wearout(
-                crate::lifetime::WearoutModel::fleet_processor(),
-                TimeSpan::from_years(8.0),
-            );
+        let chaos = ChaosConfig {
+            telemetry: sustain_telemetry::faults::FaultPlan::none(),
+            crash_rate_per_server_day: 0.5,
+            wearout: Some(crate::lifetime::WearoutModel::fleet_processor()),
+            fleet_age: TimeSpan::from_years(8.0),
+            ..ChaosConfig::datacenter_default()
+        };
         let plain =
             sim(20, 20.0, 30.0).simulate(&Scenario::default(), &mut StdRng::seed_from_u64(11));
         let chaotic = sim(20, 20.0, 30.0).simulate(
@@ -900,8 +918,10 @@ mod tests {
     fn degraded_metering_reports_quality_but_not_truth() {
         use crate::chaos::ChaosConfig;
         use sustain_telemetry::faults::FaultPlan;
-        let chaos = ChaosConfig::none()
-            .with_telemetry(FaultPlan::degraded().with_seed(3).with_dropout(0.2));
+        let chaos = ChaosConfig {
+            telemetry: FaultPlan::degraded().with_seed(3).with_dropout(0.2),
+            ..ChaosConfig::none()
+        };
         let report = sim(10, 10.0, 30.0).simulate(
             &Scenario::default().with_chaos(chaos),
             &mut StdRng::seed_from_u64(13),

@@ -74,11 +74,6 @@ impl Battery {
         Fraction::saturating(self.stored / self.capacity)
     }
 
-    /// The charge/discharge power limit.
-    pub fn max_power(&self) -> Power {
-        self.max_power
-    }
-
     /// Charges from a supply of `power` for `span`; returns the energy
     /// actually *drawn from the supply* (limited by power cap and headroom).
     pub fn charge(&mut self, power: Power, span: TimeSpan) -> Energy {
@@ -103,6 +98,7 @@ impl Battery {
     }
 
     /// Whether the battery is full (within 1 J).
+    // lint:allow(test-only-pub) (b) battery tests observe charging through it
     pub fn is_full(&self) -> bool {
         (self.capacity - self.stored).as_joules() < 1.0
     }

@@ -134,13 +134,6 @@ impl UtilizationSweep {
         }
     }
 
-    /// Sets the residual operational fraction under carbon-free energy
-    /// (default 5 %: life-cycle emissions of the renewable supply).
-    pub fn with_cfe_residual(mut self, residual: Fraction) -> UtilizationSweep {
-        self.cfe_operational_scale = residual.value();
-        self
-    }
-
     /// Evaluates the sweep at one utilization.
     ///
     /// # Panics
@@ -166,14 +159,6 @@ impl UtilizationSweep {
             grid,
             carbon_free: grid.scale_operational(self.cfe_operational_scale),
         }
-    }
-
-    /// Evaluates the sweep over a utilization grid.
-    pub fn over(&self, utilizations: &[f64]) -> Vec<SweepPoint> {
-        utilizations
-            .iter()
-            .map(|&u| self.at(Fraction::saturating(u)))
-            .collect()
     }
 }
 
@@ -255,19 +240,13 @@ mod tests {
     #[test]
     fn sweep_is_monotone_in_utilization() {
         let s = sweep();
-        let pts = s.over(&[0.2, 0.4, 0.6, 0.8, 1.0]);
+        let pts: Vec<_> = [0.2, 0.4, 0.6, 0.8, 1.0]
+            .map(|u| s.at(Fraction::saturating(u)))
+            .to_vec();
         for w in pts.windows(2) {
             assert!(w[1].grid.total() < w[0].grid.total());
             assert!(w[1].carbon_free.total() < w[0].carbon_free.total());
         }
-    }
-
-    #[test]
-    fn cfe_residual_is_configurable() {
-        let s = sweep().with_cfe_residual(Fraction::ZERO);
-        let p = s.at(Fraction::saturating(0.5));
-        assert!(p.carbon_free.operational().is_zero());
-        assert_eq!(p.carbon_free.embodied(), p.grid.embodied());
     }
 
     #[test]

@@ -34,7 +34,8 @@ fn sim(servers: u32, arrivals_per_day: f64, days: f64) -> FleetSim {
     )
 }
 
-/// One chaos configuration assembled field-by-field via the builder API.
+/// One chaos configuration: struct-update syntax over the chaos-free
+/// preset, then the intensity-gap builder.
 fn chaos_from_parts(
     crash: f64,
     age_years: f64,
@@ -42,18 +43,18 @@ fn chaos_from_parts(
     gap: f64,
     telemetry_seed: u64,
 ) -> ChaosConfig {
-    ChaosConfig::none()
-        .with_crash_rate(crash)
-        .with_wearout(
-            WearoutModel::fleet_processor(),
-            TimeSpan::from_years(age_years),
-        )
-        .with_intensity_gap(Fraction::saturating(gap))
-        .with_telemetry(FaultPlan::degraded().with_seed(telemetry_seed))
-        .with_checkpoint(CheckpointPolicy {
+    ChaosConfig {
+        crash_rate_per_server_day: crash,
+        wearout: Some(WearoutModel::fleet_processor()),
+        fleet_age: TimeSpan::from_years(age_years),
+        telemetry: FaultPlan::degraded().with_seed(telemetry_seed),
+        checkpoint: CheckpointPolicy {
             interval: TimeSpan::from_hours(6.0),
             overhead: Fraction::saturating(sdc_rerun * 0.1),
-        })
+        },
+        ..ChaosConfig::none()
+    }
+    .with_intensity_gap(Fraction::saturating(gap))
 }
 
 proptest! {
@@ -65,18 +66,20 @@ proptest! {
         gap in 0.0f64..0.5,
         seed in any::<u64>(),
     ) {
-        // Same field values, three construction routes: builder order A,
-        // builder order B, and a struct literal.
+        // Same field values, three construction routes: the gap builder
+        // last, the gap builder first, and a struct literal.
         let a = chaos_from_parts(crash, age_years, sdc_rerun, gap, seed);
-        let b = ChaosConfig::none()
-            .with_checkpoint(CheckpointPolicy {
+        let b = ChaosConfig {
+            checkpoint: CheckpointPolicy {
                 interval: TimeSpan::from_hours(6.0),
                 overhead: Fraction::saturating(sdc_rerun * 0.1),
-            })
-            .with_telemetry(FaultPlan::degraded().with_seed(seed))
-            .with_intensity_gap(Fraction::saturating(gap))
-            .with_wearout(WearoutModel::fleet_processor(), TimeSpan::from_years(age_years))
-            .with_crash_rate(crash);
+            },
+            telemetry: FaultPlan::degraded().with_seed(seed),
+            wearout: Some(WearoutModel::fleet_processor()),
+            fleet_age: TimeSpan::from_years(age_years),
+            crash_rate_per_server_day: crash,
+            ..ChaosConfig::none().with_intensity_gap(Fraction::saturating(gap))
+        };
         let c = ChaosConfig {
             crash_rate_per_server_day: crash,
             checkpoint: CheckpointPolicy {

@@ -38,8 +38,10 @@ fn run(chaos: ChaosConfig, seed: u64) -> FleetSimReport {
 
 #[test]
 fn same_seed_same_plan_is_byte_identical() {
-    let chaos =
-        ChaosConfig::datacenter_default().with_telemetry(FaultPlan::degraded().with_seed(99));
+    let chaos = ChaosConfig {
+        telemetry: FaultPlan::degraded().with_seed(99),
+        ..ChaosConfig::datacenter_default()
+    };
     let a = run(chaos, 42);
     let b = run(chaos, 42);
     let ja = serde_json::to_string(&a).expect("report serializes");
@@ -68,8 +70,10 @@ fn zero_rate_config_is_inert() {
 
 #[test]
 fn nonzero_plan_reports_degraded_coverage_and_separate_imputation() {
-    let chaos = ChaosConfig::datacenter_default()
-        .with_telemetry(FaultPlan::degraded().with_seed(5).with_dropout(0.1));
+    let chaos = ChaosConfig {
+        telemetry: FaultPlan::degraded().with_seed(5).with_dropout(0.1),
+        ..ChaosConfig::datacenter_default()
+    };
     let report = run(chaos, 21);
     let q = report
         .quality

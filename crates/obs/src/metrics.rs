@@ -176,6 +176,7 @@ impl Histogram {
     /// bucket containing the ⌈q·n⌉-th smallest sample, so the estimate
     /// always brackets the true quantile from above within one bucket.
     /// Returns `None` when the histogram is empty or `q` is out of range.
+    // lint:allow(test-only-pub) (b) histogram tests observe recorded values through it
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if !(0.0..=1.0).contains(&q) {
             return None;

@@ -16,7 +16,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use sustain_core::units::{DataVolume, Fraction};
+use sustain_core::units::DataVolume;
 use sustain_workload::recsys::DlrmConfig;
 
 /// An embedding compression technique.
@@ -112,14 +112,6 @@ pub struct CompressionReport {
 }
 
 impl CompressionReport {
-    /// Fractional memory saving.
-    pub fn memory_saving(&self) -> Fraction {
-        if self.memory_before.is_zero() {
-            return Fraction::ZERO;
-        }
-        Fraction::saturating(1.0 - self.memory_after / self.memory_before)
-    }
-
     /// Relative embodied footprint (proportional to systems deployed).
     pub fn relative_embodied(&self) -> f64 {
         self.relative_systems
@@ -175,7 +167,6 @@ mod tests {
         let report = apply(&rm(), CompressionTechnique::tt_rec_paper(), system_memory());
         let factor = report.memory_before / report.memory_after;
         assert!(factor > 100.0, "factor {factor}");
-        assert!(report.memory_saving().value() > 0.99);
     }
 
     #[test]
@@ -203,7 +194,7 @@ mod tests {
         assert!(dhe.memory_after < none.memory_after);
         assert!(dhe.relative_operational() > none.relative_operational());
         assert_eq!(none.relative_systems, 1.0);
-        assert_eq!(none.memory_saving(), Fraction::ZERO);
+        assert_eq!(none.memory_after, none.memory_before);
     }
 
     #[test]

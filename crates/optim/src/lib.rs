@@ -15,8 +15,6 @@
 //!   stopping of under-performing trials (§IV-B).
 //! * [`sampling`] — data-sampling proxy evaluation (SVP-CF-style): 10 % of
 //!   data preserves algorithm ranking at 5.8× speedup (§IV-A).
-//! * [`halflife`] — data perishability: exponential decay of predictive
-//!   value and age-based sampling (§IV-A).
 //! * [`pareto`] — multi-objective Pareto-frontier extraction (§IV-B, Fig 12).
 
 #![forbid(unsafe_code)]
@@ -26,7 +24,6 @@
 pub mod cache;
 pub mod compression;
 pub mod constants;
-pub mod halflife;
 pub mod multitenancy;
 pub mod nas;
 pub mod pareto;

@@ -10,7 +10,6 @@
 //! a different number of (possibly truncated) trials to find a near-optimal
 //! configuration. Costs are expressed as multiples of one full training run.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -54,11 +53,6 @@ impl SearchStrategy {
     /// Search energy given the energy of one full training run.
     pub fn energy(&self, space_size: u32, per_trial: Energy) -> Energy {
         per_trial * self.trial_cost(space_size)
-    }
-
-    /// Overhead factor relative to a single training run.
-    pub fn overhead(&self, space_size: u32) -> f64 {
-        self.trial_cost(space_size)
     }
 }
 
@@ -104,56 +98,15 @@ impl EarlyStopping {
     }
 }
 
-/// A synthetic search space for end-to-end strategy evaluation: quality of a
-/// configuration is drawn uniformly, and a strategy's *regret* is the gap to
-/// the best configuration it could have found.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SyntheticSpace {
-    size: u32,
-}
-
-impl SyntheticSpace {
-    /// Creates a space of `size` configurations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size` is zero.
-    pub fn new(size: u32) -> SyntheticSpace {
-        assert!(size > 0, "space must be non-empty");
-        SyntheticSpace { size }
-    }
-
-    /// Number of configurations.
-    pub fn size(&self) -> u32 {
-        self.size
-    }
-
-    /// Expected best quality (in `[0, 1]`) found after `trials` uniform
-    /// random draws: `trials / (trials + 1)` for a Uniform(0,1) objective.
-    pub fn expected_best_of(&self, trials: u32) -> f64 {
-        let t = trials.min(self.size) as f64;
-        t / (t + 1.0)
-    }
-
-    /// Simulates a random search, returning the best quality found.
-    pub fn random_search<R: Rng + ?Sized>(&self, rng: &mut R, trials: u32) -> f64 {
-        (0..trials.min(self.size))
-            .map(|_| rng.gen::<f64>())
-            .fold(0.0, f64::max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn grid_search_overhead_matches_strubell_anchor() {
         // A 3000-point grid costs >3000× a single training run.
         let grid = SearchStrategy::Grid;
-        assert!(grid.overhead(3000) >= 3000.0);
+        assert!(grid.trial_cost(3000) >= 3000.0);
         let e = grid.energy(3000, Energy::from_kilowatt_hours(1.0));
         assert!((e.as_megawatt_hours() - 3.0).abs() < 1e-9);
     }
@@ -181,38 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn expected_best_improves_with_trials_with_diminishing_returns() {
-        let s = SyntheticSpace::new(10_000);
-        let q10 = s.expected_best_of(10);
-        let q100 = s.expected_best_of(100);
-        let q1000 = s.expected_best_of(1000);
-        assert!(q100 > q10 && q1000 > q100);
-        // Diminishing: the second decade buys less than the first.
-        assert!((q100 - q10) > (q1000 - q100));
-    }
-
-    #[test]
-    fn random_search_simulation_matches_expectation() {
-        let s = SyntheticSpace::new(100_000);
-        let mut rng = StdRng::seed_from_u64(8);
-        let n = 2000;
-        let mean: f64 = (0..n).map(|_| s.random_search(&mut rng, 50)).sum::<f64>() / n as f64;
-        let expected = s.expected_best_of(50);
-        assert!((mean - expected).abs() < 0.01, "mean {mean} vs {expected}");
-    }
-
-    #[test]
-    fn diminishing_returns_argue_against_grid() {
-        // 97% of achievable quality needs ~32 random trials; the 3000-point
-        // grid buys 3 more points of quality for ~94× the energy.
-        let s = SyntheticSpace::new(3000);
-        let random_cost = 32.0;
-        let grid_cost = SearchStrategy::Grid.trial_cost(3000);
-        assert!(s.expected_best_of(32) > 0.96);
-        assert!(grid_cost / random_cost > 90.0);
-    }
-
-    #[test]
     fn bayesian_efficiency_floor() {
         // efficiency below 1 is clamped (can't be worse than random here).
         let b = SearchStrategy::Bayesian {
@@ -220,12 +141,6 @@ mod tests {
             efficiency: 0.5,
         };
         assert_eq!(b.trial_cost(100), 10.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "space must be non-empty")]
-    fn rejects_empty_space() {
-        let _ = SyntheticSpace::new(0);
     }
 
     #[test]

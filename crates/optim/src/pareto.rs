@@ -28,6 +28,7 @@ impl Candidate {
     }
 
     /// Whether `self` dominates `other` (no worse in both, better in one).
+    // lint:allow(test-only-pub) (b) the frontier property tests check dominance with it
     pub fn dominates(&self, other: &Candidate) -> bool {
         (self.cost <= other.cost && self.error <= other.error)
             && (self.cost < other.cost || self.error < other.error)
@@ -62,47 +63,6 @@ pub fn pareto_frontier(candidates: &[Candidate]) -> Vec<Candidate> {
         }
     }
     frontier
-}
-
-/// The frontier point with the lowest cost whose error is at most
-/// `error_budget` — "which model to train fully and deploy given certain
-/// infrastructure capacity", inverted.
-pub fn cheapest_within(candidates: &[Candidate], error_budget: f64) -> Option<Candidate> {
-    pareto_frontier(candidates)
-        .into_iter()
-        .find(|c| c.error <= error_budget)
-}
-
-/// The knee of the frontier: the point maximizing the normalized distance
-/// from the line joining the frontier's endpoints. Returns `None` for
-/// frontiers with fewer than 3 points.
-pub fn knee_point(candidates: &[Candidate]) -> Option<Candidate> {
-    let frontier = pareto_frontier(candidates);
-    if frontier.len() < 3 {
-        return None;
-    }
-    let (first, last) = match (frontier.first(), frontier.last()) {
-        (Some(&first), Some(&last)) => (first, last),
-        _ => return None,
-    };
-    let c_span = (last.cost - first.cost).max(f64::MIN_POSITIVE);
-    let e_span = (first.error - last.error).max(f64::MIN_POSITIVE);
-    frontier
-        .iter()
-        .copied()
-        .max_by(|a, b| {
-            let da = knee_distance(a, &first, c_span, e_span);
-            let db = knee_distance(b, &first, c_span, e_span);
-            da.total_cmp(&db)
-        })
-        .filter(|best| knee_distance(best, &first, c_span, e_span) > 0.0)
-}
-
-fn knee_distance(p: &Candidate, first: &Candidate, c_span: f64, e_span: f64) -> f64 {
-    // Normalized coordinates: x grows with cost, y falls with error.
-    let x = (p.cost - first.cost) / c_span;
-    let y = (first.error - p.error) / e_span;
-    y - x
 }
 
 #[cfg(test)]
@@ -143,66 +103,9 @@ mod tests {
     }
 
     #[test]
-    fn cheapest_within_budget() {
-        let best = cheapest_within(&points(), 0.35).unwrap();
-        assert_eq!(best.id, 1, "cheapest point with error ≤ 0.35");
-        assert!(cheapest_within(&points(), 0.1).is_none());
-    }
-
-    #[test]
-    fn knee_prefers_big_early_gains() {
-        // A classic L-shaped frontier: the corner is the knee.
-        let pts = vec![
-            Candidate::new(0, 1.0, 1.00),
-            Candidate::new(1, 2.0, 0.20), // knee
-            Candidate::new(2, 10.0, 0.15),
-        ];
-        assert_eq!(knee_point(&pts).unwrap().id, 1);
-    }
-
-    #[test]
-    fn knee_requires_three_frontier_points() {
-        let pts = vec![Candidate::new(0, 1.0, 1.0), Candidate::new(1, 2.0, 0.5)];
-        assert!(knee_point(&pts).is_none());
-    }
-
-    #[test]
     fn frontier_of_empty_and_single() {
         assert!(pareto_frontier(&[]).is_empty());
         let single = [Candidate::new(7, 1.0, 1.0)];
         assert_eq!(pareto_frontier(&single).len(), 1);
-    }
-
-    #[test]
-    fn yellow_star_is_the_knee_of_fig12() {
-        // Fig 12's economics: the paper highlights (2×, 2×) as the efficient
-        // choice. Build the tandem path from the scaling law and check the
-        // knee lands at a small scale, not the expensive green end.
-        use sustain_workload::scaling::RecsysScalingLaw;
-        let law = RecsysScalingLaw::paper_default();
-        let scales = [1.0, 2.0, 4.0, 8.0, 16.0];
-        let candidates: Vec<Candidate> = scales
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| {
-                let p = law.point(s, s);
-                Candidate::new(
-                    i as u64,
-                    p.energy_per_step.as_joules(),
-                    p.normalized_entropy,
-                )
-            })
-            .collect();
-        let knee = knee_point(&candidates).unwrap();
-        // The knee is an interior small-scale point — far below the 16×
-        // green-star end of the path, consistent with the paper highlighting
-        // small tandem scales as the efficient operating points.
-        assert!(
-            (1..=2).contains(&knee.id),
-            "knee should sit at the cheap end, got {}",
-            knee.id
-        );
-        let max_cost = candidates.last().unwrap().cost;
-        assert!(knee.cost < max_cost / 2.0);
     }
 }

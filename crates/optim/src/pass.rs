@@ -102,7 +102,7 @@ pub struct WaterfallStep {
 /// use sustain_core::units::Energy;
 ///
 /// let pipeline = Pipeline::lm_paper();
-/// let optimized = pipeline.apply(Energy::from_megawatt_hours(812.0));
+/// let optimized = Energy::from_megawatt_hours(812.0) / pipeline.total_gain();
 /// assert!((optimized.as_megawatt_hours() - 1.0).abs() < 0.02);
 /// ```
 #[derive(Debug, Default)]
@@ -138,24 +138,9 @@ impl Pipeline {
         self
     }
 
-    /// Number of passes.
-    pub fn len(&self) -> usize {
-        self.passes.len()
-    }
-
-    /// Whether the pipeline has no passes.
-    pub fn is_empty(&self) -> bool {
-        self.passes.is_empty()
-    }
-
     /// The compounded gain of all passes.
     pub fn total_gain(&self) -> f64 {
         self.passes.iter().map(|p| p.gain()).product()
-    }
-
-    /// Energy after the full pipeline.
-    pub fn apply(&self, input: Energy) -> Energy {
-        input / self.total_gain()
     }
 
     /// Renders the per-step waterfall for a given input energy.
@@ -242,11 +227,8 @@ mod tests {
     #[test]
     fn empty_pipeline_is_identity() {
         let p = Pipeline::new();
-        assert!(p.is_empty());
         assert_eq!(p.total_gain(), 1.0);
-        let e = Energy::from_joules(5.0);
-        assert_eq!(p.apply(e), e);
-        assert!(p.waterfall(e).is_empty());
+        assert!(p.waterfall(Energy::from_joules(5.0)).is_empty());
     }
 
     #[test]

@@ -38,16 +38,6 @@ impl NumericFormat {
             NumericFormat::Int8 => 1,
         }
     }
-
-    /// Compute-energy gain on accelerators vs fp32 (the paper's 2.4× for
-    /// halved precision; int8 roughly doubles again).
-    pub fn compute_gain_vs_fp32(&self) -> f64 {
-        match self {
-            NumericFormat::Fp32 => 1.0,
-            NumericFormat::Fp16 | NumericFormat::Bf16 => 2.4,
-            NumericFormat::Int8 => 4.8,
-        }
-    }
 }
 
 impl fmt::Display for NumericFormat {
@@ -174,13 +164,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn format_bytes_and_gains() {
+    fn format_bytes() {
         assert_eq!(NumericFormat::Fp32.bytes(), 4);
         assert_eq!(NumericFormat::Fp16.bytes(), 2);
         assert_eq!(NumericFormat::Bf16.bytes(), 2);
         assert_eq!(NumericFormat::Int8.bytes(), 1);
-        assert!((NumericFormat::Fp16.compute_gain_vs_fp32() - 2.4).abs() < 1e-12);
-        assert_eq!(NumericFormat::Fp32.compute_gain_vs_fp32(), 1.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use sustain_core::units::{Fraction, Power, TimeSpan};
+use sustain_core::units::Fraction;
 
 /// An optimization area of the ML hardware-software stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -106,21 +106,11 @@ impl OptimizationCycle {
         self.retained().complement()
     }
 
-    /// Fleet power after `cycles` consecutive cycles from `baseline`.
-    pub fn power_after(&self, baseline: Power, cycles: u32) -> Power {
-        baseline * self.retained().value().powi(cycles as i32)
-    }
-
     /// The Figure 6 series: `(six-month index, fleet power factor)`.
     pub fn series(&self, cycles: u32) -> Vec<(u32, f64)> {
         (0..=cycles)
             .map(|i| (i, self.retained().value().powi(i as i32)))
             .collect()
-    }
-
-    /// Elapsed time for `cycles` cycles.
-    pub fn horizon(cycles: u32) -> TimeSpan {
-        TimeSpan::from_days(182.625 * cycles as f64)
     }
 }
 
@@ -153,14 +143,6 @@ mod tests {
         let factor = c.retained().value().powi(4);
         // Pure efficiency (no demand growth): ~0.8^4 ≈ 0.41.
         assert!((factor - 0.41).abs() < 0.02, "factor {factor}");
-        assert!((OptimizationCycle::horizon(4).as_years() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn power_after_applies_compounding() {
-        let c = OptimizationCycle::paper_default();
-        let p = c.power_after(Power::from_megawatts(100.0), 1);
-        assert!((p.as_megawatts() - 100.0 * c.retained().value()).abs() < 1e-9);
     }
 
     #[test]
@@ -182,8 +164,7 @@ mod tests {
             Fraction::ZERO,
         );
         assert_eq!(c.total_reduction(), Fraction::ZERO);
-        let p = Power::from_watts(5.0);
-        assert_eq!(c.power_after(p, 10), p);
+        assert!(c.series(10).iter().all(|&(_, f)| f == 1.0));
     }
 
     #[test]

@@ -66,17 +66,9 @@ pub use tree::{SpanNode, SpanTree};
 use sustain_obs::EventRecord;
 
 /// Profiles an in-process recording in one call.
+// lint:allow(test-only-pub) benchmark: only benchmark/ profiles its traced runs through it
 pub fn profile_records(records: &[EventRecord]) -> Profile {
     Profile::from_tree(&SpanTree::from_records(records))
-}
-
-/// Profiles an `events.jsonl` export in one call.
-///
-/// # Errors
-///
-/// Returns a message naming the first malformed line.
-pub fn profile_jsonl(text: &str) -> Result<Profile, String> {
-    Ok(Profile::from_tree(&SpanTree::from_jsonl(text)?))
 }
 
 #[cfg(test)]
@@ -86,14 +78,15 @@ mod tests {
     use sustain_obs::ObsConfig;
 
     #[test]
-    fn convenience_wrappers_agree() {
+    fn records_and_their_jsonl_export_profile_alike() {
         let obs = ObsConfig::enabled().build();
         {
             let _s = obs.span("work");
             obs.add_work(5);
         }
         let from_records = profile_records(&obs.events());
-        let from_jsonl = profile_jsonl(&obs.export_jsonl()).expect("valid export");
+        let from_jsonl =
+            Profile::from_tree(&SpanTree::from_jsonl(&obs.export_jsonl()).expect("valid export"));
         assert_eq!(from_records, from_jsonl);
         let stats = from_records.stats("work").expect("work span");
         assert_eq!(stats.total, TimeSpan::from_secs(5.0));

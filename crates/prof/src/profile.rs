@@ -180,6 +180,7 @@ impl Profile {
     /// the attribution check "≥90% of fig07 is the cache simulation" reads
     /// directly off this. Returns 0 when either name is missing or the
     /// root total is zero.
+    // lint:allow(test-only-pub) (b) the fig07 wall-clock profile test reads its attribution
     pub fn attribution(&self, root: &str, inner: &str) -> f64 {
         let Some(root_stats) = self.by_name.get(root) else {
             return 0.0;

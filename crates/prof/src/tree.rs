@@ -76,6 +76,7 @@ impl SpanTree {
     ///
     /// Returns a message naming the first malformed line. Lines that parse
     /// as JSON but are not span records (instant events) are skipped.
+    // lint:allow(test-only-pub) (e) reads the events.jsonl the binary writes; hostile-input proptest
     pub fn from_jsonl(text: &str) -> Result<SpanTree, String> {
         let mut spans = Vec::new();
         for (lineno, line) in text.lines().enumerate() {

@@ -97,6 +97,7 @@ impl Default for StreamConfig {
 
 impl StreamConfig {
     /// Sets the shard count (builder style).
+    // lint:allow(test-only-pub) benchmark: only benchmark/'s stream_ingest sets the shard count
     pub fn with_shards(mut self, shards: usize) -> StreamConfig {
         self.shards = shards;
         self
@@ -357,11 +358,6 @@ impl StreamPipeline {
         self
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &StreamConfig {
-        &self.config
-    }
-
     /// Registers a meter stream. `label` becomes the source's node path in
     /// the final [`TraceTree`]; `plan` is its fault mixture (per-stream
     /// decorrelated from the plan seed by the label, as in
@@ -382,11 +378,6 @@ impl StreamPipeline {
         self.sources
             .push(MeterSource::new(label, plan, shard, local));
         self
-    }
-
-    /// Ticks ingested so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
     }
 
     /// Total samples currently buffered across every shard's queue and

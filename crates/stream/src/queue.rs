@@ -145,16 +145,6 @@ impl IngestQueue {
         self.buf.is_empty()
     }
 
-    /// The fixed capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The backpressure policy in force.
-    pub fn policy(&self) -> BackpressurePolicy {
-        self.policy
-    }
-
     /// Samples evicted under [`BackpressurePolicy::DropOldest`] so far.
     pub fn evicted(&self) -> u64 {
         self.evicted

@@ -20,7 +20,7 @@
 //! displaced tail is a handful of same-tick entries, so the shift is a
 //! short contiguous `memmove` instead of a full sort per drain. Draining
 //! then releases a ready *prefix* found by binary search, which batch
-//! consumers ([`ReorderBuffer::drain_ready_into`]) take without
+//! consumers ([`ReorderBuffer::drain_ready_with`]) take without
 //! allocating. This is far cheaper than both the node-per-sample
 //! `BTreeMap` it replaces and a lazily-sorted `Vec`.
 
@@ -70,7 +70,8 @@ fn time_key(at: TimeSpan) -> u64 {
 /// // 12.0 advances the watermark to 10: the stragglers release in time
 /// // order regardless of arrival order.
 /// assert_eq!(buf.admit(s(12.0)), Admission::Admitted);
-/// let ready: Vec<f64> = buf.drain_ready().iter().map(|s| s.at.as_secs()).collect();
+/// let mut ready = Vec::new();
+/// buf.drain_ready_with(|s| ready.push(s.at.as_secs()));
 /// assert_eq!(ready, vec![9.0, 10.0]);
 /// ```
 #[derive(Debug, Clone)]
@@ -164,23 +165,9 @@ impl ReorderBuffer {
     /// then force-releases oldest samples while the buffer exceeds its
     /// capacity. Forced releases stay in time order, so they can only make
     /// *later* stragglers miss the integrator — they never reorder what is
-    /// emitted here.
-    pub fn drain_ready(&mut self) -> Vec<Sample> {
-        let mut out = Vec::new();
-        self.drain_ready_into(&mut out);
-        out
-    }
-
-    /// [`ReorderBuffer::drain_ready`] appending into a caller-owned buffer,
-    /// so a steady-state pipeline can reuse one allocation across flushes.
-    pub fn drain_ready_into(&mut self, out: &mut Vec<Sample>) {
-        self.drain_ready_with(|sample| out.push(sample));
-    }
-
-    /// [`ReorderBuffer::drain_ready`] handing each released sample to a
-    /// consumer callback in time order — the zero-copy path a batch
-    /// consumer uses to regroup samples per sink without staging them in
-    /// an intermediate buffer.
+    /// emitted here. Each released sample goes to `consume` in time order,
+    /// so a batch consumer can regroup samples per sink without staging
+    /// them in an intermediate buffer.
     pub fn drain_ready_with(&mut self, mut consume: impl FnMut(Sample)) {
         let mut release = 0;
         if let Some(mark) = self.watermark() {
@@ -199,21 +186,8 @@ impl ReorderBuffer {
         }
     }
 
-    /// Releases everything still buffered, in time order (end-of-stream).
-    pub fn drain_all(&mut self) -> Vec<Sample> {
-        let mut out = Vec::new();
-        self.drain_all_into(&mut out);
-        out
-    }
-
-    /// [`ReorderBuffer::drain_all`] appending into a caller-owned buffer.
-    pub fn drain_all_into(&mut self, out: &mut Vec<Sample>) {
-        out.extend(self.buf.drain(..).map(|(_, sample)| sample));
-    }
-
-    /// [`ReorderBuffer::drain_all`] handing each sample to a consumer
-    /// callback in time order (end-of-stream counterpart of
-    /// [`ReorderBuffer::drain_ready_with`]).
+    /// Releases everything still buffered to `consume`, in time order
+    /// (end-of-stream counterpart of [`ReorderBuffer::drain_ready_with`]).
     pub fn drain_all_with(&mut self, mut consume: impl FnMut(Sample)) {
         for (_, sample) in self.buf.drain(..) {
             consume(sample);
@@ -228,11 +202,6 @@ impl ReorderBuffer {
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
-    }
-
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Samples force-released past the watermark because the buffer was
@@ -260,6 +229,18 @@ mod tests {
         }
     }
 
+    fn ready(buf: &mut ReorderBuffer) -> Vec<Sample> {
+        let mut out = Vec::new();
+        buf.drain_ready_with(|sample| out.push(sample));
+        out
+    }
+
+    fn all(buf: &mut ReorderBuffer) -> Vec<Sample> {
+        let mut out = Vec::new();
+        buf.drain_all_with(|sample| out.push(sample));
+        out
+    }
+
     #[test]
     fn releases_in_time_order() {
         let mut buf = ReorderBuffer::new(16, Some(TimeSpan::from_secs(1.0)));
@@ -268,10 +249,10 @@ mod tests {
             assert_eq!(buf.admit(s(*at)), Admission::Admitted);
         }
         // Watermark = 5 − 1 = 4: everything ≤ 4 s is ready, in time order.
-        let out: Vec<f64> = buf.drain_ready().iter().map(|x| x.at.as_secs()).collect();
+        let out: Vec<f64> = ready(&mut buf).iter().map(|x| x.at.as_secs()).collect();
         assert_eq!(out, vec![0.5, 1.0, 1.5, 2.0, 2.5, 3.0]);
         assert_eq!(buf.len(), 1);
-        let rest: Vec<f64> = buf.drain_all().iter().map(|x| x.at.as_secs()).collect();
+        let rest: Vec<f64> = all(&mut buf).iter().map(|x| x.at.as_secs()).collect();
         assert_eq!(rest, vec![5.0]);
     }
 
@@ -286,7 +267,7 @@ mod tests {
         buf.admit(mk(2));
         buf.admit(mk(0));
         buf.admit(mk(1));
-        let order: Vec<usize> = buf.drain_all().iter().map(|x| x.local).collect();
+        let order: Vec<usize> = all(&mut buf).iter().map(|x| x.local).collect();
         assert_eq!(order, vec![2, 0, 1]);
     }
 
@@ -306,8 +287,8 @@ mod tests {
         buf.admit(s(100.0));
         assert_eq!(buf.admit(s(0.0)), Admission::Admitted);
         assert!(buf.watermark().is_none());
-        assert!(buf.drain_ready().is_empty(), "nothing releases on its own");
-        assert_eq!(buf.drain_all().len(), 2);
+        assert!(ready(&mut buf).is_empty(), "nothing releases on its own");
+        assert_eq!(all(&mut buf).len(), 2);
     }
 
     #[test]
@@ -317,7 +298,7 @@ mod tests {
             buf.admit(s(*at));
         }
         assert_eq!(buf.len(), 5);
-        let out: Vec<f64> = buf.drain_ready().iter().map(|x| x.at.as_secs()).collect();
+        let out: Vec<f64> = ready(&mut buf).iter().map(|x| x.at.as_secs()).collect();
         // Over capacity by two: the two oldest leave, oldest first.
         assert_eq!(out, vec![1.0, 2.0]);
         assert_eq!(buf.forced_releases(), 2);

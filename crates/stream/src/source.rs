@@ -69,11 +69,6 @@ impl MeterSource {
         }
     }
 
-    /// The stream label (a `telemetry::hierarchy` node path).
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
     /// Reads this tick's value through the injector, retrying timeouts.
     ///
     /// `truth` is the ground-truth power at nominal time `at`; `base_seed`
@@ -129,11 +124,6 @@ impl MeterSource {
     /// The injector's fault tallies so far.
     pub fn fault_counts(&self) -> sustain_core::quality::FaultCounts {
         self.injector.counts()
-    }
-
-    /// Reads issued (one per tick, however many attempts each took).
-    pub fn reads(&self) -> u64 {
-        self.reads
     }
 
     /// Retry attempts issued after timed-out reads.

@@ -91,6 +91,7 @@ pub struct SyncOutcome {
 /// retries. This is exactly what the rest of the workspace does today, so
 /// it is the semantic baseline the streaming path must match when no
 /// stage has anything to do.
+// lint:allow(test-only-pub) (a) the synchronous reference the streaming pipeline is scored against
 pub fn run_synchronous(
     plan: &FaultPlan,
     sources: usize,

@@ -1,31 +1,12 @@
-//! Named physical constants for the simulated power/energy counters.
+//! Named constants of the telemetry layer: fault-model defaults and device
+//! power figures.
 //!
 //! Provenanced numbers only — the `cargo xtask lint` rule `magic-constant`
 //! bans bare literals in carbon-unit constructors elsewhere in the crate.
 
-/// Idle power of a dual-socket server's DRAM subsystem, in watts (RAPL DRAM
-/// domain; order-of-magnitude from published SPECpower-style breakdowns).
-pub const DRAM_IDLE_WATTS: f64 = 16.0;
-
-/// Fully-loaded DRAM subsystem power, in watts.
-pub const DRAM_PEAK_WATTS: f64 = 60.0;
-
-/// Idle uncore (caches, memory controllers, interconnect) power, in watts.
-pub const UNCORE_IDLE_WATTS: f64 = 10.0;
-
-/// Fully-loaded uncore power, in watts.
-pub const UNCORE_PEAK_WATTS: f64 = 40.0;
-
 // ---------------------------------------------------------------------------
 // Fault-model defaults (crate::faults)
 // ---------------------------------------------------------------------------
-
-/// Wrap period of a RAPL energy-status register, in microjoules: the register
-/// is 32 bits wide (Intel SDM vol. 3B, MSR_PKG_ENERGY_STATUS), so with the
-/// 1 µJ energy unit this simulation uses it rolls over every 2³² µJ ≈ 4295 J
-/// — under 15 s at a loaded dual-socket package, which is why production RAPL
-/// readers must be wraparound-aware.
-pub const RAPL_WRAP_UJ: u64 = 1 << 32;
 
 /// Default per-sample dropout probability for a degraded meter: CodeCarbon
 /// ground-truthing (Fischer et al., 2025) and Eco2AI's fault-tolerance notes

@@ -173,6 +173,7 @@ impl DeviceSpec {
     }
 
     /// A superlinear power model (α = 0.6), the more realistic accelerator fit.
+    // lint:allow(test-only-pub) (d) the superlinear ground truth ROADMAP item 4(a) needs
     pub fn superlinear_model(&self) -> SuperlinearPowerModel {
         SuperlinearPowerModel::new(self.idle(), self.peak(), 0.6)
     }
@@ -191,27 +192,6 @@ impl fmt::Display for DeviceSpec {
             DeviceSpec::HomeRouter => "home-router",
         };
         f.write_str(name)
-    }
-}
-
-/// A fixed-power device (always draws the same power while on), used for the
-/// paper's FL methodology where devices and routers are modeled at constant
-/// wattage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ConstantPowerModel {
-    power: Power,
-}
-
-impl ConstantPowerModel {
-    /// Creates a constant-power model.
-    pub fn new(power: Power) -> ConstantPowerModel {
-        ConstantPowerModel { power }
-    }
-}
-
-impl PowerModel for ConstantPowerModel {
-    fn power(&self, _utilization: Fraction) -> Power {
-        self.power
     }
 }
 
@@ -271,16 +251,10 @@ mod tests {
     }
 
     #[test]
-    fn constant_model_ignores_utilization() {
-        let m = ConstantPowerModel::new(Power::from_watts(7.5));
-        assert_eq!(m.power(Fraction::ZERO), m.power(Fraction::ONE));
-    }
-
-    #[test]
     fn models_are_object_safe() {
         let devices: Vec<Box<dyn PowerModel>> = vec![
             Box::new(DeviceSpec::V100.power_model()),
-            Box::new(ConstantPowerModel::new(Power::from_watts(3.0))),
+            Box::new(DeviceSpec::Smartphone.superlinear_model()),
         ];
         let total: Power = devices
             .iter()

@@ -60,11 +60,6 @@ impl EstimationError {
         }
         self.estimated / self.metered - 1.0
     }
-
-    /// Absolute relative error.
-    pub fn abs_relative_error(&self) -> f64 {
-        self.relative_error().abs()
-    }
 }
 
 /// Integrates both the metered ground truth and an estimator over a
@@ -149,7 +144,7 @@ mod tests {
             TimeSpan::from_secs(30.0),
         );
         assert!(
-            err.abs_relative_error() < 1e-9,
+            err.relative_error().abs() < 1e-9,
             "error {}",
             err.relative_error()
         );
@@ -166,7 +161,7 @@ mod tests {
             TimeSpan::from_hours(1.0),
             TimeSpan::from_secs(60.0),
         );
-        assert!(err.abs_relative_error() < 1e-9);
+        assert!(err.relative_error().abs() < 1e-9);
         // At full load it underestimates by half.
         let err = validate_estimator(
             &flat,
@@ -193,7 +188,8 @@ mod tests {
                 TimeSpan::from_hours(2.0),
                 TimeSpan::from_secs(60.0),
             )
-            .abs_relative_error()
+            .relative_error()
+            .abs()
         };
         let idle_aware = run(EstimationMethod::LinearWithIdle {
             idle_fraction: 50.0 / 400.0,

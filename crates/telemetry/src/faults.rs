@@ -2,13 +2,12 @@
 //!
 //! Every accounting path in this workspace historically assumed perfect,
 //! gapless, monotone counters. Real fleet telemetry is none of those things:
-//! collectors drop samples, RAPL registers wrap, NVML queries time out,
-//! counters freeze, clocks skew, sensors glitch, and hosts crash mid-job.
-//! [`FaultPlan`] describes a reproducible mixture of those faults and
-//! [`FaultInjector`] applies it to a stream of power samples, so the
-//! degradation-tolerant reading path ([`crate::meter::FaultTolerantIntegrator`],
-//! [`crate::trace::PowerTrace::fill_gaps`]) can be exercised — and its
-//! accounting error quantified — without real broken hardware.
+//! collectors drop samples, NVML queries time out, counters freeze, clocks
+//! skew, sensors glitch, and hosts crash mid-job. [`FaultPlan`] describes a
+//! reproducible mixture of the per-sample faults and [`FaultInjector`]
+//! applies it to a stream of power samples, so the degradation-tolerant
+//! reading path ([`crate::meter::FaultTolerantIntegrator`]) can be exercised
+//! — and its accounting error quantified — without real broken hardware.
 //!
 //! A zero-rate plan ([`FaultPlan::none`]) is a strict no-op: the injector
 //! passes every sample through untouched and draws nothing from its RNG.
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use sustain_core::quality::{FaultCounts, FaultKind};
 use sustain_core::stats::{Normal, Sampler};
-use sustain_core::units::{Energy, Fraction, Power, TimeSpan};
+use sustain_core::units::{Fraction, Power, TimeSpan};
 use sustain_obs::Obs;
 
 /// How a reader back-fills energy across a gap in the sample stream.
@@ -74,8 +73,6 @@ pub struct FaultPlan {
     pub stuck: Fraction,
     /// Length of a stuck episode, in samples.
     pub stuck_len: u32,
-    /// Counter wrap period in microjoules (`None` = the counter never wraps).
-    pub wrap_uj: Option<u64>,
     /// Maximum timestamp jitter as a fraction of the sampling interval
     /// (a value ≤ 1 preserves sample ordering on a regular grid).
     pub clock_skew: Fraction,
@@ -92,7 +89,7 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// The fault-free plan: every rate zero, no wraparound. Injectors built
+    /// The fault-free plan: every rate zero. Injectors built
     /// from it are strict no-ops.
     pub fn none() -> FaultPlan {
         FaultPlan {
@@ -101,7 +98,6 @@ impl FaultPlan {
             timeout: Fraction::ZERO,
             stuck: Fraction::ZERO,
             stuck_len: 0,
-            wrap_uj: None,
             clock_skew: Fraction::ZERO,
             noise_burst: Fraction::ZERO,
             noise_burst_std: Power::ZERO,
@@ -109,9 +105,8 @@ impl FaultPlan {
     }
 
     /// A provenanced "routinely degraded collector" preset: percent-level
-    /// dropout, sub-percent timeouts/stuck episodes, occasional noise bursts,
-    /// quarter-interval clock skew, and a 32-bit RAPL wrap period (see
-    /// `crate::constants` for sources).
+    /// dropout, sub-percent timeouts/stuck episodes, occasional noise bursts
+    /// and quarter-interval clock skew (see `crate::constants` for sources).
     pub fn degraded() -> FaultPlan {
         FaultPlan {
             seed: 0,
@@ -119,7 +114,6 @@ impl FaultPlan {
             timeout: Fraction::saturating(crate::constants::DEFAULT_TIMEOUT_RATE),
             stuck: Fraction::saturating(crate::constants::DEFAULT_STUCK_RATE),
             stuck_len: crate::constants::DEFAULT_STUCK_LEN,
-            wrap_uj: Some(crate::constants::RAPL_WRAP_UJ),
             clock_skew: Fraction::saturating(crate::constants::DEFAULT_CLOCK_SKEW),
             noise_burst: Fraction::saturating(crate::constants::DEFAULT_NOISE_BURST_RATE),
             noise_burst_std: Power::from_watts(crate::constants::NOISE_BURST_STD_WATTS),
@@ -163,17 +157,6 @@ impl FaultPlan {
         self
     }
 
-    /// Enables counter wraparound with the given period in microjoules.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period_uj` is zero.
-    pub fn with_wrap(mut self, period_uj: u64) -> FaultPlan {
-        assert!(period_uj > 0, "wrap period must be positive");
-        self.wrap_uj = Some(period_uj);
-        self
-    }
-
     /// Sets the maximum clock skew as a fraction of the sampling interval.
     ///
     /// # Panics
@@ -203,7 +186,6 @@ impl FaultPlan {
             && self.stuck == Fraction::ZERO
             && self.clock_skew == Fraction::ZERO
             && self.noise_burst == Fraction::ZERO
-            && self.wrap_uj.is_none()
     }
 }
 
@@ -314,11 +296,6 @@ impl FaultInjector {
         }
     }
 
-    /// The plan this injector applies.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Fault tallies so far.
     pub fn counts(&self) -> FaultCounts {
         self.counts
@@ -386,30 +363,6 @@ impl FaultInjector {
         self.last_reported = Some(power);
         Some((t, power))
     }
-}
-
-/// Wraparound-aware delta between two cumulative microjoule counter readings.
-///
-/// With `wrap_uj = None` this behaves like a saturating subtraction (a
-/// backwards counter yields zero — the legacy, wrap-oblivious reading). With
-/// a wrap period, a reading below its predecessor is interpreted as exactly
-/// one rollover, which is how production RAPL readers recover the true delta.
-/// Reading faster than one wrap period is the caller's responsibility, as on
-/// real hardware.
-pub fn wrapping_delta(before_uj: u64, after_uj: u64, wrap_uj: Option<u64>) -> Energy {
-    let uj = match wrap_uj {
-        None => after_uj.saturating_sub(before_uj),
-        Some(period) => {
-            let before = before_uj % period;
-            let after = after_uj % period;
-            if after >= before {
-                after - before
-            } else {
-                period - before + after
-            }
-        }
-    };
-    Energy::from_joules(uj as f64 / 1e6)
 }
 
 #[cfg(test)]
@@ -510,21 +463,6 @@ mod tests {
             assert!(t >= last, "skewed timestamps must stay ordered");
             last = t;
         }
-    }
-
-    #[test]
-    fn wrapping_delta_recovers_rollover() {
-        let wrap = Some(1000u64);
-        // 990 → 40 across a 1000 µJ wrap: true delta 50 µJ.
-        let e = wrapping_delta(990, 40, wrap);
-        assert!((e.as_joules() - 50e-6).abs() < 1e-15);
-        // Wrap-oblivious reading loses the delta entirely.
-        assert_eq!(wrapping_delta(990, 40, None), Energy::ZERO);
-        // Forward deltas agree in both modes.
-        assert_eq!(
-            wrapping_delta(100, 400, wrap),
-            wrapping_delta(100, 400, None)
-        );
     }
 
     #[test]

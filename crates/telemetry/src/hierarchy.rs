@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-use sustain_core::units::{Energy, Power};
+use sustain_core::units::Energy;
 
 use crate::trace::PowerTrace;
 
@@ -49,11 +49,6 @@ impl TraceTree {
         self
     }
 
-    /// The trace at an exact leaf path.
-    pub fn leaf(&self, path: &str) -> Option<&PowerTrace> {
-        self.leaves.get(path)
-    }
-
     /// Number of leaves.
     pub fn len(&self) -> usize {
         self.leaves.len()
@@ -75,39 +70,9 @@ impl TraceTree {
     }
 
     /// Total energy of a subtree.
+    // lint:allow(test-only-pub) (a) the recompute-from-traces reference for EnergyRollup
     pub fn subtree_energy(&self, prefix: &str) -> Energy {
         self.subtree(prefix).map(|(_, t)| t.energy()).sum()
-    }
-
-    /// Combined power trace of a subtree (point-wise sum on the union grid).
-    pub fn subtree_trace(&self, prefix: &str) -> PowerTrace {
-        self.subtree(prefix)
-            .fold(PowerTrace::new(), |acc, (_, t)| acc.combine(t))
-    }
-
-    /// Peak combined power of a subtree.
-    pub fn subtree_peak(&self, prefix: &str) -> Power {
-        self.subtree_trace(prefix).peak_power()
-    }
-
-    /// Energy per direct child of a prefix — a capacity planner's rack view.
-    pub fn children_energy(&self, prefix: &str) -> BTreeMap<String, Energy> {
-        let prefix = prefix.trim_end_matches('/');
-        let skip = if prefix.is_empty() {
-            0
-        } else {
-            prefix.len() + 1
-        };
-        let mut out: BTreeMap<String, Energy> = BTreeMap::new();
-        for (path, trace) in self.subtree(prefix) {
-            let rest = &path[skip.min(path.len())..];
-            let child = rest.split('/').next().unwrap_or(rest).to_owned();
-            if child.is_empty() {
-                continue;
-            }
-            *out.entry(child).or_insert(Energy::ZERO) += trace.energy();
-        }
-        out
     }
 }
 
@@ -211,16 +176,6 @@ impl EnergyRollup {
         }
         out
     }
-
-    /// Number of tracked nodes (every prefix counts, including the root).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether no energy has been credited yet.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
 }
 
 impl FromIterator<(NodePath, PowerTrace)> for TraceTree {
@@ -234,7 +189,7 @@ impl FromIterator<(NodePath, PowerTrace)> for TraceTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sustain_core::units::TimeSpan;
+    use sustain_core::units::{Power, TimeSpan};
 
     fn constant_trace(watts: f64, hours: f64) -> PowerTrace {
         let mut t = PowerTrace::new();
@@ -272,42 +227,16 @@ mod tests {
     }
 
     #[test]
-    fn subtree_trace_sums_power_pointwise() {
-        let t = tree();
-        let rack = t.subtree_trace("c0/r0");
-        let mid = rack.power_at(TimeSpan::from_minutes(30.0)).unwrap();
-        assert!((mid.as_watts() - 850.0).abs() < 1e-6);
-        assert!((t.subtree_peak("c0/r0").as_watts() - 850.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn children_energy_gives_the_rack_view() {
-        let t = tree();
-        let by_rack = t.children_energy("c0");
-        assert_eq!(by_rack.len(), 2);
-        assert!((by_rack["r0"].as_watt_hours() - 850.0).abs() < 1e-6);
-        assert!((by_rack["r1"].as_watt_hours() - 400.0).abs() < 1e-6);
-        let by_cluster = t.children_energy("");
-        assert_eq!(by_cluster.len(), 2);
-    }
-
-    #[test]
     fn empty_subtree_is_zero() {
         let t = tree();
         assert!(t.subtree_energy("does-not-exist").is_zero());
-        assert!(t.subtree_trace("does-not-exist").is_empty());
     }
 
     #[test]
-    fn leaf_access_and_len() {
+    fn len_counts_leaves() {
         let t = tree();
         assert_eq!(t.len(), 5);
         assert!(!t.is_empty());
-        assert!(t.leaf("c0/r0/h0/gpu0").is_some());
-        assert!(
-            t.leaf("c0/r0/h0").is_none(),
-            "interior nodes are not leaves"
-        );
     }
 
     #[test]
@@ -385,7 +314,6 @@ mod tests {
         rollup.add("/r0/h0/", Energy::from_joules(2.0));
         assert!((rollup.energy("r0").as_joules() - 2.0).abs() < 1e-12);
         assert!((rollup.energy("/r0/").as_joules() - 2.0).abs() < 1e-12);
-        assert!(!rollup.is_empty());
     }
 
     #[test]

@@ -9,14 +9,12 @@
 //! * [`device`] — parametric device power models (GPUs, CPUs, DRAM, edge
 //!   devices, routers) mapping utilization to power draw.
 //! * [`meter`] — power sampling and trapezoidal energy integration.
-//! * [`counters`] — RAPL-like CPU/DRAM energy counters and NVML-like GPU
-//!   counters, simulated over device models with measurement noise.
-//! * [`trace`] — recorded power traces: resampling, merging, energy integrals.
+//! * [`trace`] — recorded power traces and their energy integrals.
 //! * [`tracker`] — a CodeCarbon-style job tracker that turns meter readings
 //!   into [`FootprintReport`](sustain_core::footprint::FootprintReport)s.
-//! * [`faults`] — reproducible fault injection (dropout, counter wraparound,
-//!   read timeouts, stuck counters, clock skew, noise bursts) and the
-//!   degradation-tolerant reading path that survives it.
+//! * [`faults`] — reproducible fault injection (dropout, read timeouts,
+//!   stuck counters, clock skew, noise bursts) and the degradation-tolerant
+//!   reading path that survives it.
 //!
 //! ## Example
 //!
@@ -35,7 +33,6 @@
 #![deny(missing_debug_implementations)]
 
 pub mod constants;
-pub mod counters;
 pub mod device;
 pub mod estimation;
 pub mod faults;

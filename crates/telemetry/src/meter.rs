@@ -5,16 +5,13 @@
 //! meter (RAPL readers, NVML pollers, CodeCarbon). [`FaultTolerantIntegrator`]
 //! is its degradation-tolerant sibling: it survives lost samples and ragged
 //! timestamps, splits its total into measured vs imputed energy, and reports
-//! the split as a [`DataQualityReport`]. [`sample_profile`] drives a
-//! `PowerModel` over a utilization signal to produce a `PowerTrace`.
+//! the split as a [`DataQualityReport`].
 
 use sustain_core::quality::{DataQualityReport, FaultCounts, FaultKind};
-use sustain_core::units::{Energy, Fraction, Power, TimeSpan};
+use sustain_core::units::{Energy, Power, TimeSpan};
 use sustain_obs::Obs;
 
-use crate::device::PowerModel;
 use crate::faults::ImputationPolicy;
-use crate::trace::PowerTrace;
 
 /// Incremental trapezoidal integration of power samples into energy.
 ///
@@ -30,7 +27,6 @@ use crate::trace::PowerTrace;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyIntegrator {
-    first_time: Option<TimeSpan>,
     last: Option<(TimeSpan, Power)>,
     energy: Energy,
     samples: usize,
@@ -56,8 +52,6 @@ impl EnergyIntegrator {
             }
             let dt = at - t0;
             self.energy += (p0 + power) * 0.5 * dt;
-        } else {
-            self.first_time = Some(at);
         }
         self.last = Some((at, power));
         self.samples += 1;
@@ -80,24 +74,6 @@ impl EnergyIntegrator {
     /// dropped the `false` return on the floor can audit it here.
     pub fn rejected(&self) -> u64 {
         self.rejected
-    }
-
-    /// Width of the sampled window (zero if fewer than 2 samples).
-    pub fn window(&self) -> TimeSpan {
-        match (self.first_time, self.last) {
-            (Some(t0), Some((t1, _))) => t1 - t0,
-            _ => TimeSpan::ZERO,
-        }
-    }
-
-    /// Mean power over the sampled window (zero if the window is empty).
-    pub fn mean_power(&self) -> Power {
-        let w = self.window();
-        if w.as_secs() > 0.0 {
-            self.energy / w
-        } else {
-            Power::ZERO
-        }
     }
 }
 
@@ -161,11 +137,6 @@ impl FaultTolerantIntegrator {
             imputed: Energy::ZERO,
             faults: FaultCounts::default(),
         }
-    }
-
-    /// The imputation policy in force.
-    pub fn policy(&self) -> ImputationPolicy {
-        self.policy
     }
 
     /// Pushes one sampling tick: `Some(power)` for an observed reading,
@@ -250,6 +221,7 @@ impl FaultTolerantIntegrator {
 
     /// The most recently accepted `(timestamp, power)` sample, if any —
     /// the reference point the next push's ordering/gap checks run against.
+    // lint:allow(test-only-pub) (b) batch-kernel tests compare integrator state through it
     pub fn last_sample(&self) -> Option<(TimeSpan, Power)> {
         self.last
     }
@@ -343,51 +315,6 @@ impl FaultTolerantIntegrator {
     }
 }
 
-/// Samples a device's power over a utilization signal `u(t)` at a fixed
-/// interval, returning the recorded trace.
-///
-/// The signal is evaluated at `t = 0, dt, 2·dt, …, duration` inclusive, so the
-/// trace always covers the full window.
-///
-/// ```rust
-/// use sustain_telemetry::device::DeviceSpec;
-/// use sustain_telemetry::meter::sample_profile;
-/// use sustain_core::units::{Fraction, TimeSpan};
-///
-/// let trace = sample_profile(
-///     &DeviceSpec::V100.power_model(),
-///     |_t| Fraction::new(0.5).unwrap(),
-///     TimeSpan::from_secs(60.0),
-///     TimeSpan::from_secs(1.0),
-/// );
-/// assert_eq!(trace.len(), 61);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `interval` or `duration` is not positive and finite.
-pub fn sample_profile<M, F>(
-    model: &M,
-    mut utilization: F,
-    duration: TimeSpan,
-    interval: TimeSpan,
-) -> PowerTrace
-where
-    M: PowerModel + ?Sized,
-    F: FnMut(TimeSpan) -> Fraction,
-{
-    assert_positive_finite(interval, "sampling interval");
-    assert_positive_finite(duration, "duration");
-    let mut trace = PowerTrace::new();
-    let mut t = TimeSpan::ZERO;
-    while t < duration {
-        trace.push(t, model.power(utilization(t)));
-        t += interval;
-    }
-    trace.push(duration, model.power(utilization(duration)));
-    trace
-}
-
 /// Panics with "`what` must be positive and finite" unless `span` is: an
 /// infinite interval hides every gap, an infinite duration never ends.
 #[track_caller]
@@ -401,7 +328,7 @@ pub(crate) fn assert_positive_finite(span: TimeSpan, what: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::{DeviceSpec, LinearPowerModel};
+    use sustain_core::units::Fraction;
 
     #[test]
     fn constant_power_integrates_exactly() {
@@ -410,9 +337,7 @@ mod tests {
             m.push(TimeSpan::from_secs(i as f64), Power::from_watts(50.0));
         }
         assert!((m.energy().as_joules() - 500.0).abs() < 1e-9);
-        assert!((m.mean_power().as_watts() - 50.0).abs() < 1e-9);
         assert_eq!(m.samples(), 11);
-        assert!((m.window().as_secs() - 10.0).abs() < 1e-12);
     }
 
     #[test]
@@ -445,8 +370,6 @@ mod tests {
     fn empty_integrator_is_zero() {
         let m = EnergyIntegrator::new();
         assert!(m.energy().is_zero());
-        assert_eq!(m.mean_power(), Power::ZERO);
-        assert_eq!(m.window(), TimeSpan::ZERO);
     }
 
     #[test]
@@ -454,67 +377,6 @@ mod tests {
         let mut m = EnergyIntegrator::new();
         m.push(TimeSpan::ZERO, Power::from_watts(100.0));
         assert!(m.energy().is_zero());
-        assert_eq!(m.mean_power(), Power::ZERO);
-    }
-
-    #[test]
-    fn profile_sampling_covers_window() {
-        let model = DeviceSpec::A100.power_model();
-        let trace = sample_profile(
-            &model,
-            |_| Fraction::new(1.0).unwrap(),
-            TimeSpan::from_secs(10.0),
-            TimeSpan::from_secs(3.0),
-        );
-        // Samples at 0, 3, 6, 9, 10.
-        assert_eq!(trace.len(), 5);
-        assert!((trace.duration().as_secs() - 10.0).abs() < 1e-12);
-        // Constant full power: energy = 400 W × 10 s.
-        assert!((trace.energy().as_joules() - 4000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn profile_with_varying_utilization() {
-        let model = LinearPowerModel::new(Power::ZERO, Power::from_watts(100.0));
-        // Utilization alternates 0 and 1 per second; mean power ≈ 50 W.
-        let trace = sample_profile(
-            &model,
-            |t| {
-                if (t.as_secs() as u64).is_multiple_of(2) {
-                    Fraction::ZERO
-                } else {
-                    Fraction::ONE
-                }
-            },
-            TimeSpan::from_secs(1000.0),
-            TimeSpan::from_secs(0.5),
-        );
-        let mean = trace.mean_power().as_watts();
-        assert!((mean - 50.0).abs() < 5.0, "mean {mean}");
-    }
-
-    #[test]
-    #[should_panic(expected = "interval must be positive")]
-    fn profile_rejects_zero_interval() {
-        let model = DeviceSpec::V100.power_model();
-        let _ = sample_profile(
-            &model,
-            |_| Fraction::ZERO,
-            TimeSpan::from_secs(1.0),
-            TimeSpan::ZERO,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "duration must be positive and finite")]
-    fn profile_rejects_infinite_duration() {
-        let model = DeviceSpec::V100.power_model();
-        let _ = sample_profile(
-            &model,
-            |_| Fraction::ZERO,
-            TimeSpan::from_secs(f64::INFINITY),
-            TimeSpan::from_secs(1.0),
-        );
     }
 
     #[test]

@@ -17,7 +17,6 @@ use sustain_core::footprint::{CarbonFootprint, FootprintReport};
 use sustain_core::intensity::AccountingBasis;
 use sustain_core::lifecycle::{Breakdown, MlPhase};
 use sustain_core::operational::OperationalAccount;
-use sustain_core::quality::DataQualityReport;
 use sustain_core::units::{Co2e, Energy, Power, TimeSpan};
 use sustain_obs::Obs;
 
@@ -26,7 +25,6 @@ struct TrackerState {
     energy_by_source: BTreeMap<String, Energy>,
     energy_by_phase: Breakdown<Energy>,
     machine_time: TimeSpan,
-    quality: DataQualityReport,
 }
 
 /// Accumulates energy/time records for one job and renders carbon reports.
@@ -84,15 +82,6 @@ impl CarbonTracker {
         }
     }
 
-    /// Replaces the observability handle captured at construction (the
-    /// process-global handle, disabled by default). Recorded energy and
-    /// report rendering then show up as tracker counters and spans.
-    #[must_use]
-    pub fn with_obs(mut self, obs: &Obs) -> CarbonTracker {
-        self.obs = obs.clone();
-        self
-    }
-
     /// Enables embodied-carbon amortization: machine time recorded with
     /// [`CarbonTracker::record_machine_time`] is charged against `model`
     /// under `policy`.
@@ -103,11 +92,6 @@ impl CarbonTracker {
     ) -> CarbonTracker {
         self.embodied = Some((model, policy));
         self
-    }
-
-    /// The job name.
-    pub fn subject(&self) -> &str {
-        &self.subject
     }
 
     /// Records an energy consumption against a named source and phase.
@@ -137,37 +121,9 @@ impl CarbonTracker {
         self.state.lock().machine_time += span;
     }
 
-    /// Merges a telemetry stream's data-quality accounting (e.g. from a
-    /// [`crate::meter::FaultTolerantIntegrator`]) into the job's report.
-    /// A tracker that never records quality emits reports without a quality
-    /// section, exactly as before the fault layer existed.
-    pub fn record_quality(&self, quality: &DataQualityReport) {
-        self.state.lock().quality.merge(quality);
-    }
-
     /// Total recorded IT energy.
     pub fn total_energy(&self) -> Energy {
         self.state.lock().energy_by_source.values().copied().sum()
-    }
-
-    /// Energy recorded against one source (zero if unknown).
-    pub fn energy_of(&self, source: &str) -> Energy {
-        self.state
-            .lock()
-            .energy_by_source
-            .get(source)
-            .copied()
-            .unwrap_or(Energy::ZERO)
-    }
-
-    /// The per-source totals, sorted by source name.
-    pub fn by_source(&self) -> Vec<(String, Energy)> {
-        self.state
-            .lock()
-            .energy_by_source
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
     }
 
     /// The amortized embodied carbon so far (zero if not configured).
@@ -184,16 +140,14 @@ impl CarbonTracker {
         }
     }
 
-    /// Renders the current totals as a [`FootprintReport`]. The report
-    /// carries a quality section only when quality was recorded.
+    /// Renders the current totals as a [`FootprintReport`].
     pub fn report(&self, basis: AccountingBasis) -> FootprintReport {
         let _span = self.obs.span("tracker.report");
-        let (total, by_phase, quality) = {
+        let (total, by_phase) = {
             let st = self.state.lock();
             (
                 st.energy_by_source.values().copied().sum::<Energy>(),
                 st.energy_by_phase,
-                st.quality,
             )
         };
         let operational = self.account.emissions(total, basis);
@@ -201,9 +155,6 @@ impl CarbonTracker {
         let mut report = FootprintReport::new(&self.subject, basis, total, footprint);
         for (phase, e) in by_phase.iter() {
             report.record_phase(phase, self.account.emissions(e, basis));
-        }
-        if !quality.is_empty() {
-            report = report.with_quality(quality);
         }
         report
     }
@@ -242,9 +193,6 @@ mod tests {
             Energy::from_kilowatt_hours(0.5),
         );
         assert_eq!(t.total_energy(), Energy::from_kilowatt_hours(3.5));
-        assert_eq!(t.energy_of("gpu1"), Energy::from_kilowatt_hours(2.0));
-        assert_eq!(t.energy_of("missing"), Energy::ZERO);
-        assert_eq!(t.by_source().len(), 3);
     }
 
     #[test]
@@ -339,40 +287,6 @@ mod tests {
             h.join().unwrap();
         }
         assert!((t.total_energy().as_joules() - 800.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn quality_free_tracker_emits_no_quality_section() {
-        let t = CarbonTracker::new("job", account());
-        t.record_energy("gpu", MlPhase::Inference, Energy::from_joules(1.0));
-        let r = t.report(AccountingBasis::LocationBased);
-        assert!(r.quality.is_none());
-        assert!(!r.to_string().contains("quality"));
-    }
-
-    #[test]
-    fn recorded_quality_shows_in_report() {
-        let t = CarbonTracker::new("job", account());
-        t.record_energy("gpu", MlPhase::Inference, Energy::from_kilowatt_hours(1.0));
-        let q = DataQualityReport {
-            expected_samples: 100,
-            observed_samples: 90,
-            measured_energy: Energy::from_kilowatt_hours(0.9),
-            imputed_energy: Energy::from_kilowatt_hours(0.1),
-            ..DataQualityReport::default()
-        };
-        t.record_quality(&q);
-        let r = t.report(AccountingBasis::LocationBased);
-        let got = r.quality.expect("quality must be attached");
-        assert!((got.coverage().value() - 0.9).abs() < 1e-12);
-        assert!(r.to_string().contains("quality"));
-        // A second stream merges rather than replaces.
-        t.record_quality(&q);
-        let merged = t
-            .report(AccountingBasis::LocationBased)
-            .quality
-            .expect("still attached");
-        assert_eq!(merged.expected_samples, 200);
     }
 
     #[test]

@@ -116,9 +116,7 @@ proptest! {
 
     /// The SoA trace matches a plain AoS reference model under per-sample
     /// pushes, batch appends at arbitrary boundaries agree with both (minus
-    /// the rejection tally, which the batch path leaves to its caller), and
-    /// `fill_gaps` reads the two columns coherently however the trace was
-    /// built.
+    /// the rejection tally, which the batch path leaves to its caller).
     #[test]
     fn trace_soa_matches_aos_reference_model(
         ticks in prop::collection::vec((0u8..255, 1.0f64..500.0), 1..120),
@@ -162,10 +160,5 @@ proptest! {
         prop_assert_eq!(batched.times(), pushed.times());
         prop_assert_eq!(batched.powers(), pushed.powers());
         prop_assert_eq!(batched.rejected(), 0);
-
-        let interval = TimeSpan::from_secs(1.0);
-        let fill_pushed = pushed.fill_gaps(interval, ImputationPolicy::Linear);
-        let fill_batched = batched.fill_gaps(interval, ImputationPolicy::Linear);
-        prop_assert_eq!(fill_pushed, fill_batched);
     }
 }

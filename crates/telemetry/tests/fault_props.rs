@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use sustain_core::units::{Energy, Power, TimeSpan};
-use sustain_telemetry::faults::{wrapping_delta, FaultInjector, FaultPlan, ImputationPolicy};
+use sustain_telemetry::faults::{FaultInjector, FaultPlan, ImputationPolicy};
 use sustain_telemetry::meter::FaultTolerantIntegrator;
 
 proptest! {
@@ -86,29 +86,5 @@ proptest! {
                 prop_assert_eq!(sample, (at, truth), "survivors must pass unchanged");
             }
         }
-    }
-
-    #[test]
-    fn wrapping_delta_is_non_negative_and_bounded(
-        before in 0u64..10_000,
-        after in 0u64..10_000,
-    ) {
-        let period = 1000u64;
-        let e = wrapping_delta(before, after, Some(period));
-        prop_assert!(e >= Energy::ZERO);
-        prop_assert!(e.as_joules() <= period as f64 / 1e6);
-    }
-
-    #[test]
-    fn wrapping_delta_agrees_with_plain_when_no_rollover(
-        before in 0u64..1000,
-        delta in 0u64..999,
-    ) {
-        let period = 2000u64;
-        prop_assume!(before + delta < period);
-        prop_assert_eq!(
-            wrapping_delta(before, before + delta, Some(period)),
-            wrapping_delta(before, before + delta, None)
-        );
     }
 }

@@ -20,12 +20,3 @@ pub const HDD_EMBODIED_PER_PB_TONNES: f64 = 3.0;
 /// fabrication dominates, so flash embodied ≫ HDD per byte ("Chasing
 /// Carbon" [Gupta et al., 2021]).
 pub const SSD_EMBODIED_PER_PB_TONNES: f64 = 25.0;
-
-/// Per-prediction serving energy of the language-model service in the
-/// paper-shaped fleet, in joules — LM decoding is compute-heavy per query.
-pub const LM_ENERGY_PER_PREDICTION_J: f64 = 8.0;
-
-/// Per-prediction serving energies of the five recommendation services, in
-/// joules — RM inference is memory-bound and cheap per query (§II-C's
-/// trillions-of-predictions-per-day framing).
-pub const RM_ENERGY_PER_PREDICTION_J: [f64; 5] = [0.012, 0.014, 0.020, 0.018, 0.019];

@@ -7,12 +7,11 @@
 //! * data-ingestion bandwidth demand grew **3.2×** over the same period;
 //! * recommendation-model sizes grew **20×**;
 //! * AI training infrastructure capacity grew **2.9×** and inference capacity
-//!   **2.5×** over 1.5 years;
-//! * fleet-wide inference volume more than doubled in three years.
+//!   **2.5×** over 1.5 years.
 
 use serde::{Deserialize, Serialize};
 
-use sustain_core::units::{DataRate, DataVolume, TimeSpan};
+use sustain_core::units::{DataVolume, TimeSpan};
 
 /// An exponential growth trend: `value(t) = start × factor^(t / period)`.
 ///
@@ -21,8 +20,7 @@ use sustain_core::units::{DataRate, DataVolume, TimeSpan};
 /// use sustain_core::units::TimeSpan;
 ///
 /// let data = GrowthTrend::recsys_data_primary();
-/// let after_two_years = data.value_at(TimeSpan::from_years(2.0));
-/// assert!((after_two_years / data.start() - 2.4).abs() < 1e-9);
+/// assert!((data.factor_over(TimeSpan::from_years(2.0)) - 2.4).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GrowthTrend {
@@ -79,97 +77,32 @@ impl GrowthTrend {
         GrowthTrend::new(1.0, 2.5, TimeSpan::from_years(1.5))
     }
 
-    /// Fleet inference volume — "more than doubling in the past 3 years".
-    pub fn inference_volume() -> GrowthTrend {
-        GrowthTrend::new(1.0, 2.2, TimeSpan::from_years(3.0))
-    }
-
-    /// The starting value.
-    pub fn start(&self) -> f64 {
-        self.start
-    }
-
-    /// The growth factor per period.
-    pub fn factor(&self) -> f64 {
-        self.factor
-    }
-
-    /// The period over which `factor` applies.
-    pub fn period(&self) -> TimeSpan {
-        self.period
-    }
-
-    /// The value after elapsed time `t` (negative `t` extrapolates backwards).
-    pub fn value_at(&self, t: TimeSpan) -> f64 {
-        self.start * self.factor.powf(t / self.period)
-    }
-
     /// The multiplicative growth over an arbitrary span.
     pub fn factor_over(&self, span: TimeSpan) -> f64 {
         self.factor.powf(span / self.period)
     }
-
-    /// Time for the value to double (`None` if the trend is flat or shrinking).
-    pub fn doubling_time(&self) -> Option<TimeSpan> {
-        if self.factor <= 1.0 {
-            return None;
-        }
-        Some(self.period * (2f64.ln() / self.factor.ln()))
-    }
-
-    /// Samples `(years, value)` pairs at `steps`+1 evenly-spaced times over
-    /// `[0, horizon]` — the series a figure plots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps == 0`.
-    pub fn series(&self, horizon: TimeSpan, steps: usize) -> Vec<(f64, f64)> {
-        assert!(steps > 0, "need at least one step");
-        (0..=steps)
-            .map(|i| {
-                let t = horizon * (i as f64 / steps as f64);
-                (t.as_years(), self.value_at(t))
-            })
-            .collect()
-    }
 }
 
 /// The Figure 2b data series in physical units: data volume reaching exabyte
-/// scale and the resulting ingestion-bandwidth demand.
+/// scale.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct IngestionDemand {
     data_trend: GrowthTrend,
-    bandwidth_trend: GrowthTrend,
     base_volume: DataVolume,
-    base_bandwidth: DataRate,
 }
 
 impl IngestionDemand {
-    /// The paper's calibration: 1 EB of training data and 1 TB/s of ingestion
-    /// bandwidth at the 2019 baseline.
+    /// The paper's calibration: 1 EB of training data at the 2019 baseline.
     pub fn paper_default() -> IngestionDemand {
         IngestionDemand {
             data_trend: GrowthTrend::recsys_data_primary(),
-            bandwidth_trend: GrowthTrend::ingestion_bandwidth(),
             base_volume: DataVolume::from_exabytes(1.0),
-            base_bandwidth: DataRate::from_gigabytes_per_sec(1000.0),
         }
     }
 
     /// Training-data volume at elapsed time `t`.
     pub fn volume_at(&self, t: TimeSpan) -> DataVolume {
         self.base_volume * self.data_trend.factor_over(t)
-    }
-
-    /// Ingestion bandwidth demand at elapsed time `t`.
-    pub fn bandwidth_at(&self, t: TimeSpan) -> DataRate {
-        self.base_bandwidth * self.bandwidth_trend.factor_over(t)
-    }
-
-    /// Bandwidth grows faster than data: the per-byte ingestion pressure
-    /// (bandwidth / volume growth) at time `t`, relative to the baseline.
-    pub fn pressure_at(&self, t: TimeSpan) -> f64 {
-        self.bandwidth_trend.factor_over(t) / self.data_trend.factor_over(t)
     }
 }
 
@@ -190,12 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn inference_volume_more_than_doubles_in_3y() {
-        let f = GrowthTrend::inference_volume().factor_over(TimeSpan::from_years(3.0));
-        assert!(f > 2.0);
-    }
-
-    #[test]
     fn model_growth_outpaces_hardware_memory() {
         // Paper: RM sizes grew 20×/2y while accelerator memory grew <2×/2y —
         // strong-scaling demand outpaces hardware.
@@ -205,41 +132,10 @@ mod tests {
     }
 
     #[test]
-    fn value_extrapolates_both_directions() {
-        let t = GrowthTrend::new(100.0, 4.0, TimeSpan::from_years(1.0));
-        assert!((t.value_at(TimeSpan::from_years(0.5)) - 200.0).abs() < 1e-9);
-        assert!((t.value_at(TimeSpan::from_years(-1.0)) - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn doubling_time() {
-        let t = GrowthTrend::new(1.0, 2.0, TimeSpan::from_years(1.0));
-        assert!((t.doubling_time().unwrap().as_years() - 1.0).abs() < 1e-9);
-        let flat = GrowthTrend::new(1.0, 1.0, TimeSpan::from_years(1.0));
-        assert!(flat.doubling_time().is_none());
-        let shrinking = GrowthTrend::new(1.0, 0.5, TimeSpan::from_years(1.0));
-        assert!(shrinking.doubling_time().is_none());
-    }
-
-    #[test]
-    fn series_is_monotone_for_growth() {
-        let s = GrowthTrend::recsys_data_primary().series(TimeSpan::from_years(2.0), 8);
-        assert_eq!(s.len(), 9);
-        for w in s.windows(2) {
-            assert!(w[1].1 > w[0].1);
-        }
-        assert!((s[8].1 / s[0].1 - 2.4).abs() < 1e-9);
-    }
-
-    #[test]
     fn ingestion_demand_reaches_exabyte_scale() {
         let d = IngestionDemand::paper_default();
         let vol = d.volume_at(TimeSpan::from_years(2.0));
         assert!((vol.as_exabytes() - 2.4).abs() < 1e-9);
-        let bw = d.bandwidth_at(TimeSpan::from_years(2.0));
-        assert!((bw.as_gigabytes_per_sec() - 3200.0).abs() < 1e-6);
-        // Bandwidth pressure rises: 3.2/2.4 ≈ 1.33× per byte stored.
-        assert!((d.pressure_at(TimeSpan::from_years(2.0)) - 3.2 / 2.4).abs() < 1e-9);
     }
 
     #[test]

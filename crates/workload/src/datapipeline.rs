@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use sustain_core::units::{Co2e, DataRate, DataVolume, Energy, Fraction, Power, TimeSpan};
+use sustain_core::units::{Co2e, DataRate, DataVolume, Fraction, Power};
 
 /// Storage media with distinct power/embodied profiles — the paper notes the
 /// environmental characteristics of SSD/NAND-flash/HDD technologies differ by
@@ -100,16 +100,6 @@ impl DataPipeline {
         )
     }
 
-    /// Stored volume.
-    pub fn stored(&self) -> DataVolume {
-        self.stored
-    }
-
-    /// Ingestion bandwidth.
-    pub fn ingestion(&self) -> DataRate {
-        self.ingestion
-    }
-
     /// Continuous storage power (hot tier + cold tier).
     pub fn storage_power(&self) -> Power {
         let pb = self.stored.as_petabytes();
@@ -126,11 +116,6 @@ impl DataPipeline {
     /// Total continuous pipeline power.
     pub fn total_power(&self) -> Power {
         self.storage_power() + self.preprocessing_power()
-    }
-
-    /// Energy over a window.
-    pub fn energy_over(&self, window: TimeSpan) -> Energy {
-        self.total_power() * window
     }
 
     /// Embodied carbon of the storage deployment.
@@ -226,19 +211,6 @@ mod tests {
         );
         assert!(hot_only.storage_power() < cold_only.storage_power());
         assert!(hot_only.storage_embodied() > cold_only.storage_embodied());
-    }
-
-    #[test]
-    fn energy_over_window() {
-        let p = DataPipeline::new(
-            DataVolume::from_petabytes(1.0),
-            Fraction::ZERO,
-            DataRate::from_gigabytes_per_sec(1.0),
-            0.0,
-        );
-        // 900 W for 1 day.
-        let e = p.energy_over(TimeSpan::from_days(1.0));
-        assert!((e.as_kilowatt_hours() - 21.6).abs() < 1e-9);
     }
 
     #[test]

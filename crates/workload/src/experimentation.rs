@@ -12,8 +12,6 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use sustain_core::units::{Energy, Power, TimeSpan};
-
 use crate::training::{JobClass, JobGenerator};
 
 /// Configuration of an experimentation campaign.
@@ -94,27 +92,11 @@ impl Campaign {
         total
     }
 
-    /// The campaign's expected energy at a mean per-GPU power.
-    pub fn expected_energy<R: Rng + ?Sized>(&self, rng: &mut R, mean_gpu_power: Power) -> Energy {
-        mean_gpu_power * TimeSpan::from_days(self.simulate_gpu_days(rng))
-    }
-
     /// The analytic cost factor of early stopping relative to running every
     /// workflow to completion.
     pub fn early_stop_cost_factor(&self) -> f64 {
         self.early_stop_survivors + (1.0 - self.early_stop_survivors) * self.early_stop_checkpoint
     }
-}
-
-/// The experimentation : production-training cost ratio — the §II-A coupling:
-/// a campaign's GPU-days versus the one graduated production training run.
-pub fn exploration_to_training_ratio<R: Rng + ?Sized>(rng: &mut R, campaign: &Campaign) -> f64 {
-    let production = JobGenerator::calibrated(JobClass::Production)
-        // lint:allow(panic-discipline) calibrated() only errs on invalid user input
-        .expect("production calibration constants are valid");
-    let exploration = campaign.simulate_gpu_days(rng);
-    let training = production.sample(rng).gpu_days();
-    exploration / training
 }
 
 #[cfg(test)]
@@ -144,23 +126,6 @@ mod tests {
             (measured - expected).abs() < 0.05,
             "measured {measured} vs analytic {expected}"
         );
-    }
-
-    #[test]
-    fn campaign_energy_scales_with_power() {
-        let c = Campaign::new(5, 4);
-        let e1 = c.expected_energy(&mut StdRng::seed_from_u64(2), Power::from_watts(300.0));
-        let e2 = c.expected_energy(&mut StdRng::seed_from_u64(2), Power::from_watts(600.0));
-        assert!((e2 / e1 - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn large_campaigns_dwarf_single_production_runs() {
-        // The 10:20 experimentation:training capacity split only balances
-        // because each production model amortizes a large exploration pool.
-        let c = Campaign::new(100, 20);
-        let ratio = exploration_to_training_ratio(&mut StdRng::seed_from_u64(3), &c);
-        assert!(ratio > 50.0, "exploration/training ratio {ratio}");
     }
 
     #[test]

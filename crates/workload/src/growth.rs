@@ -90,12 +90,8 @@ impl PublicationGrowth {
         PublicationGrowth { discipline }
     }
 
-    /// The discipline.
-    pub fn discipline(&self) -> Discipline {
-        self.discipline
-    }
-
     /// Monthly submissions `months` after the epoch.
+    // lint:allow(test-only-pub) (a) the month-by-month reference for the closed-form cumulative_at
     pub fn monthly_at(&self, months: u32) -> f64 {
         self.discipline.base_monthly()
             * (1.0 + self.discipline.monthly_growth()).powi(months as i32)
@@ -110,11 +106,6 @@ impl PublicationGrowth {
             return b * (months as f64 + 1.0);
         }
         b * ((1.0 + g).powi(months as i32 + 1) - 1.0) / g
-    }
-
-    /// The full cumulative series over `months` months.
-    pub fn series(&self, months: u32) -> Vec<(u32, f64)> {
-        (0..=months).map(|m| (m, self.cumulative_at(m))).collect()
     }
 }
 
@@ -161,15 +152,6 @@ mod tests {
         let g = PublicationGrowth::new(Discipline::MachineLearning);
         let naive: f64 = (0..=24).map(|m| g.monthly_at(m)).sum();
         assert!((g.cumulative_at(24) - naive).abs() / naive < 1e-9);
-    }
-
-    #[test]
-    fn series_is_increasing() {
-        let s = PublicationGrowth::new(Discipline::Mathematics).series(60);
-        assert_eq!(s.len(), 61);
-        for w in s.windows(2) {
-            assert!(w[1].1 > w[0].1);
-        }
     }
 
     #[test]

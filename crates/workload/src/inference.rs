@@ -2,12 +2,11 @@
 //!
 //! Facebook's fleet serves *trillions of predictions per day*; for a deployed
 //! model, total inference compute is expected to exceed its training compute.
-//! [`InferenceService`] models one deployed model's serving load and energy;
-//! [`ServingFleet`] aggregates services into fleet-level demand.
+//! [`InferenceService`] models one deployed model's serving load and energy.
 
 use serde::{Deserialize, Serialize};
 
-use sustain_core::units::{Energy, TimeSpan};
+use sustain_core::units::Energy;
 
 /// One deployed model's serving profile.
 ///
@@ -47,44 +46,9 @@ impl InferenceService {
         }
     }
 
-    /// The service name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Daily prediction volume.
-    pub fn predictions_per_day(&self) -> f64 {
-        self.predictions_per_day
-    }
-
-    /// IT energy per prediction.
-    pub fn energy_per_prediction(&self) -> Energy {
-        self.energy_per_prediction
-    }
-
-    /// Mean queries per second.
-    pub fn qps(&self) -> f64 {
-        self.predictions_per_day / 86_400.0
-    }
-
     /// IT energy per day.
     pub fn daily_energy(&self) -> Energy {
         self.energy_per_prediction * self.predictions_per_day
-    }
-
-    /// IT energy over an arbitrary horizon.
-    pub fn energy_over(&self, horizon: TimeSpan) -> Energy {
-        self.daily_energy() * horizon.as_days()
-    }
-
-    /// Servers needed to sustain the mean load given per-server throughput.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_server_qps` is not positive.
-    pub fn servers_needed(&self, per_server_qps: f64) -> u64 {
-        assert!(per_server_qps > 0.0, "per-server qps must be positive");
-        (self.qps() / per_server_qps).ceil() as u64
     }
 
     /// Returns a copy with per-prediction energy scaled by `factor` —
@@ -94,97 +58,6 @@ impl InferenceService {
             name: self.name.clone(),
             predictions_per_day: self.predictions_per_day,
             energy_per_prediction: self.energy_per_prediction * factor,
-        }
-    }
-
-    /// Returns a copy with demand grown by `factor` (Jevons-paradox side).
-    pub fn with_demand_scaled(&self, factor: f64) -> InferenceService {
-        InferenceService {
-            name: self.name.clone(),
-            predictions_per_day: self.predictions_per_day * factor,
-            energy_per_prediction: self.energy_per_prediction,
-        }
-    }
-}
-
-/// A collection of inference services.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct ServingFleet {
-    services: Vec<InferenceService>,
-}
-
-impl ServingFleet {
-    /// Creates an empty fleet.
-    pub fn new() -> ServingFleet {
-        ServingFleet::default()
-    }
-
-    /// Adds a service.
-    pub fn add(&mut self, service: InferenceService) -> &mut ServingFleet {
-        self.services.push(service);
-        self
-    }
-
-    /// The services.
-    pub fn services(&self) -> &[InferenceService] {
-        &self.services
-    }
-
-    /// Total predictions per day across services.
-    pub fn predictions_per_day(&self) -> f64 {
-        self.services.iter().map(|s| s.predictions_per_day()).sum()
-    }
-
-    /// Total daily IT energy.
-    pub fn daily_energy(&self) -> Energy {
-        self.services.iter().map(|s| s.daily_energy()).sum()
-    }
-
-    /// A representative fleet shaped like the paper's description: the six
-    /// production models together serving trillions of predictions per day.
-    pub fn production_like() -> ServingFleet {
-        let mut fleet = ServingFleet::new();
-        // Per-prediction energies differ by model class: RM inference is
-        // memory-bound and cheap per query; LM decoding is heavier.
-        let [rm1, rm2, rm3, rm4, rm5] = crate::constants::RM_ENERGY_PER_PREDICTION_J;
-        fleet.add(InferenceService::new(
-            "LM",
-            5.0e9,
-            Energy::from_joules(crate::constants::LM_ENERGY_PER_PREDICTION_J),
-        ));
-        fleet.add(InferenceService::new(
-            "RM1",
-            8.0e11,
-            Energy::from_joules(rm1),
-        ));
-        fleet.add(InferenceService::new(
-            "RM2",
-            1.1e12,
-            Energy::from_joules(rm2),
-        ));
-        fleet.add(InferenceService::new(
-            "RM3",
-            6.0e11,
-            Energy::from_joules(rm3),
-        ));
-        fleet.add(InferenceService::new(
-            "RM4",
-            7.5e11,
-            Energy::from_joules(rm4),
-        ));
-        fleet.add(InferenceService::new(
-            "RM5",
-            5.5e11,
-            Energy::from_joules(rm5),
-        ));
-        fleet
-    }
-}
-
-impl FromIterator<InferenceService> for ServingFleet {
-    fn from_iter<I: IntoIterator<Item = InferenceService>>(iter: I) -> ServingFleet {
-        ServingFleet {
-            services: iter.into_iter().collect(),
         }
     }
 }
@@ -198,18 +71,9 @@ mod tests {
     }
 
     #[test]
-    fn qps_and_daily_energy() {
+    fn daily_energy() {
         let s = svc();
-        assert!((s.qps() - 1.0e5).abs() < 1e-6);
         assert!((s.daily_energy().as_joules() - 8.64e7).abs() < 1.0);
-        assert!((s.energy_over(TimeSpan::from_days(10.0)).as_joules() - 8.64e8).abs() < 10.0);
-    }
-
-    #[test]
-    fn servers_needed_rounds_up() {
-        let s = svc();
-        assert_eq!(s.servers_needed(30_000.0), 4);
-        assert_eq!(s.servers_needed(100_000.0), 1);
     }
 
     #[test]
@@ -217,38 +81,6 @@ mod tests {
         let s = svc();
         let optimized = s.with_energy_scaled(0.5);
         assert_eq!(optimized.daily_energy(), s.daily_energy() * 0.5);
-        let grown = s.with_demand_scaled(2.0);
-        assert_eq!(grown.daily_energy(), s.daily_energy() * 2.0);
-        assert_eq!(grown.name(), "rm");
-    }
-
-    #[test]
-    fn production_fleet_serves_trillions_daily() {
-        let fleet = ServingFleet::production_like();
-        // Paper: "trillions of inference per day".
-        assert!(fleet.predictions_per_day() > 1.0e12);
-        assert_eq!(fleet.services().len(), 6);
-        assert!(fleet.daily_energy() > Energy::ZERO);
-    }
-
-    #[test]
-    fn inference_exceeds_training_compute_over_deployment() {
-        // Paper: "total compute cycles for inference... expected to exceed the
-        // corresponding training cycles". One RM's inference energy over a
-        // 90-day deployment should exceed a large production training run.
-        let fleet = ServingFleet::production_like();
-        let rm1 = &fleet.services()[1];
-        let deployment_energy = rm1.energy_over(TimeSpan::from_days(90.0));
-        // A 125 GPU-day (p99) training run at 300 W mean:
-        let training = sustain_core::units::Power::from_watts(300.0) * TimeSpan::from_days(125.0);
-        assert!(deployment_energy > training);
-    }
-
-    #[test]
-    fn fleet_collects_from_iterator() {
-        let fleet: ServingFleet = vec![svc(), svc()].into_iter().collect();
-        assert_eq!(fleet.services().len(), 2);
-        assert!((fleet.predictions_per_day() - 2.0 * 8.64e9).abs() < 1.0);
     }
 
     #[test]

@@ -5,12 +5,10 @@
 //! * [`models`] — descriptors for the paper's production models (LM, RM1–RM5)
 //!   and the open-source comparison set (BERT-NAS, T5, Meena, GShard-600B,
 //!   Switch Transformer, GPT-3) with published training footprints.
-//! * [`flops`] — FLOPs estimators for transformers and MLPs, and the
-//!   FLOPs→energy bridge used by the simulators.
 //! * [`recsys`] — the DLRM structure: dense MLP + sparse embedding tables,
 //!   memory footprints and bandwidth demands (§III-B).
 //! * [`training`] — training-job distributions calibrated to the paper's
-//!   published percentiles, and retraining cadences.
+//!   published percentiles.
 //! * [`inference`] — inference serving: predictions/day, per-prediction energy.
 //! * [`scaling`] — model/data scaling laws: quality vs size (Fig 2a) and the
 //!   normalized-entropy energy frontier (Fig 12).
@@ -28,7 +26,6 @@ pub mod constants;
 pub mod datagrowth;
 pub mod datapipeline;
 pub mod experimentation;
-pub mod flops;
 pub mod growth;
 pub mod inference;
 pub mod models;

@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use sustain_core::lifecycle::{Breakdown, MlPhase};
-use sustain_core::units::{Co2e, Energy, Fraction};
+use sustain_core::units::{Co2e, Fraction};
 
 /// Broad family of an ML model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -73,11 +73,6 @@ impl MlModel {
     /// The model's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The model family.
-    pub fn kind(&self) -> ModelKind {
-        self.kind
     }
 
     /// Number of trainable parameters.
@@ -144,19 +139,6 @@ impl OssModel {
         }
     }
 
-    /// Published training energy.
-    pub fn training_energy(&self) -> Energy {
-        let mwh = match self {
-            OssModel::BertNas => 325.8,
-            OssModel::T5 => 85.7,
-            OssModel::Meena => 232.0,
-            OssModel::GShard600B => 24.1,
-            OssModel::SwitchTransformer => 179.0,
-            OssModel::Gpt3 => 1287.0,
-        };
-        Energy::from_megawatt_hours(mwh)
-    }
-
     /// Published operational training CO₂e (location-based).
     pub fn training_co2(&self) -> Co2e {
         let tonnes = match self {
@@ -205,15 +187,6 @@ impl ProductionModel {
         ProductionModel::Rm5,
     ];
 
-    /// The recommendation models only.
-    pub const RECOMMENDATION: [ProductionModel; 5] = [
-        ProductionModel::Rm1,
-        ProductionModel::Rm2,
-        ProductionModel::Rm3,
-        ProductionModel::Rm4,
-        ProductionModel::Rm5,
-    ];
-
     /// The descriptor. Parameter counts are synthetic but shaped like the
     /// paper's claims: RMs are embedding-dominated and far larger than LM,
     /// and footprint does **not** correlate with parameter count.
@@ -228,11 +201,6 @@ impl ProductionModel {
             ProductionModel::Rm4 => MlModel::new("RM4", ModelKind::Recommendation, 305_000_000_000),
             ProductionModel::Rm5 => MlModel::new("RM5", ModelKind::Recommendation, 95_000_000_000),
         }
-    }
-
-    /// Whether the model is continuously online-trained (all RMs; not LM).
-    pub fn is_online_trained(&self) -> bool {
-        !matches!(self, ProductionModel::Lm)
     }
 
     /// Operational carbon by phase over one offline-training period
@@ -258,11 +226,6 @@ impl ProductionModel {
     pub fn training_co2(&self) -> Co2e {
         let b = self.footprint_by_phase();
         b[MlPhase::OfflineTraining] + b[MlPhase::OnlineTraining]
-    }
-
-    /// Inference carbon over the same period.
-    pub fn inference_co2(&self) -> Co2e {
-        self.footprint_by_phase()[MlPhase::Inference]
     }
 
     /// Total operational carbon.
@@ -328,18 +291,16 @@ mod tests {
         // Paper: LM uses 65% inference / 35% training.
         let share = ProductionModel::Lm.training_share().value();
         assert!((share - 0.35).abs() < 0.01, "training share {share}");
-        assert!(!ProductionModel::Lm.is_online_trained());
     }
 
     #[test]
     fn rms_split_roughly_evenly() {
-        for rm in ProductionModel::RECOMMENDATION {
+        for rm in &ProductionModel::ALL[1..] {
             let share = rm.training_share().value();
             assert!(
                 (share - 0.5).abs() < 0.05,
                 "{rm} training share {share} not ~50/50"
             );
-            assert!(rm.is_online_trained());
             assert!(
                 rm.footprint_by_phase()[MlPhase::OnlineTraining] > Co2e::ZERO,
                 "{rm} should online-train"
@@ -365,7 +326,6 @@ mod tests {
     #[test]
     fn oss_registry_is_complete_and_positive() {
         for m in OssModel::ALL {
-            assert!(m.training_energy() > Energy::ZERO);
             assert!(m.training_co2() > Co2e::ZERO);
             assert!(m.model().parameters() > 0);
         }
@@ -386,7 +346,7 @@ mod tests {
             let b = m.footprint_by_phase();
             assert_eq!(m.total_co2(), b.total());
             assert_eq!(
-                m.training_co2() + m.inference_co2(),
+                m.training_co2() + b[MlPhase::Inference],
                 m.total_co2(),
                 "{m} phases must partition the total"
             );
@@ -428,7 +388,6 @@ mod tests {
         assert_eq!(ProductionModel::Lm.to_string(), "LM");
         assert_eq!(OssModel::Gpt3.to_string(), "GPT-3");
         let d = OssModel::Gpt3.model();
-        assert_eq!(d.kind(), ModelKind::Language);
         assert_eq!(d.parameters(), 175_000_000_000);
         assert!(d.to_string().contains("175.0B"));
         assert_eq!(ModelKind::Recommendation.to_string(), "recommendation");

@@ -10,9 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use sustain_core::units::{DataRate, DataVolume, Fraction, TimeSpan};
-
-use crate::flops::mlp_flops;
+use sustain_core::units::DataVolume;
 
 /// One sparse embedding table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -53,16 +51,6 @@ impl EmbeddingTable {
     /// Embedding dimension.
     pub fn dim(&self) -> u32 {
         self.dim
-    }
-
-    /// Bytes per element (4 = fp32, 2 = fp16, 1 = int8).
-    pub fn bytes_per_element(&self) -> u32 {
-        self.bytes_per_element
-    }
-
-    /// Average lookups per inference query.
-    pub fn lookups_per_query(&self) -> u32 {
-        self.lookups_per_query
     }
 
     /// Storage size of the table.
@@ -154,16 +142,6 @@ impl DlrmConfig {
         count(&self.bottom_mlp) + count(&self.top_mlp)
     }
 
-    /// Sparse (embedding) parameter count.
-    pub fn embedding_parameters(&self) -> u64 {
-        self.tables.iter().map(|t| t.rows() * t.dim() as u64).sum()
-    }
-
-    /// Total parameter count.
-    pub fn parameters(&self) -> u64 {
-        self.dense_parameters() + self.embedding_parameters()
-    }
-
     /// Dense sub-net storage size.
     pub fn dense_size(&self) -> DataVolume {
         DataVolume::from_bytes(self.dense_parameters() as f64 * self.dense_bytes_per_param as f64)
@@ -179,30 +157,10 @@ impl DlrmConfig {
         self.dense_size() + self.embedding_size()
     }
 
-    /// Share of model size in the embedding tables (the paper: > 95 %).
-    pub fn embedding_share(&self) -> Fraction {
-        Fraction::saturating(self.embedding_size() / self.model_size())
-    }
-
-    /// Dense FLOPs per inference query.
-    pub fn flops_per_query(&self) -> f64 {
-        mlp_flops(&self.bottom_mlp, 1) + mlp_flops(&self.top_mlp, 1)
-    }
-
     /// Embedding bytes fetched per inference query — the memory-bandwidth
     /// demand that dominates RM inference.
     pub fn bytes_per_query(&self) -> DataVolume {
         self.tables.iter().map(|t| t.bytes_per_query()).sum()
-    }
-
-    /// Memory bandwidth needed to sustain `qps` queries per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `qps` is not positive.
-    pub fn bandwidth_at(&self, qps: f64) -> DataRate {
-        assert!(qps > 0.0, "qps must be positive");
-        self.bytes_per_query() * qps / TimeSpan::from_secs(1.0)
     }
 }
 
@@ -231,45 +189,16 @@ mod tests {
     fn production_rm_is_embedding_dominated() {
         let rm = DlrmConfig::production_scale();
         // Paper: embeddings "easily contribute over 95% of the total model size".
-        assert!(
-            rm.embedding_share().value() > 0.95,
-            "share {}",
-            rm.embedding_share()
-        );
-        assert!(rm.embedding_parameters() > 100 * rm.dense_parameters());
+        let share = rm.embedding_size() / rm.model_size();
+        assert!(share > 0.95, "share {share}");
     }
 
     #[test]
     fn production_rm_scale_is_plausible() {
         let rm = DlrmConfig::production_scale();
-        // Hundreds of GB of embeddings; billions of parameters.
+        // Hundreds of GB of embeddings.
         assert!(rm.model_size().as_gigabytes() > 100.0);
-        assert!(rm.parameters() > 1_000_000_000);
         assert_eq!(rm.tables().len(), 200);
-    }
-
-    #[test]
-    fn bandwidth_scales_linearly_with_qps() {
-        let rm = DlrmConfig::production_scale();
-        let b1 = rm.bandwidth_at(1000.0);
-        let b2 = rm.bandwidth_at(2000.0);
-        assert!((b2 / b1 - 2.0).abs() < 1e-9);
-        assert!(b1.as_gigabytes_per_sec() > 0.5, "bandwidth {b1}");
-    }
-
-    #[test]
-    fn dense_flops_independent_of_tables() {
-        let mut rm = DlrmConfig::production_scale();
-        let f = rm.flops_per_query();
-        rm.tables_mut().truncate(10);
-        assert_eq!(rm.flops_per_query(), f);
-        assert!(f > 100_000.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "qps must be positive")]
-    fn bandwidth_rejects_zero_qps() {
-        let _ = DlrmConfig::production_scale().bandwidth_at(0.0);
     }
 
     #[test]
@@ -281,6 +210,5 @@ mod tests {
             vec![EmbeddingTable::new(10, 4, 4, 1)],
         );
         assert_eq!(cfg.dense_parameters(), 18);
-        assert_eq!(cfg.embedding_parameters(), 40);
     }
 }

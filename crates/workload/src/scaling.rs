@@ -164,24 +164,6 @@ impl RecsysScalingLaw {
         }
     }
 
-    /// Evaluates the full grid of `data_scales × model_scales` — the raw
-    /// material of Figure 12.
-    pub fn grid(&self, data_scales: &[f64], model_scales: &[f64]) -> Vec<ScalingPoint> {
-        let mut points = Vec::with_capacity(data_scales.len() * model_scales.len());
-        for &d in data_scales {
-            for &m in model_scales {
-                points.push(self.point(d, m));
-            }
-        }
-        points
-    }
-
-    /// The tandem (data = model) scaling path — the paper's "energy-optimal
-    /// scaling approach" (dashed black line in Figure 12).
-    pub fn tandem_path(&self, scales: &[f64]) -> Vec<ScalingPoint> {
-        scales.iter().map(|&s| self.point(s, s)).collect()
-    }
-
     /// The effective power-law exponent of quality vs energy between two
     /// configurations: `ε` such that `NE ∝ E^(−ε)`.
     pub fn effective_exponent(&self, a: (f64, f64), b: (f64, f64)) -> f64 {
@@ -270,20 +252,6 @@ mod tests {
         );
         assert!(tandem.normalized_entropy < model_only.normalized_entropy);
         assert!(tandem.normalized_entropy < data_only.normalized_entropy);
-    }
-
-    #[test]
-    fn grid_covers_all_combinations() {
-        let law = RecsysScalingLaw::paper_default();
-        let pts = law.grid(&[1.0, 2.0, 4.0], &[1.0, 2.0]);
-        assert_eq!(pts.len(), 6);
-        let path = law.tandem_path(&[1.0, 2.0, 4.0, 8.0]);
-        assert_eq!(path.len(), 4);
-        // Energy is monotone along the tandem path.
-        for w in path.windows(2) {
-            assert!(w[1].energy_per_step > w[0].energy_per_step);
-            assert!(w[1].normalized_entropy < w[0].normalized_entropy);
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use sustain_core::units::{Energy, Fraction, Power, TimeSpan};
+use sustain_core::units::{Energy, Fraction};
 
 /// A training regime with a published compute/accuracy anchor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -77,11 +77,6 @@ impl TrainingRegime {
         }
     }
 
-    /// The regime family.
-    pub fn kind(&self) -> RegimeKind {
-        self.kind
-    }
-
     /// Passes over the dataset.
     pub fn epochs(&self) -> f64 {
         self.epochs
@@ -106,12 +101,6 @@ impl TrainingRegime {
     pub fn energy(&self, per_epoch: Energy) -> Energy {
         per_epoch * self.epochs
     }
-}
-
-/// PAWS's published wall-clock anchor: ~16 h on 64 V100s; the implied
-/// energy at a mean per-GPU power.
-pub fn paws_training_energy(mean_gpu_power: Power) -> Energy {
-    mean_gpu_power * TimeSpan::from_hours(16.0) * 64.0
 }
 
 #[cfg(test)]
@@ -145,7 +134,6 @@ mod tests {
         assert_eq!(TrainingRegime::simclr().epochs(), 1000.0);
         assert_eq!(TrainingRegime::supervised_resnet50().epochs(), 90.0);
         assert_eq!(TrainingRegime::paws_10pct().epochs(), 200.0);
-        assert_eq!(TrainingRegime::simclr().kind(), RegimeKind::SelfSupervised);
     }
 
     #[test]
@@ -154,13 +142,6 @@ mod tests {
         let ssl = TrainingRegime::simclr().energy(per_epoch);
         let sup = TrainingRegime::supervised_resnet50().energy(per_epoch);
         assert!((ssl / sup - 1000.0 / 90.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn paws_energy_anchor() {
-        // 64 V100s at ~250 W mean for 16 h ≈ 256 kWh.
-        let e = paws_training_energy(Power::from_watts(250.0));
-        assert!((e.as_kilowatt_hours() - 256.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Training-job distributions and retraining cadences (§II-A).
+//! Training-job distributions (§II-A).
 //!
 //! The paper publishes the Facebook job-duration statistics as percentiles:
 //!
@@ -7,9 +7,7 @@
 //! * production training workflows: p50 = **2.96 GPU-days**, p99 = **125 GPU-days**.
 //!
 //! [`JobGenerator`] reproduces these via log-normal distributions calibrated
-//! exactly at the published percentiles. [`RetrainCadence`] captures that
-//! *frequency of training matters*: Search models retrained hourly, Language
-//! Translation weekly.
+//! exactly at the published percentiles.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -75,11 +73,6 @@ impl TrainingJob {
         self.gpus
     }
 
-    /// Wall-clock duration assuming perfect scaling across the GPUs.
-    pub fn wall_clock(&self) -> TimeSpan {
-        TimeSpan::from_days(self.gpu_days / self.gpus as f64)
-    }
-
     /// IT energy of the job at a mean per-GPU power draw.
     pub fn energy(&self, mean_gpu_power: Power) -> Energy {
         mean_gpu_power * TimeSpan::from_days(self.gpu_days)
@@ -123,104 +116,9 @@ impl JobGenerator {
         })
     }
 
-    /// Overrides the GPUs assigned to each sampled job (default 8).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gpus` is zero.
-    pub fn with_gpus_per_job(mut self, gpus: u32) -> JobGenerator {
-        assert!(gpus > 0, "a job needs at least one GPU");
-        self.gpus_per_job = gpus;
-        self
-    }
-
-    /// The job class.
-    pub fn class(&self) -> JobClass {
-        self.class
-    }
-
-    /// The underlying duration distribution.
-    pub fn distribution(&self) -> LogNormal {
-        self.dist
-    }
-
     /// Draws one job.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> TrainingJob {
         TrainingJob::new(self.dist.sample(rng), self.gpus_per_job)
-    }
-
-    /// Draws a batch of jobs.
-    pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<TrainingJob> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
-
-    /// The fraction of jobs expected to exceed `gpu_days` (tail mass), from
-    /// the analytic distribution.
-    pub fn tail_fraction_above(&self, gpu_days: f64) -> f64 {
-        // P(X > x) for log-normal via the calibrated quantiles: invert by
-        // bisection on the quantile function.
-        if gpu_days <= 0.0 {
-            return 1.0;
-        }
-        let (mut lo, mut hi) = (1e-9, 1.0 - 1e-9);
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if self.dist.quantile(mid) < gpu_days {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        1.0 - 0.5 * (lo + hi)
-    }
-}
-
-/// How often a production model is retrained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum RetrainCadence {
-    /// Retrained every hour (the paper's Search example).
-    Hourly,
-    /// Retrained daily.
-    Daily,
-    /// Retrained weekly (the paper's Language Translation example).
-    Weekly,
-    /// Retrained monthly (30 days).
-    Monthly,
-}
-
-impl RetrainCadence {
-    /// The retraining period.
-    pub fn period(&self) -> TimeSpan {
-        match self {
-            RetrainCadence::Hourly => TimeSpan::from_hours(1.0),
-            RetrainCadence::Daily => TimeSpan::from_days(1.0),
-            RetrainCadence::Weekly => TimeSpan::from_days(7.0),
-            RetrainCadence::Monthly => TimeSpan::from_days(30.0),
-        }
-    }
-
-    /// Number of retraining runs over a horizon (fractional runs truncated).
-    pub fn runs_over(&self, horizon: TimeSpan) -> u64 {
-        (horizon.as_secs() / self.period().as_secs())
-            .floor()
-            .max(0.0) as u64
-    }
-
-    /// Total training energy over a horizon, given the energy of one run.
-    pub fn energy_over(&self, horizon: TimeSpan, per_run: Energy) -> Energy {
-        per_run * self.runs_over(horizon) as f64
-    }
-}
-
-impl fmt::Display for RetrainCadence {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RetrainCadence::Hourly => f.write_str("hourly"),
-            RetrainCadence::Daily => f.write_str("daily"),
-            RetrainCadence::Weekly => f.write_str("weekly"),
-            RetrainCadence::Monthly => f.write_str("monthly"),
-        }
     }
 }
 
@@ -235,10 +133,8 @@ mod tests {
     fn research_distribution_hits_published_percentiles() {
         let gen = JobGenerator::calibrated(JobClass::Research).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
-        let days: Vec<f64> = gen
-            .sample_n(&mut rng, 50_000)
-            .iter()
-            .map(|j| j.gpu_days())
+        let days: Vec<f64> = (0..50_000)
+            .map(|_| gen.sample(&mut rng).gpu_days())
             .collect();
         let p50 = percentile(&days, 50.0);
         let p99 = percentile(&days, 99.0);
@@ -250,10 +146,8 @@ mod tests {
     fn production_distribution_hits_published_percentiles() {
         let gen = JobGenerator::calibrated(JobClass::Production).unwrap();
         let mut rng = StdRng::seed_from_u64(13);
-        let days: Vec<f64> = gen
-            .sample_n(&mut rng, 50_000)
-            .iter()
-            .map(|j| j.gpu_days())
+        let days: Vec<f64> = (0..50_000)
+            .map(|_| gen.sample(&mut rng).gpu_days())
             .collect();
         let p50 = percentile(&days, 50.0);
         let p99 = percentile(&days, 99.0);
@@ -262,26 +156,8 @@ mod tests {
     }
 
     #[test]
-    fn research_tail_contains_500_gpu_day_runs() {
-        // "a number of large-scale, trillion parameter models... over 500 GPU
-        // days": rare but present.
-        let gen = JobGenerator::calibrated(JobClass::Research).unwrap();
-        let tail = gen.tail_fraction_above(500.0);
-        assert!(tail > 0.0, "tail must be non-empty");
-        assert!(tail < 0.01, "500+ GPU-day runs must be rare, got {tail}");
-    }
-
-    #[test]
-    fn tail_fraction_edges() {
-        let gen = JobGenerator::calibrated(JobClass::Research).unwrap();
-        assert_eq!(gen.tail_fraction_above(0.0), 1.0);
-        assert!((gen.tail_fraction_above(1.5) - 0.5).abs() < 1e-3);
-    }
-
-    #[test]
-    fn job_wall_clock_and_energy() {
+    fn job_energy() {
         let job = TrainingJob::new(16.0, 8);
-        assert!((job.wall_clock().as_days() - 2.0).abs() < 1e-12);
         let e = job.energy(Power::from_watts(300.0));
         // 16 GPU-days × 300 W = 115.2 kWh.
         assert!((e.as_kilowatt_hours() - 115.2).abs() < 1e-9);
@@ -294,38 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn cadence_runs_over_horizon() {
-        // Hourly over 2 years vs weekly: 17,520 vs 104 runs.
-        let two_years = TimeSpan::from_days(730.0);
-        assert_eq!(RetrainCadence::Hourly.runs_over(two_years), 17_520);
-        assert_eq!(RetrainCadence::Weekly.runs_over(two_years), 104);
-        assert_eq!(
-            RetrainCadence::Daily.runs_over(TimeSpan::from_hours(12.0)),
-            0
-        );
-    }
-
-    #[test]
-    fn cadence_energy_scales_with_runs() {
-        let per_run = Energy::from_kilowatt_hours(10.0);
-        let horizon = TimeSpan::from_days(7.0);
-        let hourly = RetrainCadence::Hourly.energy_over(horizon, per_run);
-        let weekly = RetrainCadence::Weekly.energy_over(horizon, per_run);
-        assert!((hourly / weekly - 168.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn generator_gpu_override() {
-        let gen = JobGenerator::calibrated(JobClass::Research)
-            .unwrap()
-            .with_gpus_per_job(64);
-        let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(gen.sample(&mut rng).gpus(), 64);
-    }
-
-    #[test]
     fn display_names() {
         assert_eq!(JobClass::Research.to_string(), "research");
-        assert_eq!(RetrainCadence::Hourly.to_string(), "hourly");
     }
 }

@@ -10,7 +10,8 @@
 //! struct declares, and which token range each fn body covers.
 //!
 //! `#[cfg(test)]` modules and `#[cfg(test)]` items are dropped entirely,
-//! mirroring the line rules' test-region exemption.
+//! mirroring the line rules' test-region exemption; their token ranges are
+//! kept, so a rule can tell test code from shipped code token by token.
 
 use crate::lexer::{Token, TokenKind};
 
@@ -93,6 +94,9 @@ pub struct FileGraph {
     pub impls: Vec<ImplItem>,
     /// Free functions.
     pub fns: Vec<FnItem>,
+    /// Token-index ranges of the dropped `#[cfg(test)]` items, attributes
+    /// included, in source order.
+    pub test_spans: Vec<std::ops::Range<usize>>,
 }
 
 impl FileGraph {
@@ -241,6 +245,8 @@ impl<'a> Parser<'a> {
     fn items(&mut self, limit: usize) {
         let mut cfg_test = false;
         let mut is_pub = false;
+        // Where the current item's attributes begin.
+        let mut item_start = None;
         let mut steps = 0usize;
         while let Some(tok) = self.peek() {
             steps += 1;
@@ -251,6 +257,7 @@ impl<'a> Parser<'a> {
                 return;
             }
             if tok.is_punct('#') {
+                item_start.get_or_insert(self.pos);
                 cfg_test |= self.attribute();
                 continue;
             }
@@ -316,8 +323,12 @@ impl<'a> Parser<'a> {
                     self.skip_item_rest();
                 }
             }
+            if let (true, Some(start)) = (cfg_test, item_start) {
+                self.graph.test_spans.push(start..self.pos);
+            }
             cfg_test = false;
             is_pub = false;
+            item_start = None;
         }
     }
 

@@ -40,6 +40,7 @@
 //! | `determinism-taint`      | iteration/retain/float reductions over unordered collections|
 //! | `obs-coverage`           | uninstrumented loop-bearing pub fns in hot-path files       |
 //! | `const-provenance`       | ≥3-sig-digit float literals outside `constants` modules     |
+//! | `test-only-pub`          | library `pub fn`s named nowhere in shipped code             |
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -53,7 +54,7 @@ pub mod lexer;
 mod rules;
 mod rules_graph;
 
-/// The twelve lint rules, in reporting order.
+/// The thirteen lint rules, in reporting order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// Raw `f64` in public API carrying a unit suffix.
@@ -84,11 +85,13 @@ pub enum Rule {
     ObsCoverage,
     /// Unprovenanced multi-digit float literals in simulation fn bodies.
     ConstProvenance,
+    /// Library `pub fn`s that no shipped code names.
+    TestOnlyPub,
 }
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 12] = [
+    pub const ALL: [Rule; 13] = [
         Rule::UnitLeak,
         Rule::FloatEq,
         Rule::PanicDiscipline,
@@ -101,6 +104,7 @@ impl Rule {
         Rule::DeterminismTaint,
         Rule::ObsCoverage,
         Rule::ConstProvenance,
+        Rule::TestOnlyPub,
     ];
 
     /// The kebab-case name used in diagnostics and `lint:allow(..)` markers.
@@ -118,6 +122,7 @@ impl Rule {
             Rule::DeterminismTaint => "determinism-taint",
             Rule::ObsCoverage => "obs-coverage",
             Rule::ConstProvenance => "const-provenance",
+            Rule::TestOnlyPub => "test-only-pub",
         }
     }
 }
@@ -220,17 +225,23 @@ impl FileClass {
 /// forward slashes; it selects which rules apply (see [`FileClass`]).
 ///
 /// Single-file linting runs both phases but can only resolve structs
-/// defined in the same file; use [`lint_sources`] to let the graph rules
-/// see across files.
+/// defined in the same file, and it leaves out `test-only-pub`, which must
+/// see every other file to know that none of them calls a function; use
+/// [`lint_sources`] to let the graph rules see across files.
 pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
-    lint_sources(&[(path.to_string(), source.to_string())])
+    lint(&[(path.to_string(), source.to_string())], false)
 }
 
 /// Lints a set of files together, letting the graph rules resolve structs
-/// and impls across file boundaries. Each entry is a workspace-relative
-/// path (forward slashes) plus the file's source text. Diagnostics come
-/// back sorted by file, then line, then rule order.
+/// and impls across file boundaries, and judging `test-only-pub` against
+/// the shipped code among them. Each entry is a workspace-relative path
+/// (forward slashes) plus the file's source text. Diagnostics come back
+/// sorted by file, then line, then rule order.
 pub fn lint_sources(files: &[(String, String)]) -> Vec<Diagnostic> {
+    lint(files, true)
+}
+
+fn lint(files: &[(String, String)], whole_set: bool) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut analyses = Vec::new();
     for (path, source) in files {
@@ -250,7 +261,7 @@ pub fn lint_sources(files: &[(String, String)]) -> Vec<Diagnostic> {
             allows,
         });
     }
-    diags.extend(rules_graph::scan_workspace(&analyses));
+    diags.extend(rules_graph::scan_workspace(&analyses, whole_set));
     diags.sort_by(|a, b| {
         (&a.file, a.line, a.rule as usize).cmp(&(&b.file, b.line, b.rule as usize))
     });

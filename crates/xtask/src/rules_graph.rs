@@ -1,4 +1,4 @@
-//! The four cross-item rules — phase 2 of the static-analysis engine.
+//! The five cross-item rules — phase 2 of the static-analysis engine.
 //!
 //! These rules run over the [`crate::items::FileGraph`]s of every scanned
 //! file at once, so they can relate a `struct`'s field list to a `CacheKey`
@@ -27,6 +27,11 @@
 //! - **`const-provenance`** — numeric literals with ≥3 significant digits
 //!   inside simulation-crate fn bodies must live in the per-crate
 //!   `constants` modules (with provenance comments) instead of inline.
+//! - **`test-only-pub`** — a `pub fn` in library source must be named
+//!   somewhere in shipped code: a function only tests call is surface to
+//!   delete with its tests, unless a `lint:allow` names why it stays. The
+//!   rule matches names, so a name shared by many items (`new`, `len`) is
+//!   always "called"; the compiler-driven check in DESIGN covers those.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -91,15 +96,20 @@ pub(crate) struct FileAnalysis {
 /// Runs the cross-item rules over every analyzed file, resolving structs
 /// across file boundaries. Diagnostics are attributed to the file that owns
 /// the offending item (a missing cache-key field points at the *field*, so
-/// its `lint:allow` lives next to the field it excuses).
-pub(crate) fn scan_workspace(files: &[FileAnalysis]) -> Vec<Diagnostic> {
+/// its `lint:allow` lives next to the field it excuses). `test-only-pub`
+/// runs only when `whole_set` says the files include every caller.
+pub(crate) fn scan_workspace(files: &[FileAnalysis], whole_set: bool) -> Vec<Diagnostic> {
     let index = StructIndex::build(files);
+    let shipped = whole_set.then(|| shipped_mentions(files));
     let mut diags = Vec::new();
     for file in files {
         cache_key_completeness(file, files, &index, &mut diags);
         determinism_taint(file, &mut diags);
         obs_coverage(file, &mut diags);
         const_provenance(file, &mut diags);
+        if let Some(shipped) = &shipped {
+            test_only_pub(file, shipped, &mut diags);
+        }
     }
     diags
 }
@@ -754,6 +764,63 @@ fn const_provenance(file: &FileAnalysis, diags: &mut Vec<Diagnostic>) {
                     ),
                 );
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// test-only-pub
+// ---------------------------------------------------------------------------
+
+/// Shipped code, whose identifiers count as callers: every `src/` file
+/// (binaries and the figure crate included) and `examples/`, but no
+/// `tests/` directory.
+fn is_shipped_code(path: &str) -> bool {
+    let comps: Vec<&str> = path.split('/').collect();
+    !comps.contains(&"tests") && (comps.contains(&"src") || comps.first() == Some(&"examples"))
+}
+
+/// Every identifier named in shipped code outside `#[cfg(test)]` items,
+/// fn definition names excluded (a definition is not a call).
+fn shipped_mentions(files: &[FileAnalysis]) -> BTreeSet<&str> {
+    let mut names = BTreeSet::new();
+    for file in files.iter().filter(|f| is_shipped_code(&f.class.path)) {
+        let mut after_fn = false;
+        for (i, tok) in file.tokens.iter().enumerate() {
+            if tok.kind == TokenKind::Comment
+                || file.graph.test_spans.iter().any(|span| span.contains(&i))
+            {
+                continue;
+            }
+            let defined = after_fn;
+            after_fn = tok.is_ident("fn");
+            if tok.kind == TokenKind::Ident && !defined && !after_fn {
+                names.insert(tok.text.as_str());
+            }
+        }
+    }
+    names
+}
+
+fn test_only_pub(file: &FileAnalysis, shipped: &BTreeSet<&str>, diags: &mut Vec<Diagnostic>) {
+    let comps: Vec<&str> = file.class.path.split('/').collect();
+    if !comps.contains(&"src") || comps.contains(&"bin") || comps.contains(&"tests") {
+        return;
+    }
+    for (f, _) in file.graph.all_fns() {
+        if f.is_pub && !shipped.contains(f.name.as_str()) {
+            push_unless_allowed(
+                diags,
+                file,
+                f.line,
+                Rule::TestOnlyPub,
+                format!(
+                    "pub fn `{}` is named nowhere in shipped code, so only tests (or \
+                     nothing) call it; delete it with its tests, or justify with \
+                     lint:allow(test-only-pub) naming its class",
+                    f.name
+                ),
+            );
         }
     }
 }

@@ -770,6 +770,74 @@ fn const_provenance_allow_silences() {
     );
 }
 
+// ------------------------------------------------------------ test-only-pub
+
+/// A library file defining `used` and `helper`, linted together with
+/// `others` (path, source) so the rule can look for callers.
+fn test_only_pub_hits(others: &[(&str, &str)]) -> Vec<String> {
+    let lib = "pub fn used() -> u32 { 1 }\n\
+               pub fn helper() -> u32 { 2 }\n";
+    let mut files = vec![("crates/core/src/helpers.rs".to_string(), lib.to_string())];
+    files.extend(others.iter().map(|(p, s)| (p.to_string(), s.to_string())));
+    xtask::lint_sources(&files)
+        .into_iter()
+        .filter(|d| d.rule == Rule::TestOnlyPub)
+        .map(|d| d.message)
+        .collect()
+}
+
+const SHIPPED_CALLER: (&str, &str) = ("crates/fleet/src/caller.rs", "fn run() -> u32 { used() }\n");
+
+#[test]
+fn test_only_pub_flags_a_fn_only_tests_call() {
+    let hits = test_only_pub_hits(&[
+        SHIPPED_CALLER,
+        (
+            "tests/helpers.rs",
+            "#[test]\nfn t() { assert_eq!(helper(), 2); }\n",
+        ),
+    ]);
+    assert_eq!(hits.len(), 1, "got {hits:?}");
+    assert!(hits[0].contains("`helper`"), "got {hits:?}");
+}
+
+#[test]
+fn test_only_pub_flags_a_fn_called_only_under_cfg_test() {
+    let caller = "fn run() -> u32 { used() }\n\
+                  #[cfg(test)]\n\
+                  mod tests {\n    #[test]\n    fn t() { assert_eq!(super::helper(), 2); }\n}\n\
+                  #[cfg(test)]\n\
+                  fn fixture() -> u32 { helper() }\n";
+    let hits = test_only_pub_hits(&[("crates/fleet/src/caller.rs", caller)]);
+    assert_eq!(hits.len(), 1, "got {hits:?}");
+    assert!(hits[0].contains("`helper`"), "got {hits:?}");
+}
+
+#[test]
+fn test_only_pub_clean_when_an_example_calls_the_fn() {
+    let hits = test_only_pub_hits(&[
+        SHIPPED_CALLER,
+        (
+            "examples/demo.rs",
+            "fn main() { println!(\"{}\", helper()); }\n",
+        ),
+    ]);
+    assert!(hits.is_empty(), "got {hits:?}");
+}
+
+#[test]
+fn test_only_pub_allow_silences() {
+    let lib = "pub fn used() -> u32 { 1 }\n\
+               /// Kept for the reference check.\n\
+               // lint:allow(test-only-pub) (a) the reference tests compare against\n\
+               pub fn helper() -> u32 { 2 }\n";
+    let diags = xtask::lint_sources(&[
+        ("crates/core/src/helpers.rs".to_string(), lib.to_string()),
+        (SHIPPED_CALLER.0.to_string(), SHIPPED_CALLER.1.to_string()),
+    ]);
+    assert!(diags.is_empty(), "got {diags:?}");
+}
+
 // ---------------------------------------------------------------- fix-allow
 
 #[test]

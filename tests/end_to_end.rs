@@ -16,7 +16,7 @@ use sustainai::fleet::datacenter::DataCenter;
 use sustainai::fleet::sim::{FleetSim, Scenario};
 use sustainai::fleet::utilization::UtilizationModel;
 use sustainai::telemetry::device::{DeviceSpec, PowerModel};
-use sustainai::telemetry::meter::sample_profile;
+use sustainai::telemetry::trace::PowerTrace;
 use sustainai::telemetry::tracker::CarbonTracker;
 use sustainai::workload::training::{JobClass, JobGenerator};
 
@@ -25,18 +25,16 @@ fn trace_to_tracker_to_report_pipeline() {
     // Sample a GPU's power over a bursty utilization signal, feed the trace's
     // energy into a tracker, and confirm the report matches hand math.
     let model = DeviceSpec::A100.power_model();
-    let trace = sample_profile(
-        &model,
-        |t| {
-            if t.as_minutes() < 30.0 {
-                Fraction::ONE
-            } else {
-                Fraction::ZERO
-            }
-        },
-        TimeSpan::from_hours(1.0),
-        TimeSpan::from_secs(10.0),
-    );
+    let mut trace = PowerTrace::new();
+    for i in 0..=360 {
+        let t = TimeSpan::from_secs(10.0 * i as f64);
+        let u = if t.as_minutes() < 30.0 {
+            Fraction::ONE
+        } else {
+            Fraction::ZERO
+        };
+        trace.push(t, model.power(u));
+    }
     let account = OperationalAccount::new(
         CarbonIntensity::from_grams_per_kwh(400.0),
         Pue::new(1.1).unwrap(),
@@ -130,19 +128,6 @@ fn tracker_embodied_matches_core_amortization() {
 }
 
 #[test]
-fn workload_flops_bridge_is_consistent_with_device_power() {
-    use sustainai::workload::flops::{training_flops, DeviceThroughput};
-    let throughput = DeviceThroughput::for_spec(DeviceSpec::A100).unwrap();
-    let mfu = Fraction::new(0.4).unwrap();
-    let flops = training_flops(1_000_000_000, 10_000_000_000);
-    let time = throughput.time_for(flops, mfu);
-    let energy = throughput.energy_for(flops, mfu);
-    // Energy equals the device's power at that MFU times the runtime.
-    let power = DeviceSpec::A100.power_model().power(mfu);
-    assert!((energy.as_joules() - (power * time).as_joules()).abs() < 1e-3);
-}
-
-#[test]
 fn production_models_reported_through_tracker_match_registry() {
     use sustainai::workload::models::ProductionModel;
     // Feed each model's registry footprint through a FootprintReport and
@@ -153,7 +138,7 @@ fn production_models_reported_through_tracker_match_registry() {
             m.to_string(),
             AccountingBasis::LocationBased,
             Energy::ZERO,
-            sustainai::core::footprint::CarbonFootprint::operational_only(m.total_co2()),
+            sustainai::core::footprint::CarbonFootprint::new(m.total_co2(), Co2e::ZERO),
         );
         for (phase, co2) in b.iter() {
             report.record_phase(phase, co2);

@@ -238,7 +238,7 @@ fn model_card_round_trips_through_json_with_metrics() {
         2.0e12,
     )
     .unwrap();
-    assert!(candidate.carbon_per_kilo_prediction().unwrap() > Co2e::ZERO);
+    assert_eq!(candidate.footprint.total(), Co2e::from_tonnes(127.0));
 }
 
 #[test]

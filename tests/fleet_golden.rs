@@ -132,9 +132,11 @@ fn reports_match_golden_under_chaos_and_intensity_gaps() {
             "busy fleet, seed {seed}, chaos+intensity",
             sim(100, 100.0, 14.0),
             IntensitySeries::solar_day(14),
-            ChaosConfig::datacenter_default()
-                .with_crash_rate(0.5)
-                .with_intensity_gap(Fraction::saturating(0.02)),
+            ChaosConfig {
+                crash_rate_per_server_day: 0.5,
+                ..ChaosConfig::datacenter_default()
+            }
+            .with_intensity_gap(Fraction::saturating(0.02)),
         ),
     ];
     for (label, key, fleet, series, chaos) in &fleets {
@@ -164,7 +166,10 @@ fn reports_match_golden_over_the_scenario_grid() {
         ),
         (
             "degraded telemetry only",
-            ChaosConfig::none().with_telemetry(FaultPlan::degraded()),
+            ChaosConfig {
+                telemetry: FaultPlan::degraded(),
+                ..ChaosConfig::none()
+            },
         ),
     ];
     let feeds = [

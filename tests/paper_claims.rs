@@ -159,7 +159,7 @@ fn section4a_sampling_anchor() {
 #[test]
 fn section4b_grid_nas_overhead() {
     use sustainai::optim::nas::SearchStrategy;
-    assert!(SearchStrategy::Grid.overhead(3000) >= 3000.0);
+    assert!(SearchStrategy::Grid.trial_cost(3000) >= 3000.0);
 }
 
 #[test]

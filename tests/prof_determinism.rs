@@ -25,7 +25,7 @@ fn sim_profile(threads: usize) -> (String, String) {
     let obs = ObsConfig::enabled().build();
     let pool = ParPool::new(threads);
     instrumented_figures(&obs, &pool);
-    sustainai::obs::with_task_handle(&obs, || figs::coverage_sweep(&pool));
+    sustainai::obs::with_task_handle(&obs, || figs::coverage_sweep(&pool, &figs::catalogue()));
     let tree = prof::SpanTree::from_records(&obs.events());
     let profile = prof::Profile::from_tree(&tree);
     assert_eq!(profile.clamped_spans(), 0, "{threads} threads");

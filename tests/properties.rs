@@ -5,7 +5,6 @@ use proptest::prelude::*;
 
 use sustainai::core::embodied::{AllocationPolicy, EmbodiedModel};
 use sustainai::core::intensity::CarbonIntensity;
-use sustainai::core::lifecycle::{Breakdown, MlPhase};
 use sustainai::core::stats::{percentile, Histogram, LogNormal};
 use sustainai::core::units::{Co2e, Energy, Fraction, Power, TimeSpan};
 use sustainai::fleet::scheduler::{schedule, IntensitySeries, Policy, ScheduledJob};
@@ -76,20 +75,6 @@ proptest! {
         let usage = m.amortize(span, AllocationPolicy::UsageShare).unwrap();
         prop_assert!((usage.as_grams() - time_share.as_grams() / util).abs()
             < usage.as_grams().abs() * 1e-9 + 1e-6);
-    }
-
-    #[test]
-    fn breakdown_shares_partition_unity(
-        a in 0.0f64..1e6, b in 0.0f64..1e6, c in 0.0f64..1e6,
-    ) {
-        prop_assume!(a + b + c > 0.0);
-        let mut ledger = Breakdown::<Energy>::zero();
-        ledger[MlPhase::DataProcessing] = Energy::from_joules(a);
-        ledger[MlPhase::OfflineTraining] = Energy::from_joules(b);
-        ledger[MlPhase::Inference] = Energy::from_joules(c);
-        let shares = ledger.shares();
-        let sum: f64 = MlPhase::ALL.iter().map(|p| shares[*p].value()).sum();
-        prop_assert!((sum - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -177,7 +162,9 @@ proptest! {
         values in prop::collection::vec(-2.0f64..3.0, 0..300),
     ) {
         let mut h = Histogram::new(0.0, 1.0, 7).unwrap();
-        h.record_all(values.iter().copied());
+        for v in &values {
+            h.record(*v);
+        }
         prop_assert_eq!(h.total(), values.len() as u64);
         let mass: u64 = h.counts().iter().sum();
         prop_assert_eq!(mass, values.len() as u64);
@@ -317,13 +304,6 @@ proptest! {
         }
         let rollup = tree.subtree_energy("");
         prop_assert!((rollup.as_joules() - total.as_joules()).abs() < 1e-6);
-        // Partition property: per-rack children sum to the root.
-        let by_rack: f64 = tree
-            .children_energy("")
-            .values()
-            .map(|e| e.as_joules())
-            .sum();
-        prop_assert!((by_rack - total.as_joules()).abs() < 1e-6);
     }
 
     #[test]
