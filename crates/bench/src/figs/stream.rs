@@ -141,6 +141,13 @@ pub fn chaos_fed_stream() -> Table {
     pipe.run(TICKS, validate::synthetic_power);
     let report = pipe.finish();
     let exact = validate::exact_energy(SOURCES, TICKS, TimeSpan::from_secs(1.0));
+    // Each metered host is a leaf under its rack in the report's roll-up.
+    let host_leaves: usize = report
+        .rollup
+        .children("")
+        .keys()
+        .map(|rack| report.rollup.children(rack).len())
+        .sum();
 
     let mut table = Table::new(
         "fleet chaos feeding the stream (datacenter default, per-host decorrelated plans)",
@@ -179,7 +186,7 @@ pub fn chaos_fed_stream() -> Table {
             "conserved".into(),
             if report.is_conserved() { "yes" } else { "NO" }.to_string(),
         ),
-        ("trace tree leaves".into(), num(report.tree.len() as f64, 0)),
+        ("trace tree leaves".into(), num(host_leaves as f64, 0)),
     ];
     for (k, v) in rows {
         table.row(&[k, v]);

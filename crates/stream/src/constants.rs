@@ -61,5 +61,5 @@ pub const VALIDATION_PERIOD_SECS: f64 = 600.0;
 pub const VALIDATION_SEED: u64 = 0x5EED_57EA;
 
 /// Hosts grouped under one rack in the validation harness's source labels,
-/// exercising two aggregation levels of `telemetry::hierarchy::TraceTree`.
+/// exercising two aggregation levels of `telemetry::hierarchy::EnergyRollup`.
 pub const VALIDATION_HOSTS_PER_RACK: usize = 8;

@@ -1,9 +1,8 @@
 //! The bounded-memory streaming ingestion pipeline.
 //!
 //! A [`StreamPipeline`] carries counter samples from [`MeterSource`]s into
-//! per-source [`FaultTolerantIntegrator`]s and a
-//! [`sustain_telemetry::hierarchy::TraceTree`], through three bounded
-//! stages per shard:
+//! per-source [`FaultTolerantIntegrator`]s, through three bounded stages
+//! per shard:
 //!
 //! 1. an [`IngestQueue`] with an explicit [`BackpressurePolicy`] — a full
 //!    queue either stalls the producer (which, in simulated time, drains
@@ -22,11 +21,16 @@
 //! sources`, and every missing observation is attributed to a tallied
 //! fault class — [`StreamReport::is_conserved`] checks both.
 //!
+//! **Bounded memory.** A source's state does not grow with the stream:
+//! its integrator folds each sample into running totals, and a sample
+//! lives only in the queue, the reorder buffer and the flush batch that
+//! integrates it. Nothing keeps the samples afterwards.
+//!
 //! **Online roll-ups.** Every flush refreshes an [`EnergyRollup`] from
 //! the integrator totals in global source order, so rack- and
 //! cluster-level totals ([`StreamPipeline::rollup`]) are readable *while
-//! the stream runs* instead of only after [`StreamPipeline::finish`]
-//! rebuilds the [`TraceTree`].
+//! the stream runs*, and [`StreamReport::rollup`] is the per-source
+//! hierarchy at finish.
 //!
 //! **Determinism.** Shard flushes fan out through
 //! [`sustain_par::ParPool::map_indexed`], whose submission-order join and
@@ -41,9 +45,8 @@ use sustain_core::units::{Energy, Power, TimeSpan};
 use sustain_obs::Obs;
 use sustain_par::ParPool;
 use sustain_telemetry::faults::{FaultPlan, ImputationPolicy};
-use sustain_telemetry::hierarchy::{EnergyRollup, TraceTree};
+use sustain_telemetry::hierarchy::EnergyRollup;
 use sustain_telemetry::meter::FaultTolerantIntegrator;
-use sustain_telemetry::trace::PowerTrace;
 
 use crate::constants;
 use crate::queue::{BackpressurePolicy, IngestQueue, Offer, Sample};
@@ -128,12 +131,12 @@ impl StreamConfig {
     }
 }
 
-/// Consumer-side state of one source: the integration sink and its trace.
+/// Consumer-side state of one source: its label, integrator, streaming
+/// fault tallies and flush batch. None of it grows with the stream.
 #[derive(Debug, Clone)]
 struct SourceSink {
     label: String,
     integrator: FaultTolerantIntegrator,
-    trace: PowerTrace,
     faults: sustain_core::quality::FaultCounts,
     /// Reusable per-flush batch of released ticks for this sink — cleared,
     /// never dropped, so the steady state allocates nothing. Dense
@@ -160,11 +163,12 @@ impl Shard {
     /// (end-of-stream).
     ///
     /// The batched path is byte-identical to pushing each released sample
-    /// through `FaultTolerantIntegrator::push` + `PowerTrace::push` in
-    /// release order: per-sink subsequences preserve release order, the
-    /// kernel accumulates in the same float-expression order, and the trace
-    /// only ever receives runs the integrator has already validated — so
-    /// its rejection tally stays zero, exactly as on the per-sample path.
+    /// through `FaultTolerantIntegrator::push` in release order: per-sink
+    /// subsequences preserve release order, and the kernel accumulates in
+    /// the same float-expression order.
+    ///
+    /// Each released sample is one unit of work on the handle's clock, so
+    /// a work profile charges the stage for the samples it integrated.
     fn flush(&mut self, force: bool) {
         // The whole shard flush is one fused batched stage — queue drain
         // feeding the reorder admit, time-ordered release regrouped into
@@ -211,6 +215,7 @@ impl Shard {
         if released == 0 {
             return;
         }
+        obs.add_work(released as u64);
         let mut out_of_order = 0;
         for sink in &mut self.sinks {
             let batch = sink.batch.as_slice();
@@ -221,11 +226,8 @@ impl Shard {
             // integrate branch-free, and anything out-of-order is rejected
             // and tallied exactly as per-sample pushes would. The batch is
             // all observed samples, so `len - accepted` is that rejection
-            // count. The trace mirrors the batch with the same monotone
-            // accept rule — its `last` stays in lockstep with the
-            // integrator's — skipping the already-tallied rejects.
+            // count.
             let accepted = sink.integrator.push_batch_observed(batch);
-            sink.trace.push_batch_observed(batch);
             out_of_order += (batch.len() - accepted) as u64;
         }
         self.emitted_out_of_order += out_of_order;
@@ -244,11 +246,9 @@ pub struct StreamReport {
     pub ticks: u64,
     /// Number of sources.
     pub sources: usize,
-    /// Hierarchical roll-up of every source's observed trace.
-    pub tree: TraceTree,
-    /// The online energy roll-up as it stood at finish: accounted
-    /// (measured + imputed) energy at every hierarchy prefix, maintained
-    /// flush by flush rather than recomputed from the traces.
+    /// The per-source hierarchy at finish: each source's accounted
+    /// (measured + imputed) energy as a leaf at its label, summed into
+    /// every prefix above it. Sources with no energy have no leaf.
     pub rollup: EnergyRollup,
     /// Ticks whose reading was lost at the meter (dropout or exhausted
     /// retries).
@@ -359,7 +359,7 @@ impl StreamPipeline {
     }
 
     /// Registers a meter stream. `label` becomes the source's node path in
-    /// the final [`TraceTree`]; `plan` is its fault mixture (per-stream
+    /// the [`EnergyRollup`]; `plan` is its fault mixture (per-stream
     /// decorrelated from the plan seed by the label, as in
     /// [`sustain_telemetry::faults::FaultInjector`]).
     pub fn add_source(&mut self, label: &str, plan: &FaultPlan) -> &mut StreamPipeline {
@@ -371,7 +371,6 @@ impl StreamPipeline {
         shard_state.sinks.push(SourceSink {
             label: label.to_owned(),
             integrator: FaultTolerantIntegrator::new(self.config.interval, self.config.imputation),
-            trace: PowerTrace::new(),
             faults: sustain_core::quality::FaultCounts::default(),
             batch: Vec::new(),
         });
@@ -560,7 +559,8 @@ impl StreamPipeline {
     /// Finishes the stream: drains every shard completely (watermark
     /// ignored), folds the injector fault tallies into the per-source
     /// reports, and merges everything **in global source order** so the
-    /// result is independent of sharding.
+    /// result is independent of sharding. The report's roll-up is the
+    /// online one after the final drain.
     pub fn finish(mut self) -> StreamReport {
         {
             let _span = self.obs.span("stream.finish");
@@ -575,7 +575,6 @@ impl StreamPipeline {
 
         let mut quality = DataQualityReport::default();
         let mut energy = Energy::ZERO;
-        let mut tree = TraceTree::new();
         for source in &self.sources {
             let Some(sink) = self
                 .shards
@@ -589,9 +588,6 @@ impl StreamPipeline {
             sink.integrator.merge_faults(&streaming_faults);
             quality.merge(&sink.integrator.report());
             energy += sink.integrator.energy();
-            // The pipeline is consumed: move the trace out instead of
-            // cloning every sample column.
-            tree.insert(sink.label.clone(), std::mem::take(&mut sink.trace));
         }
 
         let report = StreamReport {
@@ -599,8 +595,7 @@ impl StreamPipeline {
             energy,
             ticks: self.ticks,
             sources: self.sources.len(),
-            tree,
-            rollup: self.rollup.clone(),
+            rollup: std::mem::take(&mut self.rollup),
             lost_reads: self.sources.iter().map(|s| s.lost()).sum(),
             retries: self.sources.iter().map(|s| s.retries()).sum(),
             blocked_offers: self.shards.iter().map(|s| s.queue.blocked()).sum(),
@@ -657,7 +652,7 @@ mod tests {
         assert_eq!(report.quality.observed_samples, 1000);
         // 5 sources × 200 W × 199 s.
         assert!((report.energy.as_joules() - 5.0 * 200.0 * 199.0).abs() < 1e-6);
-        assert_eq!(report.tree.len(), 5);
+        assert_eq!(report.rollup.children("rack0").len(), 5);
         assert_eq!(report.retries, 0);
         assert_eq!(report.lost_reads, 0);
     }
@@ -827,9 +822,8 @@ mod tests {
         let four = run(4);
         assert_eq!(one.quality, four.quality);
         assert_eq!(one.energy, four.energy);
-        assert_eq!(one.tree, four.tree);
-        // The online roll-up accumulates on the control path in source
-        // order, so it is byte-identical too — not merely close.
+        // The roll-up accumulates on the control path in source order, so
+        // it is byte-identical too — not merely close.
         assert_eq!(one.rollup, four.rollup);
     }
 
@@ -853,28 +847,19 @@ mod tests {
     }
 
     #[test]
-    fn rollup_agrees_with_tree_and_report_energy() {
-        let mut pipe = StreamPipeline::new(small_config());
-        for i in 0..6 {
-            pipe.add_source(&format!("rack{}/host{}", i / 3, i % 3), &FaultPlan::none());
-        }
-        pipe.run(300, constant_truth);
-        let report = pipe.finish();
-        // Pristine stream: accounted energy is exactly the observed-trace
-        // energy, so the incremental roll-up matches the recompute-from-
-        // traces path at every prefix (up to summation rounding).
-        for prefix in ["", "rack0", "rack1", "rack0/host1"] {
-            let online = report.rollup.energy(prefix).as_joules();
-            let recomputed = report.tree.subtree_energy(prefix).as_joules();
-            assert!(
-                (online - recomputed).abs() < 1e-6,
-                "{prefix}: {online} vs {recomputed}"
-            );
-        }
-        assert!((report.rollup.energy("").as_joules() - report.energy.as_joules()).abs() < 1e-6);
-        // The rack view is available without touching the traces.
-        assert_eq!(report.rollup.children("").len(), 2);
-        assert_eq!(report.rollup.children("rack0").len(), 3);
+    fn rollup_agrees_with_reference_and_report_energy() {
+        use crate::validate;
+        let plan = FaultPlan::none();
+        let config = small_config();
+        let report = validate::run_stream(&plan, config, 20, 300);
+        let sync = validate::run_synchronous(&plan, 20, 300, config.interval, config.imputation);
+        // On the clean path the online roll-up is the synchronous
+        // reference's, leaf for leaf and prefix for prefix, to the bit.
+        assert_eq!(report.rollup, sync.rollup);
+        assert_eq!(report.rollup.energy(""), report.energy);
+        // The rack view is available without touching any sample.
+        assert_eq!(report.rollup.children("").len(), 3);
+        assert_eq!(report.rollup.children("rack0").len(), 8);
     }
 
     #[test]
@@ -889,6 +874,76 @@ mod tests {
         // Accounted energy includes imputation, and the roll-up tracks the
         // integrators, so the totals still agree.
         assert!((report.rollup.energy("").as_joules() - report.energy.as_joules()).abs() < 1e-6);
+    }
+
+    /// Under a work clock a span's width is the work reported inside it, so
+    /// the batch spans must hold one unit per released sample: every
+    /// observed sample plus every release the integrator rejected as out of
+    /// order. Inline flushes (a blocked producer) count like scheduled ones.
+    #[test]
+    fn batch_spans_report_one_unit_of_work_per_released_sample() {
+        // A retry backoff near one interval can stamp a retried read after
+        // its source's next one. A two-sample reorder buffer may
+        // force-release the retried read first, and the sink then rejects
+        // the next read as out of order.
+        let retried = FaultPlan::none()
+            .with_seed(23)
+            .with_clock_skew(1.0)
+            .with_timeout(0.3);
+        let plans = [
+            (FaultPlan::none(), None),
+            (FaultPlan::degraded().with_seed(5), Some(1.0)),
+            (retried, None),
+        ];
+        let run = |plan: &FaultPlan, lateness: Option<f64>| {
+            let obs = sustain_obs::ObsConfig::enabled().build();
+            let config = StreamConfig {
+                shards: 3,
+                queue_capacity: 4,
+                reorder_capacity: 2,
+                lateness: lateness.map(TimeSpan::from_secs),
+                retry_backoff: TimeSpan::from_secs(0.9),
+                flush_every: 7,
+                ..StreamConfig::default()
+            };
+            let report = sustain_obs::with_task_handle(&obs, || {
+                let mut pipe = StreamPipeline::new(config);
+                for i in 0..6 {
+                    pipe.add_source(&format!("rack{}/host{}", i / 3, i % 3), plan);
+                }
+                pipe.run(300, constant_truth);
+                pipe.finish()
+            });
+            let work: f64 = obs
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    sustain_obs::EventRecord::Span {
+                        name, start, end, ..
+                    } if *name == "telemetry.integrate.batch" => Some((*end - *start).as_secs()),
+                    _ => None,
+                })
+                .sum();
+            (work, report)
+        };
+        // The thread override is process-global; every other test in this
+        // binary is thread-count invariant, so it cannot change theirs.
+        let mut out_of_order = 0;
+        for (plan, lateness) in &plans {
+            let mut works = Vec::new();
+            for threads in [1usize, 4] {
+                ParPool::set_threads(threads);
+                let (work, report) = run(plan, *lateness);
+                let released = report.quality.observed_samples + report.quality.faults.out_of_order;
+                assert_eq!(work, released as f64, "{threads} threads: {report:?}");
+                assert!(report.blocked_offers > 0, "inline flushes must run");
+                out_of_order += report.quality.faults.out_of_order;
+                works.push(work);
+            }
+            assert_eq!(works[0], works[1], "work must not depend on threads");
+        }
+        ParPool::set_threads(0);
+        assert!(out_of_order > 0, "no plan released out of order");
     }
 
     #[test]

@@ -22,9 +22,8 @@ use serde::{Deserialize, Serialize};
 use sustain_core::quality::DataQualityReport;
 use sustain_core::units::{Energy, Power, TimeSpan};
 use sustain_telemetry::faults::{FaultInjector, FaultPlan, ImputationPolicy};
-use sustain_telemetry::hierarchy::TraceTree;
+use sustain_telemetry::hierarchy::EnergyRollup;
 use sustain_telemetry::meter::{EnergyIntegrator, FaultTolerantIntegrator};
-use sustain_telemetry::trace::PowerTrace;
 
 use crate::constants;
 use crate::pipeline::{StreamConfig, StreamPipeline, StreamReport};
@@ -50,8 +49,8 @@ pub fn synthetic_power(source: usize, at: TimeSpan) -> Power {
 }
 
 /// The label of validation source `i`: `rack<r>/host<h>`, grouping
-/// [`constants::VALIDATION_HOSTS_PER_RACK`] hosts per rack so the final
-/// [`TraceTree`] exercises two aggregation levels.
+/// [`constants::VALIDATION_HOSTS_PER_RACK`] hosts per rack so the
+/// [`EnergyRollup`] exercises two aggregation levels.
 pub fn source_label(i: usize) -> String {
     format!(
         "rack{}/host{}",
@@ -82,8 +81,10 @@ pub struct SyncOutcome {
     pub energy: Energy,
     /// Merged quality accounting across all sources.
     pub quality: DataQualityReport,
-    /// Hierarchical roll-up of the observed traces.
-    pub tree: TraceTree,
+    /// Per-source roll-up, built as the pipeline builds its own: one leaf
+    /// per source holding its accounted energy, added in source order,
+    /// sources with zero energy skipped.
+    pub rollup: EnergyRollup,
 }
 
 /// The batch reference: each source polled straight through its injector
@@ -101,34 +102,30 @@ pub fn run_synchronous(
 ) -> SyncOutcome {
     let mut quality = DataQualityReport::default();
     let mut energy = Energy::ZERO;
-    let mut tree = TraceTree::new();
+    let mut rollup = EnergyRollup::new();
     for source in 0..sources {
         let label = source_label(source);
         let mut injector = FaultInjector::new(plan, &label);
         let mut integrator = FaultTolerantIntegrator::new(interval, imputation);
-        let mut trace = PowerTrace::new();
         for i in 0..ticks {
             let at = interval * i as f64;
             match injector.corrupt(at, interval, synthetic_power(source, at)) {
-                Some((t, p)) => {
-                    if integrator.push(t, Some(p)) {
-                        trace.push(t, p);
-                    }
-                }
-                None => {
-                    integrator.push(at, None);
-                }
-            }
+                Some((t, p)) => integrator.push(t, Some(p)),
+                None => integrator.push(at, None),
+            };
         }
         integrator.merge_faults(&injector.counts());
         quality.merge(&integrator.report());
-        energy += integrator.energy();
-        tree.insert(label, trace);
+        let accounted = integrator.energy();
+        energy += accounted;
+        if !accounted.is_zero() {
+            rollup.add(&label, accounted);
+        }
     }
     SyncOutcome {
         energy,
         quality,
-        tree,
+        rollup,
     }
 }
 
@@ -281,7 +278,7 @@ mod tests {
         let stream = run_stream(&plan, config, 6, 500);
         assert_eq!(sync.quality, stream.quality);
         assert_eq!(sync.energy, stream.energy);
-        assert_eq!(sync.tree, stream.tree);
+        assert_eq!(sync.rollup, stream.rollup);
         assert!(stream.quality.is_pristine());
     }
 

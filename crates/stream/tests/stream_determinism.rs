@@ -2,7 +2,7 @@
 //!
 //! The workspace's determinism contract extends to the streaming layer:
 //! the *only* thing `ParPool::set_threads` may change is wall-clock time.
-//! Every report, energy total, and trace tree must be byte-identical at 1
+//! Every report, energy total, and roll-up must be byte-identical at 1
 //! and 4 threads, for any sharding, and — with a zero-rate [`FaultPlan`]
 //! and an infinite lateness bound — identical to plain synchronous
 //! polling with no streaming machinery at all.
@@ -28,7 +28,7 @@ fn run(plan: &FaultPlan, config: StreamConfig) -> StreamReport {
 fn assert_identical(a: &StreamReport, b: &StreamReport, what: &str) {
     assert_eq!(a.quality, b.quality, "{what}: quality diverged");
     assert_eq!(a.energy, b.energy, "{what}: energy diverged");
-    assert_eq!(a.tree, b.tree, "{what}: trace tree diverged");
+    assert_eq!(a.rollup, b.rollup, "{what}: roll-up diverged");
     assert_eq!(a.lost_reads, b.lost_reads, "{what}: lost reads diverged");
     assert_eq!(a.retries, b.retries, "{what}: retries diverged");
 }
@@ -49,7 +49,7 @@ fn thread_count_and_sharding_never_change_any_report() {
 
     // (a) Zero-rate plan + infinite lateness: the pipeline must be a
     // byte-identical no-op against synchronous polling — same quality,
-    // energy, and tree — at 1 and at 4 threads. No RNG draw, no retry,
+    // energy, and roll-up — at 1 and at 4 threads. No RNG draw, no retry,
     // no drop may fire anywhere on this path.
     let clean = FaultPlan::none();
     let unbounded = config.with_lateness(None);
@@ -68,7 +68,7 @@ fn thread_count_and_sharding_never_change_any_report() {
             "no-op differential at {threads} threads"
         );
         assert_eq!(sync.energy, report.energy);
-        assert_eq!(sync.tree, report.tree);
+        assert_eq!(sync.rollup, report.rollup);
         assert!(report.quality.is_pristine());
         assert_eq!(report.retries + report.lost_reads, 0);
         assert_eq!(

@@ -10,15 +10,15 @@ use sustain_stream::pipeline::StreamConfig;
 use sustain_stream::queue::BackpressurePolicy;
 use sustain_stream::validate;
 use sustain_telemetry::faults::FaultPlan;
+use sustain_telemetry::meter::EnergyIntegrator;
 
 proptest! {
     /// The headline exactness claim: on an in-order, fault-free stream the
     /// streaming estimator equals the exact [`EnergyIntegrator`] **to the
     /// bit**, for any shard count, queue capacity, reorder capacity, and
-    /// flush cadence. The pipeline is then pure re-plumbing of the same
-    /// floating-point operations in the same order.
-    ///
-    /// [`EnergyIntegrator`]: sustain_telemetry::meter::EnergyIntegrator
+    /// flush cadence — in total and for each source's roll-up leaf. The
+    /// pipeline is then pure re-plumbing of the same floating-point
+    /// operations in the same order.
     #[test]
     fn clean_stream_is_bit_exact_for_any_topology(
         shards in 1usize..6,
@@ -38,6 +38,20 @@ proptest! {
         let report = validate::run_stream(&FaultPlan::none(), config, sources, ticks);
         let exact = validate::exact_energy(sources, ticks, config.interval);
         prop_assert_eq!(report.energy, exact, "streaming must be bit-exact");
+        for source in 0..sources {
+            let mut integrator = EnergyIntegrator::new();
+            for i in 0..ticks {
+                let at = config.interval * i as f64;
+                integrator.push(at, validate::synthetic_power(source, at));
+            }
+            let leaf = report.rollup.energy(&validate::source_label(source));
+            prop_assert_eq!(
+                leaf.as_joules().to_bits(),
+                integrator.energy().as_joules().to_bits(),
+                "source {} must be bit-exact",
+                source
+            );
+        }
         prop_assert!(report.is_conserved());
         prop_assert!(report.quality.is_pristine());
         prop_assert_eq!(report.quality.observed_samples, ticks * sources as u64);

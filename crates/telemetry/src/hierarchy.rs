@@ -70,7 +70,7 @@ impl TraceTree {
     }
 
     /// Total energy of a subtree.
-    // lint:allow(test-only-pub) (a) the recompute-from-traces reference for EnergyRollup
+    // lint:allow(test-only-pub) (a) the recompute-from-traces reference hierarchy's tests hold EnergyRollup to; nothing shipped builds a TraceTree
     pub fn subtree_energy(&self, prefix: &str) -> Energy {
         self.subtree(prefix).map(|(_, t)| t.energy()).sum()
     }

@@ -1,15 +1,14 @@
 //! Recorded power traces.
 //!
 //! A [`PowerTrace`] is an ordered series of `(timestamp, power)` samples with
-//! trapezoidal energy integration — the exchange format between the
-//! telemetry layer and the fleet simulator.
+//! trapezoidal energy integration: a recording kept whole, to serialize or
+//! to roll up in a [`TraceTree`](crate::hierarchy::TraceTree). The stream
+//! pipeline and the fleet simulator keep no samples; they integrate online.
 //!
 //! Storage is columnar (structure-of-arrays): timestamps and powers live in
-//! two parallel `Vec`s so the batched append
-//! ([`PowerTrace::push_batch_observed`]) can add whole in-order runs with
-//! two contiguous `extend`s and scans read a single column without
-//! striding over interleaved pairs. The public API still speaks
-//! `(TimeSpan, Power)` pairs, and the serialized form is unchanged.
+//! two parallel `Vec`s, so scans read a single column without striding over
+//! interleaved pairs. The public API still speaks `(TimeSpan, Power)`
+//! pairs, and the serialized form is unchanged.
 
 use serde::{Deserialize, Serialize};
 
@@ -56,45 +55,6 @@ impl PowerTrace {
         self.times.push(at);
         self.powers.push(power);
         true
-    }
-
-    /// Appends a batch of observed readings, returning the number
-    /// appended. Contiguous in-order runs are appended columnar with two
-    /// `extend`s.
-    ///
-    /// Out-of-order entries are skipped *without* touching
-    /// [`PowerTrace::rejected`]: the caller (the stream pipeline) has
-    /// already tallied them as rejections by the integrator this trace
-    /// mirrors, so counting them here would count them twice. Use
-    /// [`PowerTrace::push`] for a tallied per-sample append.
-    pub fn push_batch_observed(&mut self, samples: &[(TimeSpan, Power)]) -> usize {
-        let mut appended = 0;
-        let mut i = 0;
-        while i < samples.len() {
-            let (at, _) = samples[i];
-            if self.times.last().is_some_and(|&last| at < last) {
-                i += 1;
-                continue;
-            }
-            // Maximal clean run: samples in non-decreasing order.
-            let mut j = i + 1;
-            let mut prev = at;
-            while j < samples.len() {
-                let (t, _) = samples[j];
-                if t >= prev {
-                    prev = t;
-                    j += 1;
-                } else {
-                    break;
-                }
-            }
-            let run = &samples[i..j];
-            self.times.extend(run.iter().map(|&(t, _)| t));
-            self.powers.extend(run.iter().map(|&(_, p)| p));
-            appended += j - i;
-            i = j;
-        }
-        appended
     }
 
     /// Number of out-of-order pushes rejected since construction.
@@ -220,22 +180,6 @@ mod tests {
         assert!(!t.push(TimeSpan::from_secs(1.0), Power::from_watts(1.0)));
         assert_eq!(t.len(), 1);
         assert_eq!(t.rejected(), 1, "the rejection must be tallied");
-    }
-
-    #[test]
-    fn push_batch_observed_matches_per_sample_push() {
-        // The 1.5 s sample is an out-of-order straggler.
-        let batch: Vec<(TimeSpan, Power)> = [0.0, 1.0, 3.0, 1.5, 4.0]
-            .map(|t| (TimeSpan::from_secs(t), Power::from_watts(10.0 * t)))
-            .to_vec();
-        let mut batched = PowerTrace::new();
-        assert_eq!(batched.push_batch_observed(&batch), 4);
-        let reference: PowerTrace = batch.iter().copied().collect();
-        assert_eq!(batched.times(), reference.times());
-        assert_eq!(batched.powers(), reference.powers());
-        // Both paths skip the straggler, but only the per-sample path
-        // tallies it: the batch's caller already has.
-        assert_eq!((reference.rejected(), batched.rejected()), (1, 0));
     }
 
     #[test]
