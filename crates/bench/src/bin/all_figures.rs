@@ -90,23 +90,29 @@ fn main() -> ExitCode {
         None => None,
     };
     let obs = args.obs_dir.as_ref().map(|_| {
-        let obs = if args.sim_clock {
+        if args.sim_clock {
             ObsConfig::enabled().build() // deterministic work clock
         } else {
             ObsConfig::enabled().with_wall_clock().build()
-        };
-        sustain_obs::install(&obs);
-        obs
+        }
     });
 
     let pool = ParPool::current();
-    for table in figs::fan_out(&pool, &args.tables, cache.as_ref()) {
-        println!("{table}");
-    }
-    let swept = if obs.is_some() {
-        figs::coverage_sweep(&pool, &args.tables)
-    } else {
-        0
+    let run = || {
+        for table in figs::fan_out(&pool, &args.tables, cache.as_ref()) {
+            println!("{table}");
+        }
+        if obs.is_some() {
+            figs::coverage_sweep(&pool, &args.tables)
+        } else {
+            0
+        }
+    };
+    // The recording is scoped to this thread's run; the pool forks it into
+    // each task and adopts the forks back.
+    let swept = match &obs {
+        Some(obs) => sustain_obs::with_task_handle(obs, run),
+        None => run(),
     };
     if let (Some(dir), Some(cache)) = (&args.cache_dir, &cache) {
         eprintln!(

@@ -76,9 +76,10 @@ impl CacheKey for FigureSpec {
     }
 }
 
-/// Runs one figure generator inside a `figure.<name>` span on the
-/// process-global obs handle — per-figure wall time when `all_figures` runs
-/// with `--obs` and a wall clock, a pure pass-through otherwise.
+/// Runs one figure generator inside a `figure.<name>` span on the current
+/// obs handle ([`sustain_obs::handle`], the task's fork under the pool) —
+/// per-figure wall time when `all_figures` runs with `--obs` and a wall
+/// clock, a pure pass-through otherwise.
 fn traced(name: &'static str, generate: fn() -> Table) -> Table {
     let obs = sustain_obs::handle();
     let _span = obs.span(name);
@@ -147,11 +148,7 @@ pub fn coverage_sweep(pool: &ParPool, printed: &[NamedFigure]) -> usize {
     let swept = fan_out(pool, &unprinted, None).len();
     let account = OperationalAccount::new(CarbonIntensity::US_AVERAGE_2021, Pue::HYPERSCALE);
     let tracker = CarbonTracker::new("obs-coverage", account);
-    tracker.record_energy(
-        "gpu0",
-        MlPhase::OfflineTraining,
-        Energy::from_kilowatt_hours(10.0),
-    );
+    tracker.record_energy(MlPhase::OfflineTraining, Energy::from_kilowatt_hours(10.0));
     tracker.record_machine_time(TimeSpan::from_hours(2.0));
     let _ = tracker.report(AccountingBasis::LocationBased);
     swept

@@ -51,20 +51,30 @@ fn committed_stream_output_is_current() {
     );
 }
 
-/// Runs what `all_figures --obs` runs: install an enabled recorder,
-/// regenerate the figure catalogue, then the coverage sweep (the
+/// Runs what `all_figures --obs` runs: scope an enabled recorder to this
+/// thread, regenerate the figure catalogue, then the coverage sweep (the
 /// robustness tables and a tracker demo), and check the exports parse and
-/// cover the instrumented subsystems. Kept as ONE test fn: the global
-/// handle is process-wide, so splitting this up would race.
+/// cover the instrumented subsystems. The scope is this thread's, so the
+/// other tests' figures, fanned out on other test threads, stay out of the
+/// recording.
 #[test]
 fn obs_enabled_run_exports_all_subsystems() {
     let obs = sustain_obs::ObsConfig::enabled().build();
-    sustain_obs::install(&obs);
     let pool = ParPool::current();
-    figs::all_with_pool(&pool);
-    figs::coverage_sweep(&pool, &figs::catalogue());
-    // Leave later obs interactions in this process disabled again.
-    sustain_obs::install(&sustain_obs::Obs::disabled());
+    let catalogue = figs::catalogue();
+    let swept = sustain_obs::with_task_handle(&obs, || {
+        figs::all_with_pool(&pool);
+        figs::coverage_sweep(&pool, &catalogue)
+    });
+
+    // Each traced regenerator counts itself once, as `all_figures` checks.
+    let generated = obs.counter("figures_generated_total").value();
+    let expected = (catalogue.len() + swept) as f64;
+    assert!(
+        (generated - expected).abs() < 0.5,
+        "figures_generated_total = {generated}, expected {expected}: a figure was \
+         skipped, double-counted or recorded from another test"
+    );
 
     // The Chrome trace is valid JSON with a traceEvents array.
     let trace = serde_json::parse(&obs.export_chrome_trace()).expect("trace parses");

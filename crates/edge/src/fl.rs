@@ -103,8 +103,9 @@ impl FlApp {
     /// and transfer times follow the device's link rates. Dropouts compute
     /// half a round and skip the upload.
     ///
-    /// Observability goes through the process-global handle (disabled by
-    /// default); use [`FlApp::simulate_with_obs`] for explicit injection.
+    /// Observability goes through [`sustain_obs::handle`] (disabled unless
+    /// a caller scoped an enabled one); use [`FlApp::simulate_with_obs`] for
+    /// explicit injection.
     pub fn simulate<R: Rng + ?Sized>(&self, rng: &mut R) -> ClientLog {
         self.simulate_with_obs(rng, &sustain_obs::handle())
     }

@@ -266,8 +266,9 @@ impl FleetSim {
         }
     }
 
-    /// Replaces the observability handle captured at construction (the
-    /// process-global handle, disabled by default). Hour-by-hour phase spans
+    /// Replaces the observability handle captured at construction
+    /// ([`sustain_obs::handle`], disabled unless a caller scoped an enabled
+    /// one). Hour-by-hour phase spans
     /// and fleet counters are recorded through it; the simulation itself is
     /// unaffected — observability never draws from the RNG.
     #[must_use]

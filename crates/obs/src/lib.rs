@@ -46,8 +46,6 @@
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
-use parking_lot::RwLock;
-
 mod clock;
 pub mod export;
 pub mod metrics;
@@ -56,42 +54,27 @@ pub mod recorder;
 pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use recorder::{AttrValue, EventRecord, Obs, ObsConfig, Recorder, SpanGuard};
 
-/// The process-global observability handle, used by instrumented code whose
-/// construction site has no explicit [`Obs`] injected. Defaults to the
-/// disabled handle, so nothing records (and nothing allocates) until a
-/// binary calls [`install`].
-static GLOBAL: OnceLock<RwLock<Obs>> = OnceLock::new();
-
-fn global() -> &'static RwLock<Obs> {
-    GLOBAL.get_or_init(|| RwLock::new(Obs::disabled()))
-}
-
-/// Installs `obs` as the process-global handle returned by [`handle`].
-///
-/// Intended for single-threaded binaries (e.g. `all_figures --obs <dir>`)
-/// that want every instrumented subsystem to report into one recording.
-/// Library code and tests should prefer explicit `with_obs(..)` injection,
-/// which cannot race with other tests in the same process.
-pub fn install(obs: &Obs) {
-    *global().write() = obs.clone();
-}
-
 thread_local! {
-    /// Per-thread override of the process-global handle, scoped by
-    /// [`with_task_handle`]: a parallel worker thread routes everything an
-    /// instrumented subsystem records through its task's forked recorder.
+    /// This thread's handle, scoped by [`with_task_handle`]: a binary
+    /// routes a run into its recording, and a parallel worker thread routes
+    /// everything an instrumented subsystem records through its task's
+    /// forked recorder.
     static TASK_HANDLE: RefCell<Option<Obs>> = const { RefCell::new(None) };
 }
 
+/// The shared disabled handle [`handle`] returns outside any
+/// [`with_task_handle`] scope.
+static DISABLED: OnceLock<Obs> = OnceLock::new();
+
 /// The current handle: this thread's task override (see
-/// [`with_task_handle`]) when one is active, else the process-global handle
-/// (the disabled handle unless a binary [`install`]ed an enabled one).
-/// Cloning is a reference-count bump.
+/// [`with_task_handle`]) when one is active, else the disabled handle, so
+/// nothing records (and nothing allocates) unless a caller scoped an
+/// enabled one. Cloning is a reference-count bump.
 pub fn handle() -> Obs {
     if let Some(task) = TASK_HANDLE.with(|t| t.borrow().clone()) {
         return task;
     }
-    global().read().clone()
+    DISABLED.get_or_init(Obs::disabled).clone()
 }
 
 /// Restores the previous thread-local override when the scope ends, even by
@@ -108,12 +91,15 @@ impl Drop for TaskHandleReset {
 
 /// Runs `f` with `obs` as this thread's [`handle`].
 ///
-/// This is how a parallel execution layer (sustain-par) gives each task a
-/// [forked](Obs::fork) recorder: library code keeps calling [`handle`] with
-/// no knowledge of the thread hop, and everything it records lands in the
-/// task's fork, ready to be [adopted](Obs::adopt) back in submission order.
-/// Scopes nest; the previous override is restored when `f` returns or
-/// unwinds.
+/// This is the one way to route recording. A binary (`all_figures` under
+/// `--obs`) or a test scopes its run with it, and a parallel execution
+/// layer (sustain-par) gives each task a [forked](Obs::fork) recorder of
+/// the submitting thread's handle: library code keeps calling [`handle`]
+/// with no knowledge of the thread hop, and everything it records lands in
+/// the task's fork, ready to be [adopted](Obs::adopt) back in submission
+/// order. The scope is this thread's alone, so tests running side by side
+/// cannot record into each other. Scopes nest; the previous override is
+/// restored when `f` returns or unwinds.
 pub fn with_task_handle<R>(obs: &Obs, f: impl FnOnce() -> R) -> R {
     let previous = TASK_HANDLE.with(|t| t.borrow_mut().replace(obs.clone()));
     let _reset = TaskHandleReset(previous);
@@ -125,9 +111,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_global_handle_is_disabled() {
-        // NOTE: no test in this crate may `install` a global handle — the
-        // default-disabled guarantee is exactly what this test pins down.
+    fn default_handle_is_disabled() {
         assert!(!handle().enabled());
     }
 

@@ -1,12 +1,12 @@
 //! The span/event recorder and its cheap cloneable handle, [`Obs`].
 //!
-//! Instrumented types capture an [`Obs`] at construction (defaulting to the
-//! process-global handle, which is disabled) and emit spans, events, and
-//! metric updates through it. A *disabled* handle is allocation-free on the
-//! hot path: [`Obs::span`] returns an inert guard and [`Obs::event`]
-//! returns before touching its attributes, so an instrumented simulation is
-//! byte-identical to an uninstrumented one — observability never draws from
-//! an RNG and never prints.
+//! Instrumented code takes an [`Obs`] from [`crate::handle`] (disabled
+//! unless a caller scoped an enabled one with [`crate::with_task_handle`])
+//! and emits spans, events, and metric updates through it. A *disabled*
+//! handle is allocation-free on the hot path: [`Obs::span`] returns an
+//! inert guard and [`Obs::event`] returns before touching its attributes,
+//! so an instrumented simulation is byte-identical to an uninstrumented one
+//! — observability never draws from an RNG and never prints.
 //!
 //! Span hierarchy is tracked with an explicit open-span stack inside the
 //! recorder: single-threaded simulators (all of this workspace's hot paths)

@@ -362,7 +362,7 @@ pub struct CacheSimResult {
 /// `optim.cache.sample` (drawing the zipfian request stream) and
 /// `optim.cache.access` (driving the cache) — each crediting one work unit
 /// per request to the work counter. The RNG draw sequence is
-/// identical whether or not a recorder is installed, so figure outputs do
+/// identical whether or not the handle records, so figure outputs do
 /// not depend on observability.
 ///
 /// # Panics

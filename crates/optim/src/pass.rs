@@ -147,7 +147,7 @@ impl Pipeline {
     ///
     /// Records an `optim.pipeline.waterfall` span on the ambient
     /// [`sustain_obs::handle`], crediting one work unit per pass — a no-op
-    /// unless a recorder is installed.
+    /// unless that handle records.
     pub fn waterfall(&self, input: Energy) -> Vec<WaterfallStep> {
         let obs = sustain_obs::handle();
         let _span = obs.span("optim.pipeline.waterfall");

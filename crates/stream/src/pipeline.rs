@@ -26,11 +26,11 @@
 //! lives only in the queue, the reorder buffer and the flush batch that
 //! integrates it. Nothing keeps the samples afterwards.
 //!
-//! **Online roll-ups.** Every flush refreshes an [`EnergyRollup`] from
-//! the integrator totals in global source order, so rack- and
-//! cluster-level totals ([`StreamPipeline::rollup`]) are readable *while
-//! the stream runs*, and [`StreamReport::rollup`] is the per-source
-//! hierarchy at finish.
+//! **Roll-ups on demand.** [`StreamPipeline::rollup`] builds an
+//! [`EnergyRollup`] from the integrator totals in global source order
+//! each time it is called, so rack- and cluster-level totals are readable
+//! *while the stream runs*; a flush keeps none. [`StreamReport::rollup`]
+//! is the one built at finish.
 //!
 //! **Determinism.** Shard flushes fan out through
 //! [`sustain_par::ParPool::map_indexed`], whose submission-order join and
@@ -308,12 +308,9 @@ pub struct StreamPipeline {
     config: StreamConfig,
     sources: Vec<MeterSource>,
     shards: Vec<Shard>,
-    obs: Obs,
     ticks: u64,
-    flushes: u64,
     published_late: u64,
     published_ooo: u64,
-    rollup: EnergyRollup,
 }
 
 impl StreamPipeline {
@@ -342,20 +339,10 @@ impl StreamPipeline {
             config,
             sources: Vec::new(),
             shards,
-            obs: sustain_obs::handle(),
             ticks: 0,
-            flushes: 0,
             published_late: 0,
             published_ooo: 0,
-            rollup: EnergyRollup::new(),
         }
-    }
-
-    /// Replaces the observability handle captured at construction.
-    #[must_use]
-    pub fn with_obs(mut self, obs: &Obs) -> StreamPipeline {
-        self.obs = obs.clone();
-        self
     }
 
     /// Registers a meter stream. `label` becomes the source's node path in
@@ -466,27 +453,26 @@ impl StreamPipeline {
     /// independent, so [`ParPool`]'s submission-order join keeps the
     /// result byte-identical at any thread count.
     pub fn flush(&mut self) {
-        let _span = self.obs.span("stream.flush");
+        let obs = sustain_obs::handle();
+        let _span = obs.span("stream.flush");
         let shards = std::mem::take(&mut self.shards);
         self.shards = ParPool::current().map_indexed(shards, |_, mut shard| {
             shard.flush(false);
             shard
         });
-        self.flushes += 1;
-        self.update_rollup();
-        self.publish_metrics();
+        self.publish_metrics(&obs);
     }
 
-    /// Refreshes the online roll-up from the integrator totals. Runs on
-    /// the single-threaded control path **in global source order**, so the
-    /// result is a pure function of the per-source accounted energies —
-    /// byte-identical at any shard or thread count, unlike a delta-based
-    /// accumulation whose partition would follow backpressure timing.
-    fn update_rollup(&mut self) {
-        // Zero-and-re-add instead of rebuilding: totals are monotone, so
-        // the key set only grows and the map's path strings are reused
-        // across flushes (no steady-state allocation).
-        self.rollup.zero();
+    /// The energy roll-up of everything integrated so far: each source's
+    /// accounted energy as a leaf at its label, summed into every prefix
+    /// (rack, cluster, …). Built from the integrator totals **in global
+    /// source order**, so it is a pure function of the per-source energies —
+    /// byte-identical at any shard or thread count. Sources with no energy
+    /// have no leaf.
+    // lint:allow(obs-coverage) pure fold over the integrator totals that
+    // reports no work; finish, its one shipped caller, runs it inside stream.finish
+    pub fn rollup(&self) -> EnergyRollup {
+        let mut rollup = EnergyRollup::new();
         for source in &self.sources {
             let Some(sink) = self
                 .shards
@@ -497,16 +483,10 @@ impl StreamPipeline {
             };
             let energy = sink.integrator.energy();
             if !energy.is_zero() {
-                self.rollup.add(&sink.label, energy);
+                rollup.add(&sink.label, energy);
             }
         }
-    }
-
-    /// The online energy roll-up as of the last flush: accounted energy at
-    /// every hierarchy prefix (rack, cluster, …) while the stream is still
-    /// running.
-    pub fn rollup(&self) -> &EnergyRollup {
-        &self.rollup
+        rollup
     }
 
     /// Drives `ticks` sampling ticks with periodic flushes (every
@@ -515,7 +495,7 @@ impl StreamPipeline {
     where
         F: Fn(usize, TimeSpan) -> Power,
     {
-        let _span = self.obs.span("stream.run");
+        let _span = sustain_obs::handle().span("stream.run");
         for i in 0..ticks {
             self.ingest_tick(&truth);
             if (i + 1) % self.config.flush_every == 0 {
@@ -528,12 +508,11 @@ impl StreamPipeline {
     /// (deterministic: called only from the single-threaded control path).
     /// Runs once per flush — per-sample and per-tick obs work is amortized
     /// here so the hot path pays nothing for observability.
-    fn publish_metrics(&mut self) {
-        if !self.obs.enabled() {
+    fn publish_metrics(&mut self, obs: &Obs) {
+        if !obs.enabled() {
             return;
         }
-        self.obs
-            .gauge("stream_buffered_samples")
+        obs.gauge("stream_buffered_samples")
             .set(self.buffered() as f64);
         let late: u64 = self.shards.iter().map(|s| s.reorder.late()).sum();
         let ooo: u64 = self.shards.iter().map(|s| s.emitted_out_of_order).sum();
@@ -541,37 +520,36 @@ impl StreamPipeline {
         let blocked: u64 = self.shards.iter().map(|s| s.queue.blocked()).sum();
         let retries: u64 = self.sources.iter().map(|s| s.retries()).sum();
         let lost: u64 = self.sources.iter().map(|s| s.lost()).sum();
-        self.obs
-            .counter("stream_late_samples_total")
+        obs.counter("stream_late_samples_total")
             .add((late - self.published_late) as f64);
-        self.obs
-            .counter("stream_out_of_order_total")
+        obs.counter("stream_out_of_order_total")
             .add((ooo - self.published_ooo) as f64);
         self.published_late = late;
         self.published_ooo = ooo;
         // Queue/source tallies are monotone snapshots; gauges carry them.
-        self.obs.gauge("stream_queue_drops").set(drops as f64);
-        self.obs.gauge("stream_blocked_offers").set(blocked as f64);
-        self.obs.gauge("stream_retries").set(retries as f64);
-        self.obs.gauge("stream_lost_reads").set(lost as f64);
+        obs.gauge("stream_queue_drops").set(drops as f64);
+        obs.gauge("stream_blocked_offers").set(blocked as f64);
+        obs.gauge("stream_retries").set(retries as f64);
+        obs.gauge("stream_lost_reads").set(lost as f64);
     }
 
     /// Finishes the stream: drains every shard completely (watermark
     /// ignored), folds the injector fault tallies into the per-source
     /// reports, and merges everything **in global source order** so the
-    /// result is independent of sharding. The report's roll-up is the
-    /// online one after the final drain.
+    /// result is independent of sharding. The report's roll-up is
+    /// [`StreamPipeline::rollup`] after the final drain.
     pub fn finish(mut self) -> StreamReport {
-        {
-            let _span = self.obs.span("stream.finish");
+        let obs = sustain_obs::handle();
+        let rollup = {
+            let _span = obs.span("stream.finish");
             let shards = std::mem::take(&mut self.shards);
             self.shards = ParPool::current().map_indexed(shards, |_, mut shard| {
                 shard.flush(true);
                 shard
             });
-            self.update_rollup();
-            self.publish_metrics();
-        }
+            self.publish_metrics(&obs);
+            self.rollup()
+        };
 
         let mut quality = DataQualityReport::default();
         let mut energy = Energy::ZERO;
@@ -595,7 +573,7 @@ impl StreamPipeline {
             energy,
             ticks: self.ticks,
             sources: self.sources.len(),
-            rollup: std::mem::take(&mut self.rollup),
+            rollup,
             lost_reads: self.sources.iter().map(|s| s.lost()).sum(),
             retries: self.sources.iter().map(|s| s.retries()).sum(),
             blocked_offers: self.shards.iter().map(|s| s.queue.blocked()).sum(),
@@ -605,8 +583,8 @@ impl StreamPipeline {
                 .map(|s| s.reorder.forced_releases())
                 .sum(),
         };
-        if self.obs.enabled() {
-            self.obs.event(
+        if obs.enabled() {
+            obs.event(
                 "stream.finished",
                 &[
                     ("ticks", (report.ticks as f64).into()),
@@ -782,22 +760,41 @@ mod tests {
             flush_every: 8,
             ..StreamConfig::default()
         };
-        let mut pipe = StreamPipeline::new(config).with_obs(&obs);
-        for i in 0..4 {
-            pipe.add_source(&format!("host{i}"), &plan);
-        }
-        pipe.run(300, constant_truth);
-        let report = pipe.finish();
+        let report = sustain_obs::with_task_handle(&obs, || {
+            let mut pipe = StreamPipeline::new(config);
+            for i in 0..4 {
+                pipe.add_source(&format!("host{i}"), &plan);
+            }
+            pipe.run(300, constant_truth);
+            pipe.finish()
+        });
         let late_counter = obs.counter("stream_late_samples_total").value();
         assert!(
             (late_counter - report.quality.faults.late_arrivals as f64).abs() < 1e-9,
             "counter {late_counter} vs report {}",
             report.quality.faults.late_arrivals
         );
-        assert!(obs.events().iter().any(|e| matches!(
+        let events = obs.events();
+        assert!(events.iter().any(|e| matches!(
             e,
             sustain_obs::EventRecord::Instant { name, .. } if *name == "stream.finished"
         )));
+        // The pipeline's own spans and its shards' batch spans land in the
+        // one recording.
+        let spans = |wanted: &str| {
+            events
+                .iter()
+                .filter(
+                    |e| matches!(e, sustain_obs::EventRecord::Span { name, .. } if *name == wanted),
+                )
+                .count()
+        };
+        assert_eq!(spans("stream.run"), 1);
+        assert!(spans("stream.flush") > 0, "no flush spans recorded");
+        assert!(
+            spans("telemetry.integrate.batch") >= spans("stream.flush"),
+            "batch spans missing from the pipeline's recording"
+        );
     }
 
     #[test]
@@ -853,7 +850,7 @@ mod tests {
         let config = small_config();
         let report = validate::run_stream(&plan, config, 20, 300);
         let sync = validate::run_synchronous(&plan, 20, 300, config.interval, config.imputation);
-        // On the clean path the online roll-up is the synchronous
+        // On the clean path the stream's roll-up is the synchronous
         // reference's, leaf for leaf and prefix for prefix, to the bit.
         assert_eq!(report.rollup, sync.rollup);
         assert_eq!(report.rollup.energy(""), report.energy);

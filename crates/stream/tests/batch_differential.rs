@@ -114,8 +114,7 @@ fn flush_time_attributes_to_the_batched_kernel() {
                 reorder_capacity: 65536,
                 flush_every: 2048,
                 ..StreamConfig::default()
-            })
-            .with_obs(&obs);
+            });
             for i in 0..32 {
                 pipe.add_source(&validate::source_label(i), &plan);
             }

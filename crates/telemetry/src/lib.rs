@@ -8,8 +8,10 @@
 //!
 //! * [`device`] — parametric device power models (GPUs, CPUs, DRAM, edge
 //!   devices, routers) mapping utilization to power draw.
-//! * [`meter`] — power sampling and trapezoidal energy integration.
-//! * [`trace`] — recorded power traces and their energy integrals.
+//! * [`meter`] — power sampling and trapezoidal energy integration: running
+//!   totals, not recorded samples.
+//! * [`hierarchy`] — per-node energy totals rolled up device → host → rack →
+//!   cluster.
 //! * [`tracker`] — a CodeCarbon-style job tracker that turns meter readings
 //!   into [`FootprintReport`](sustain_core::footprint::FootprintReport)s.
 //! * [`faults`] — reproducible fault injection (dropout, read timeouts,
@@ -38,11 +40,9 @@ pub mod estimation;
 pub mod faults;
 pub mod hierarchy;
 pub mod meter;
-pub mod trace;
 pub mod tracker;
 
 pub use device::{DeviceSpec, LinearPowerModel, PowerModel};
 pub use faults::{FaultInjector, FaultPlan, ImputationPolicy};
 pub use meter::{EnergyIntegrator, FaultTolerantIntegrator};
-pub use trace::PowerTrace;
 pub use tracker::CarbonTracker;

@@ -1,15 +1,14 @@
 //! A CodeCarbon-style job-level carbon tracker.
 //!
 //! [`CarbonTracker`] is the "easy-to-adopt telemetry" the paper calls for
-//! (§V-A): workers record energy (or power × time) against named sources and
-//! ML phases; the tracker converts the running totals into a
+//! (§V-A): workers record energy (or power × time) against ML phases; the
+//! tracker keeps running totals and converts them into a
 //! [`FootprintReport`] with both operational and amortized embodied carbon.
 //!
 //! The tracker is `Send + Sync` (internally a `parking_lot::Mutex`) so a
 //! multi-threaded training job can record from every worker thread.
 
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::fmt;
 
 use sustain_core::embodied::{AllocationPolicy, EmbodiedModel};
@@ -22,7 +21,8 @@ use sustain_obs::Obs;
 
 #[derive(Debug, Default)]
 struct TrackerState {
-    energy_by_source: BTreeMap<String, Energy>,
+    /// Every recorded energy, summed in record order.
+    total: Energy,
     energy_by_phase: Breakdown<Energy>,
     machine_time: TimeSpan,
 }
@@ -41,7 +41,6 @@ struct TrackerState {
 /// let account = OperationalAccount::new(CarbonIntensity::US_AVERAGE_2021, Pue::new(1.1)?);
 /// let tracker = CarbonTracker::new("rm1-training", account);
 /// tracker.record_power(
-///     "gpu0",
 ///     MlPhase::OfflineTraining,
 ///     Power::from_watts(300.0),
 ///     TimeSpan::from_hours(2.0),
@@ -94,13 +93,11 @@ impl CarbonTracker {
         self
     }
 
-    /// Records an energy consumption against a named source and phase.
-    pub fn record_energy(&self, source: &str, phase: MlPhase, energy: Energy) {
+    /// Records an energy consumption against a phase.
+    pub fn record_energy(&self, phase: MlPhase, energy: Energy) {
         {
             let mut st = self.state.lock();
-            *st.energy_by_source
-                .entry(source.to_owned())
-                .or_insert(Energy::ZERO) += energy;
+            st.total += energy;
             st.energy_by_phase[phase] += energy;
         }
         if self.obs.enabled() {
@@ -112,8 +109,8 @@ impl CarbonTracker {
     }
 
     /// Records a constant power draw over a duration.
-    pub fn record_power(&self, source: &str, phase: MlPhase, power: Power, duration: TimeSpan) {
-        self.record_energy(source, phase, power * duration);
+    pub fn record_power(&self, phase: MlPhase, power: Power, duration: TimeSpan) {
+        self.record_energy(phase, power * duration);
     }
 
     /// Records machine occupancy time for embodied amortization.
@@ -123,7 +120,7 @@ impl CarbonTracker {
 
     /// Total recorded IT energy.
     pub fn total_energy(&self) -> Energy {
-        self.state.lock().energy_by_source.values().copied().sum()
+        self.state.lock().total
     }
 
     /// The amortized embodied carbon so far (zero if not configured).
@@ -145,10 +142,7 @@ impl CarbonTracker {
         let _span = self.obs.span("tracker.report");
         let (total, by_phase) = {
             let st = self.state.lock();
-            (
-                st.energy_by_source.values().copied().sum::<Energy>(),
-                st.energy_by_phase,
-            )
+            (st.total, st.energy_by_phase)
         };
         let operational = self.account.emissions(total, basis);
         let footprint = CarbonFootprint::new(operational, self.embodied_co2());
@@ -175,34 +169,18 @@ mod tests {
     }
 
     #[test]
-    fn accumulates_energy_by_source_and_phase() {
+    fn accumulates_a_running_total() {
         let t = CarbonTracker::new("job", account());
-        t.record_energy(
-            "gpu0",
-            MlPhase::OfflineTraining,
-            Energy::from_kilowatt_hours(1.0),
-        );
-        t.record_energy(
-            "gpu1",
-            MlPhase::OfflineTraining,
-            Energy::from_kilowatt_hours(2.0),
-        );
-        t.record_energy(
-            "cpu",
-            MlPhase::DataProcessing,
-            Energy::from_kilowatt_hours(0.5),
-        );
+        t.record_energy(MlPhase::OfflineTraining, Energy::from_kilowatt_hours(1.0));
+        t.record_energy(MlPhase::OfflineTraining, Energy::from_kilowatt_hours(2.0));
+        t.record_energy(MlPhase::DataProcessing, Energy::from_kilowatt_hours(0.5));
         assert_eq!(t.total_energy(), Energy::from_kilowatt_hours(3.5));
     }
 
     #[test]
     fn report_applies_account() {
         let t = CarbonTracker::new("job", account());
-        t.record_energy(
-            "gpu0",
-            MlPhase::Inference,
-            Energy::from_kilowatt_hours(10.0),
-        );
+        t.record_energy(MlPhase::Inference, Energy::from_kilowatt_hours(10.0));
         let r = t.report(AccountingBasis::LocationBased);
         // 10 kWh × 1.1 × 400 g = 4.4 kg.
         assert!((r.footprint.operational().as_kilograms() - 4.4).abs() < 1e-9);
@@ -214,7 +192,7 @@ mod tests {
     fn market_based_report_respects_matching() {
         let acct = account().with_renewable_matching(Fraction::ONE);
         let t = CarbonTracker::new("green-job", acct);
-        t.record_energy("gpu", MlPhase::Inference, Energy::from_kilowatt_hours(5.0));
+        t.record_energy(MlPhase::Inference, Energy::from_kilowatt_hours(5.0));
         assert!(t
             .report(AccountingBasis::MarketBased)
             .footprint
@@ -251,7 +229,6 @@ mod tests {
     fn record_power_is_energy_shortcut() {
         let t = CarbonTracker::new("job", account());
         t.record_power(
-            "gpu",
             MlPhase::OfflineTraining,
             Power::from_kilowatts(1.0),
             TimeSpan::from_hours(2.0),
@@ -270,15 +247,11 @@ mod tests {
         use std::sync::Arc;
         let t = Arc::new(CarbonTracker::new("job", account()));
         let handles: Vec<_> = (0..8)
-            .map(|i| {
+            .map(|_| {
                 let t = Arc::clone(&t);
                 std::thread::spawn(move || {
                     for _ in 0..100 {
-                        t.record_energy(
-                            &format!("gpu{i}"),
-                            MlPhase::OfflineTraining,
-                            Energy::from_joules(1.0),
-                        );
+                        t.record_energy(MlPhase::OfflineTraining, Energy::from_joules(1.0));
                     }
                 })
             })

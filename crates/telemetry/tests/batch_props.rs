@@ -1,5 +1,4 @@
-//! Differential property suite for the batched integration kernel and the
-//! SoA trace layout.
+//! Differential property suite for the batched integration kernel.
 //!
 //! The batched entry point ([`FaultTolerantIntegrator::push_batch_observed`])
 //! promises *bitwise* equivalence with the per-sample `push` path — same
@@ -9,15 +8,13 @@
 //! the detection limit) through both paths at arbitrary batch boundaries
 //! and require identical end states. Lost ticks reach the integrator
 //! through `push(at, None)` between batches, as the stream pipeline
-//! delivers late arrivals. [`PowerTrace`]'s columns are checked against a
-//! plain AoS model under the same fault shapes.
+//! delivers late arrivals.
 
 use proptest::prelude::*;
 
 use sustain_core::units::{Power, TimeSpan};
 use sustain_telemetry::faults::ImputationPolicy;
 use sustain_telemetry::meter::FaultTolerantIntegrator;
-use sustain_telemetry::trace::PowerTrace;
 
 /// Decodes a proptest-generated tick list into a fault-bearing sample
 /// sequence. Per tick, the kind byte selects the timestamp step — clean
@@ -114,43 +111,5 @@ proptest! {
             b.imputed_energy.as_joules().to_bits(),
             "imputed energy must match bit for bit"
         );
-    }
-
-    /// The SoA trace matches a plain AoS reference model under per-sample
-    /// pushes: same samples, same order, same rejection tally.
-    #[test]
-    fn trace_soa_matches_aos_reference_model(
-        ticks in prop::collection::vec((0u8..255, 1.0f64..500.0), 1..120),
-    ) {
-        let samples = decode(&ticks);
-
-        // Reference AoS model: a flat (time, power) vec with the trace's
-        // accept rule — observed samples append unless out of order.
-        let mut model: Vec<(f64, f64)> = Vec::new();
-        let mut model_rejected = 0u64;
-        for &(at, p) in &samples {
-            let Some(p) = p else { continue };
-            if model.last().is_some_and(|&(last, _)| at.as_secs() < last) {
-                model_rejected += 1;
-            } else {
-                model.push((at.as_secs(), p.as_watts()));
-            }
-        }
-
-        let mut pushed = PowerTrace::new();
-        for &(at, p) in &samples {
-            if let Some(p) = p {
-                pushed.push(at, p);
-            }
-        }
-
-        // Iteration over the SoA columns reproduces the AoS model bit for
-        // bit.
-        prop_assert_eq!(pushed.len(), model.len());
-        for ((t, p), &(mt, mp)) in pushed.iter().zip(&model) {
-            prop_assert_eq!(t.as_secs().to_bits(), mt.to_bits());
-            prop_assert_eq!(p.as_watts().to_bits(), mp.to_bits());
-        }
-        prop_assert_eq!(pushed.rejected(), model_rejected);
     }
 }

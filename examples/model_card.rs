@@ -22,13 +22,8 @@ fn main() -> Result<(), sustainai::core::Error> {
     let tracker = CarbonTracker::new("paws-rn50", account)
         .with_embodied(EmbodiedModel::gpu_server()?, AllocationPolicy::UsageShare);
     let runtime = TimeSpan::from_hours(16.0);
-    for gpu in 0..64 {
-        tracker.record_power(
-            &format!("v100-{gpu}"),
-            MlPhase::OfflineTraining,
-            Power::from_watts(250.0),
-            runtime,
-        );
+    for _gpu in 0..64 {
+        tracker.record_power(MlPhase::OfflineTraining, Power::from_watts(250.0), runtime);
     }
     tracker.record_machine_time(runtime * 8.0); // 8 servers × 16 h
 

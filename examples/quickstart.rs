@@ -22,13 +22,8 @@ fn main() -> Result<(), sustainai::core::Error> {
     let tracker = CarbonTracker::new("rm1-weekly-retrain", account)
         .with_embodied(EmbodiedModel::gpu_server()?, AllocationPolicy::UsageShare);
     let run = TimeSpan::from_days(3.0);
-    for gpu in 0..8 {
-        tracker.record_power(
-            &format!("gpu{gpu}"),
-            MlPhase::OfflineTraining,
-            Power::from_watts(300.0),
-            run,
-        );
+    for _gpu in 0..8 {
+        tracker.record_power(MlPhase::OfflineTraining, Power::from_watts(300.0), run);
     }
     tracker.record_machine_time(run);
 

@@ -16,16 +16,17 @@ use sustainai::fleet::datacenter::DataCenter;
 use sustainai::fleet::sim::{FleetSim, Scenario};
 use sustainai::fleet::utilization::UtilizationModel;
 use sustainai::telemetry::device::{DeviceSpec, PowerModel};
-use sustainai::telemetry::trace::PowerTrace;
+use sustainai::telemetry::meter::EnergyIntegrator;
 use sustainai::telemetry::tracker::CarbonTracker;
 use sustainai::workload::training::{JobClass, JobGenerator};
 
 #[test]
 fn trace_to_tracker_to_report_pipeline() {
-    // Sample a GPU's power over a bursty utilization signal, feed the trace's
-    // energy into a tracker, and confirm the report matches hand math.
+    // Sample a GPU's power over a bursty utilization signal, integrate it
+    // into energy, feed that into a tracker, and confirm the report matches
+    // hand math.
     let model = DeviceSpec::A100.power_model();
-    let mut trace = PowerTrace::new();
+    let mut meter = EnergyIntegrator::new();
     for i in 0..=360 {
         let t = TimeSpan::from_secs(10.0 * i as f64);
         let u = if t.as_minutes() < 30.0 {
@@ -33,14 +34,14 @@ fn trace_to_tracker_to_report_pipeline() {
         } else {
             Fraction::ZERO
         };
-        trace.push(t, model.power(u));
+        meter.push(t, model.power(u));
     }
     let account = OperationalAccount::new(
         CarbonIntensity::from_grams_per_kwh(400.0),
         Pue::new(1.1).unwrap(),
     );
     let tracker = CarbonTracker::new("trace-job", account);
-    tracker.record_energy("gpu0", MlPhase::Experimentation, trace.energy());
+    tracker.record_energy(MlPhase::Experimentation, meter.energy());
     let report = tracker.report(AccountingBasis::LocationBased);
 
     // ~30 min at 400 W + ~30 min at 50 W ≈ 225 Wh.

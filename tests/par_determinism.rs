@@ -78,8 +78,8 @@ fn figure_fan_out_is_byte_identical_across_thread_counts() {
     );
 }
 
-/// The global knobs (`ParPool::set_threads`, the installed obs handle) live
-/// in one test so parallel test threads never race on them.
+/// The process-wide thread-count knob (`ParPool::set_threads`) lives in one
+/// test so parallel test threads never race on it.
 #[test]
 fn thread_count_never_leaks_into_recordings_or_replicas() {
     // (a) Observability: fork/adopt keeps the merged event log identical

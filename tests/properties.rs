@@ -288,22 +288,22 @@ proptest! {
     }
 
     #[test]
-    fn trace_tree_rollup_equals_sum_of_leaves(
+    fn energy_rollup_equals_sum_of_leaves(
         leaves in prop::collection::vec((0u8..4, 0u8..4, 10.0f64..500.0), 1..32),
     ) {
-        use sustainai::telemetry::hierarchy::TraceTree;
-        use sustainai::telemetry::trace::PowerTrace;
-        let mut tree = TraceTree::new();
+        use sustainai::telemetry::hierarchy::EnergyRollup;
+        let mut rollup = EnergyRollup::new();
         let mut total = Energy::ZERO;
         for (i, (rack, host, watts)) in leaves.iter().enumerate() {
-            let mut t = PowerTrace::new();
-            t.push(TimeSpan::ZERO, Power::from_watts(*watts));
-            t.push(TimeSpan::from_hours(1.0), Power::from_watts(*watts));
-            total += t.energy();
-            tree.insert(format!("r{rack}/h{host}/g{i}"), t);
+            let leaf = Power::from_watts(*watts) * TimeSpan::from_hours(1.0);
+            total += leaf;
+            rollup.add(&format!("r{rack}/h{host}/g{i}"), leaf);
         }
-        let rollup = tree.subtree_energy("");
-        prop_assert!((rollup.as_joules() - total.as_joules()).abs() < 1e-6);
+        // The root sums the leaves in the order they were added, so it is
+        // the running total to the bit; the racks regroup the same leaves.
+        prop_assert_eq!(rollup.energy(""), total);
+        let racks: Energy = rollup.children("").values().copied().sum();
+        prop_assert!((racks.as_joules() - total.as_joules()).abs() <= 1e-12 * total.as_joules());
     }
 
     #[test]

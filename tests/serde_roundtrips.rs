@@ -1,4 +1,4 @@
-//! JSON round-trip tests for the public data structures — reports and traces
+//! JSON round-trip tests for the public data structures — reports and logs
 //! are meant to be persisted to model cards and dashboards (paper §V-A).
 
 use serde_json as json;
@@ -8,7 +8,6 @@ use sustainai::core::intensity::{AccountingBasis, CarbonIntensity, EnergyMix, En
 use sustainai::core::lifecycle::MlPhase;
 use sustainai::core::units::{Co2e, Energy, Power, TimeSpan};
 use sustainai::edge::log::{ClientLog, ClientLogEntry};
-use sustainai::telemetry::trace::PowerTrace;
 
 fn round_trip<T>(value: &T)
 where
@@ -30,14 +29,6 @@ fn footprint_report_round_trips() {
     report.record_phase(MlPhase::Inference, Co2e::from_tonnes(0.65));
     report.record_phase(MlPhase::OfflineTraining, Co2e::from_tonnes(0.35));
     round_trip(&report);
-}
-
-#[test]
-fn power_trace_round_trips() {
-    let trace: PowerTrace = (0..100)
-        .map(|i| (TimeSpan::from_secs(i as f64), Power::from_watts(i as f64)))
-        .collect();
-    round_trip(&trace);
 }
 
 #[test]
