@@ -186,7 +186,7 @@ pub fn chaos_fed_stream() -> Table {
             "conserved".into(),
             if report.is_conserved() { "yes" } else { "NO" }.to_string(),
         ),
-        ("trace tree leaves".into(), num(host_leaves as f64, 0)),
+        ("roll-up host leaves".into(), num(host_leaves as f64, 0)),
     ];
     for (k, v) in rows {
         table.row(&[k, v]);

@@ -170,16 +170,24 @@ impl Sampler for LogNormal {
 /// pattern of embedding lookups that makes platform-level caching effective.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Zipf {
-    n: usize,
     cdf: Vec<f64>,
-    /// Chen–Asau guide table over `n` equal buckets of `[0, 1)`: `guide[b]`
-    /// is the first rank index whose CDF value falls in a bucket at or above
-    /// `b` under [`Zipf::bucket`], and `guide[n]` is the last rank index.
-    /// `u32` entries keep the table at half the CDF's size.
+    /// Chen–Asau guide table over `B = ⌈n / 4⌉` equal buckets of `[0, 1)`:
+    /// `guide[b]` is the first rank index whose CDF value falls in a bucket
+    /// at or above `b` under [`Zipf::bucket`], and `guide[B]` is the last
+    /// rank index. `u32` entries over a quarter as many buckets as ranks
+    /// keep the table at an eighth of the CDF's size.
     guide: Vec<u32>,
 }
 
 impl Zipf {
+    /// Ranks per guide bucket, on average: a bucket's search stays within a
+    /// cache line or two of CDF values, and the guide takes an eighth of the
+    /// CDF's bytes. At one rank per bucket, fig07's CDF, guide and `u32`
+    /// request buffer together outgrew twice the CDF, past which glibc
+    /// returns the freed heap to the kernel after each call and the next
+    /// call faults it back in (~360 extra minor faults per figure fan-out).
+    const RANKS_PER_BUCKET: usize = 4;
+
     /// Creates a Zipf distribution over `1..=n` with exponent `s`.
     ///
     /// # Errors
@@ -215,19 +223,19 @@ impl Zipf {
         for c in &mut cdf {
             *c /= total;
         }
-        // One bucket per rank, so a bucket holds one rank on average. The
-        // last CDF value is exactly 1.0 and lands in the last bucket, so
+        // The last CDF value is exactly 1.0 and lands in the last bucket, so
         // every bucket gets a start; the sentinel ends the last bucket's
         // search at the last rank.
-        let mut guide = Vec::with_capacity(n + 1);
+        let buckets = n.div_ceil(Self::RANKS_PER_BUCKET);
+        let mut guide = Vec::with_capacity(buckets + 1);
         for (i, &c) in (0..=last).zip(&cdf) {
-            while guide.len() <= Self::bucket(c, n) {
+            while guide.len() <= Self::bucket(c, buckets) {
                 guide.push(i);
             }
         }
-        debug_assert_eq!(guide.len(), n, "the CDF must end at exactly 1.0");
+        debug_assert_eq!(guide.len(), buckets, "the CDF must end at exactly 1.0");
         guide.push(last);
-        Ok(Zipf { n, cdf, guide })
+        Ok(Zipf { cdf, guide })
     }
 
     /// The guide bucket of a probability among `buckets` equal slices of
@@ -243,25 +251,34 @@ impl Zipf {
     /// Every index before `guide[b]` has a CDF value in an earlier bucket
     /// than `u`'s, so below `u`; `guide[b + 1]` has one in a later bucket or
     /// is the last rank, so at or above `u < 1`. The answer therefore lies
-    /// in `guide[b]..=guide[b + 1]`.
-    fn index_of(&self, u: f64) -> usize {
-        let b = Self::bucket(u, self.n);
-        let (start, end) = (self.guide[b] as usize, self.guide[b + 1] as usize);
-        start + self.cdf[start..end].partition_point(|&c| c < u)
+    /// in `guide[b]..=guide[b + 1]`, whose ends are `u32` guide entries, so
+    /// the offset cast cannot truncate.
+    fn index_of(&self, u: f64) -> u32 {
+        let b = Self::bucket(u, self.guide.len() - 1);
+        let (start, end) = (self.guide[b], self.guide[b + 1]);
+        start + self.cdf[start as usize..end as usize].partition_point(|&c| c < u) as u32
     }
 
-    /// Draws a rank in `1..=n` (1 is the most popular) by inversion: one
-    /// uniform `u`, then the first rank whose CDF value is at least `u`.
+    /// Draws a rank index in `0..n` (0 is the most popular) by inversion:
+    /// one uniform `u`, then the first index whose CDF value is at least
+    /// `u`. It always fits a `u32`, since [`Zipf::new`] rejects `n` above
+    /// 2³², so a buffered request stream takes half a `u64` key's bytes.
     ///
     /// The lookup costs O(1) expected time: the guide table built in
-    /// [`Zipf::new`] maps `u` to one of `n` equal buckets of `[0, 1)`, and a
-    /// binary search covers only the ranks whose CDF values fall in that
-    /// bucket — one on average, so a steep tail crowding the last bucket
-    /// costs a logarithm, never a scan. The rank equals what a binary
+    /// [`Zipf::new`] maps `u` to one of `⌈n / 4⌉` equal buckets of `[0, 1)`,
+    /// and a binary search covers only the ranks whose CDF values fall in
+    /// that bucket — four on average, so a steep tail crowding the last
+    /// bucket costs a logarithm, never a scan. The index equals what a binary
     /// search of the whole CDF returns whenever no two CDF values below 1.0
-    /// are equal, so a seeded stream draws the same ranks either way.
+    /// are equal, so a seeded stream draws the same indices either way.
+    pub fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
+        self.index_of(rng.gen())
+    }
+
+    /// Draws a rank in `1..=n` (1 is the most popular): the same draw as
+    /// [`Zipf::sample_index`], one higher.
     pub fn sample_rank<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        self.index_of(rng.gen()) + 1
+        self.sample_index(rng) as usize + 1
     }
 }
 
@@ -619,7 +636,7 @@ mod tests {
     fn binary_search_rank(d: &Zipf, u: f64) -> usize {
         match d.cdf.binary_search_by(|c| c.total_cmp(&u)) {
             Ok(i) => i + 1,
-            Err(i) => (i + 1).min(d.n),
+            Err(i) => (i + 1).min(d.cdf.len()),
         }
     }
 
@@ -636,7 +653,8 @@ mod tests {
                 );
                 // `u` at 0, at every CDF value and every bucket boundary,
                 // each ±1 ulp, within the `[0, 1)` range `gen` draws from.
-                let boundaries = (0..n).map(|b| b as f64 / n as f64);
+                let buckets = d.guide.len() - 1;
+                let boundaries = (0..buckets).map(|b| b as f64 / buckets as f64);
                 let probes = d
                     .cdf
                     .iter()
@@ -646,7 +664,7 @@ mod tests {
                     .filter(|u| (0.0..1.0).contains(u));
                 for u in probes {
                     assert_eq!(
-                        d.index_of(u) + 1,
+                        d.index_of(u) as usize + 1,
                         binary_search_rank(&d, u),
                         "n={n} s={s} u={u:e}"
                     );
@@ -662,6 +680,26 @@ mod tests {
         // search had no ties to break.
         let fig07 = Zipf::new(100_000, 1.2).unwrap();
         assert!(fig07.cdf.windows(2).all(|w| w[0] < w[1]));
+        // fig07 holds the CDF, the guide and 120,000 `u32` requests at
+        // once; together they stay under twice the CDF's bytes (see
+        // `RANKS_PER_BUCKET`).
+        let held = size_of_val(&fig07.guide[..]) + 120_000 * size_of::<u32>();
+        assert!(
+            held < size_of_val(&fig07.cdf[..]),
+            "{held} bytes beside the CDF"
+        );
+    }
+
+    #[test]
+    fn zipf_index_is_rank_minus_one() {
+        for (n, s) in [(1, 1.0), (200, 1.1), (100_000, 1.2)] {
+            let d = Zipf::new(n, s).unwrap();
+            let (mut by_index, mut by_rank) = (rng(), rng());
+            for _ in 0..10_000 {
+                let index = d.sample_index(&mut by_index);
+                assert_eq!(index as usize + 1, d.sample_rank(&mut by_rank));
+            }
+        }
     }
 
     #[test]

@@ -2,17 +2,22 @@
 //!
 //! [`FlApp`] describes a production FL application (round cadence, cohort
 //! size, update size, local workload); [`FlApp::simulate`] runs the rounds
-//! over a heterogeneous device fleet and emits the 90-day [`ClientLog`] the
-//! published estimation methodology consumes. The `fl1`/`fl2` presets are
-//! calibrated so their estimated footprints land in the Figure 11 band
-//! (comparable to centralized Transformer_Big training).
+//! over a heterogeneous device fleet and folds each session into the 90-day
+//! [`ClientLog`] totals the published estimation methodology consumes. The
+//! `fl1`/`fl2` presets are calibrated so their estimated footprints land in
+//! the Figure 11 band (comparable to centralized Transformer_Big training).
+//!
+//! A run records on [`sustain_obs::handle`], like every instrumented layer:
+//! a caller that wants the spans scopes the run with
+//! [`sustain_obs::with_task_handle`]. Each round reports its client
+//! sessions as work, so on the work clock an `fl.round` span is as wide as
+//! its cohort.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use sustain_core::stats::{LogNormal, Sampler};
 use sustain_core::units::{DataVolume, Fraction, TimeSpan};
-use sustain_obs::Obs;
 
 use crate::comm::CommModel;
 use crate::device::{ClientDevice, DeviceTier};
@@ -103,19 +108,12 @@ impl FlApp {
     /// and transfer times follow the device's link rates. Dropouts compute
     /// half a round and skip the upload.
     ///
-    /// Observability goes through [`sustain_obs::handle`] (disabled unless
-    /// a caller scoped an enabled one); use [`FlApp::simulate_with_obs`] for
-    /// explicit injection.
+    /// Records on [`sustain_obs::handle`] (disabled unless a caller scoped
+    /// an enabled one): one `fl.simulate` span over the run, one `fl.round`
+    /// span per round crediting one work unit per client session, and
+    /// session/dropout counters. The RNG draws do not depend on the handle.
     pub fn simulate<R: Rng + ?Sized>(&self, rng: &mut R) -> ClientLog {
-        self.simulate_with_obs(rng, &sustain_obs::handle())
-    }
-
-    /// [`FlApp::simulate`] reporting through an explicit [`Obs`] handle:
-    /// one `fl.simulate` span over the run, one `fl.round` span per round,
-    /// and session/dropout counters. `FlApp` itself stays a plain
-    /// serializable config, so the handle is passed per call rather than
-    /// stored.
-    pub fn simulate_with_obs<R: Rng + ?Sized>(&self, rng: &mut R, obs: &Obs) -> ClientLog {
+        let obs = sustain_obs::handle();
         // lint:allow(panic-discipline) fixed, known-good jitter parameters
         let jitter = LogNormal::from_median_p99(1.0, 3.0).expect("valid jitter");
         let comm = CommModel::paper_default();
@@ -125,7 +123,7 @@ impl FlApp {
         // download/upload transfer times are session-independent, and the
         // tier-adjusted base compute time takes only |ALL| values. The
         // hoisted expressions are the exact per-session ones, so every
-        // logged time is bitwise what the in-loop computation produced —
+        // summed time is bitwise what the in-loop computation produced —
         // and no RNG draw moves.
         let reference = ClientDevice::paper_reference(DeviceTier::Mid);
         let download = comm.transfer_time(self.update_size, reference.download_rate());
@@ -156,6 +154,7 @@ impl FlApp {
                 };
                 log.push(entry);
             }
+            obs.add_work(u64::from(self.clients_per_round));
         }
         if obs.enabled() {
             obs.counter("fl_sessions_total").add(log.len() as f64);
@@ -236,7 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn dropout_reduces_upload_time() {
+    fn dropout_reduces_communication_and_compute_time() {
         let base = FlApp::new(
             "t",
             30,
@@ -247,30 +246,63 @@ mod tests {
         let dropped = base.clone().with_dropout(Fraction::saturating(0.9));
         let log_a = base.simulate(&mut StdRng::seed_from_u64(3));
         let log_b = dropped.simulate(&mut StdRng::seed_from_u64(3));
-        let ul_a: TimeSpan = log_a.entries().iter().map(|e| e.upload).sum();
-        let ul_b: TimeSpan = log_b.entries().iter().map(|e| e.upload).sum();
-        assert!(ul_b < ul_a * 0.5);
+        // Dropouts draw the same tiers and jitter, so the runs differ only
+        // in the dropped sessions' halved compute and missing uploads.
+        assert_eq!(log_a.len(), log_b.len());
+        assert!(log_b.total_communication() < log_a.total_communication());
+        assert!(log_b.total_compute() < log_a.total_compute() * 0.7);
     }
 
     #[test]
     fn heterogeneity_spreads_compute_times() {
+        // One session per log, so each total is one client's compute time.
         let app = FlApp::new(
             "t",
-            10,
-            200,
+            1,
+            1,
             DataVolume::from_bytes(1e6),
             TimeSpan::from_minutes(4.0),
         );
-        let log = app.simulate(&mut StdRng::seed_from_u64(4));
-        let times: Vec<f64> = log
-            .entries()
-            .iter()
-            .map(|e| e.compute.as_minutes())
+        let times: Vec<f64> = (0..2_000)
+            .map(|seed| {
+                let log = app.simulate(&mut StdRng::seed_from_u64(seed));
+                assert_eq!(log.len(), 1);
+                log.total_compute().as_minutes()
+            })
             .collect();
         let min = times.iter().cloned().fold(f64::MAX, f64::min);
         let max = times.iter().cloned().fold(0.0f64, f64::max);
         // Low-tier 2× slower than mid, high-tier 2× faster, plus jitter.
         assert!(max / min > 3.0, "spread {}..{}", min, max);
+    }
+
+    /// Under the work clock a span's width is the work reported inside it,
+    /// so the `fl.round` spans must hold one unit per client session.
+    #[test]
+    fn round_spans_report_one_unit_of_work_per_session() {
+        let app = FlApp::new(
+            "t",
+            7,
+            13,
+            DataVolume::from_bytes(1e6),
+            TimeSpan::from_minutes(1.0),
+        )
+        .with_dropout(Fraction::saturating(0.2));
+        let obs = sustain_obs::ObsConfig::enabled().build();
+        let log =
+            sustain_obs::with_task_handle(&obs, || app.simulate(&mut StdRng::seed_from_u64(6)));
+        let rounds: Vec<f64> = obs
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                sustain_obs::EventRecord::Span {
+                    name, start, end, ..
+                } if *name == "fl.round" => Some((*end - *start).as_secs()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rounds.len(), 7);
+        assert_eq!(rounds.iter().sum::<f64>(), log.len() as f64);
     }
 
     #[test]

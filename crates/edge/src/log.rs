@@ -2,9 +2,12 @@
 //!
 //! "We collected the 90-day log data for federated learning production use
 //! cases at Facebook, which recorded the time spent on computation, data
-//! downloading, and data uploading per client device." [`ClientLog`] is that
-//! record; the production logs are proprietary, so [`fl`](crate::fl)
-//! generates synthetic logs with the same schema.
+//! downloading, and data uploading per client device." The Appendix-B
+//! estimate multiplies only the *summed* compute and communication times by
+//! constant powers, so [`ClientLog`] keeps that record's totals, not its
+//! rows: a session count and two running sums, O(1) however many sessions
+//! are pushed. The production logs are proprietary, so [`fl`](crate::fl)
+//! generates synthetic sessions with the same schema.
 
 use serde::{Deserialize, Serialize};
 
@@ -28,11 +31,18 @@ impl ClientLogEntry {
     }
 }
 
-/// A windowed collection of client log entries.
+/// The totals of a windowed client log: how many entries were pushed and
+/// their summed compute and communication times.
+///
+/// Each sum starts at [`TimeSpan::ZERO`] and adds the entries in push
+/// order, so a non-empty log's totals equal, bit for bit, an in-order sum
+/// over its entries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClientLog {
     window: TimeSpan,
-    entries: Vec<ClientLogEntry>,
+    sessions: usize,
+    compute: TimeSpan,
+    communication: TimeSpan,
 }
 
 impl ClientLog {
@@ -50,51 +60,45 @@ impl ClientLog {
         assert!(window.as_secs() > 0.0, "window must be positive");
         ClientLog {
             window,
-            entries: Vec::new(),
+            sessions: 0,
+            compute: TimeSpan::ZERO,
+            communication: TimeSpan::ZERO,
         }
     }
 
-    /// Appends a client's entry.
+    /// Adds a client's entry to the totals.
     pub fn push(&mut self, entry: ClientLogEntry) -> &mut ClientLog {
-        self.entries.push(entry);
+        self.sessions += 1;
+        self.compute += entry.compute;
+        self.communication += entry.communication();
         self
     }
 
-    /// The entries.
-    pub fn entries(&self) -> &[ClientLogEntry] {
-        &self.entries
-    }
-
-    /// Number of client entries.
+    /// Number of client entries pushed.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.sessions
     }
 
-    /// Whether the log has no entries.
+    /// Whether no entry was pushed.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.sessions == 0
     }
 
     /// Total computation time across clients.
     pub fn total_compute(&self) -> TimeSpan {
-        self.entries.iter().map(|e| e.compute).sum()
+        self.compute
     }
 
     /// Total communication time across clients.
     pub fn total_communication(&self) -> TimeSpan {
-        self.entries.iter().map(|e| e.communication()).sum()
-    }
-}
-
-impl Extend<ClientLogEntry> for ClientLog {
-    fn extend<I: IntoIterator<Item = ClientLogEntry>>(&mut self, iter: I) {
-        self.entries.extend(iter);
+        self.communication
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn entry(c: f64, d: f64, u: f64) -> ClientLogEntry {
         ClientLogEntry {
@@ -122,10 +126,58 @@ mod tests {
     }
 
     #[test]
-    fn extend_appends_entries() {
-        let mut log = ClientLog::ninety_day();
-        log.extend(vec![entry(1.0, 0.0, 0.0); 5]);
-        assert_eq!(log.len(), 5);
+    fn empty_log_has_positive_zero_totals() {
+        let log = ClientLog::ninety_day();
+        assert!(log.is_empty());
+        assert_eq!(log.len(), 0);
+        // The sums start at `TimeSpan::ZERO`, not at `f64::sum`'s −0.0.
+        let zero = 0.0f64.to_bits();
+        assert_eq!(log.total_compute().as_secs().to_bits(), zero);
+        assert_eq!(log.total_communication().as_secs().to_bits(), zero);
+    }
+
+    /// A non-negative finite time in seconds: exact zeros and a wide
+    /// dynamic range, so the sums round at every scale.
+    fn seconds((zero, raw): (bool, f64)) -> TimeSpan {
+        TimeSpan::from_secs(if zero { 0.0 } else { raw.abs() })
+    }
+
+    proptest! {
+        #[test]
+        fn totals_equal_the_in_order_fold_of_the_rows(
+            rows in prop::collection::vec(
+                (
+                    (any::<bool>(), any::<f64>()),
+                    (any::<bool>(), any::<f64>()),
+                    (any::<bool>(), any::<f64>()),
+                ),
+                0..200,
+            ),
+        ) {
+            let entries: Vec<ClientLogEntry> = rows
+                .into_iter()
+                .map(|(c, d, u)| ClientLogEntry {
+                    compute: seconds(c),
+                    download: seconds(d),
+                    upload: seconds(u),
+                })
+                .collect();
+            let mut log = ClientLog::ninety_day();
+            for e in &entries {
+                log.push(*e);
+            }
+            // The in-order fold of the rows themselves.
+            let compute = entries.iter().fold(TimeSpan::ZERO, |acc, e| acc + e.compute);
+            let communication = entries
+                .iter()
+                .fold(TimeSpan::ZERO, |acc, e| acc + (e.download + e.upload));
+            prop_assert_eq!(log.len(), entries.len());
+            prop_assert_eq!(log.total_compute().as_secs().to_bits(), compute.as_secs().to_bits());
+            prop_assert_eq!(
+                log.total_communication().as_secs().to_bits(),
+                communication.as_secs().to_bits()
+            );
+        }
     }
 
     #[test]

@@ -382,11 +382,12 @@ pub fn simulate_cache<R: Rng + ?Sized>(
     let _sim = obs.span("optim.cache.simulate");
     // lint:allow(panic-discipline) documented panic on invalid zipf parameters
     let zipf = Zipf::new(universe, zipf_exponent).expect("valid zipf parameters");
-    let keys: Vec<u64> = {
+    // The stream buffers 0-based `u32` rank indices, half a `u64` key's
+    // bytes; the cache compares keys only for equality, so index keys hit
+    // and miss exactly as rank keys would.
+    let keys: Vec<u32> = {
         let _sample = obs.span("optim.cache.sample");
-        let keys = (0..requests)
-            .map(|_| zipf.sample_rank(rng) as u64)
-            .collect();
+        let keys = (0..requests).map(|_| zipf.sample_index(rng)).collect();
         obs.add_work(requests as u64);
         keys
     };
@@ -397,7 +398,7 @@ pub fn simulate_cache<R: Rng + ?Sized>(
     {
         let _access = obs.span("optim.cache.access");
         for key in keys {
-            cache.access(key);
+            cache.access(u64::from(key));
         }
         obs.add_work(requests as u64);
     }
@@ -650,6 +651,27 @@ mod tests {
                 spec.eviction_order(),
                 "{policy:?} resident sets differ"
             );
+        }
+    }
+
+    #[test]
+    fn index_keys_hit_and_miss_like_rank_keys() {
+        let zipf = sustain_core::stats::Zipf::new(1_000, 1.2).expect("valid zipf");
+        for policy in [CachePolicy::Lru, CachePolicy::Lfu] {
+            let mut rng = StdRng::seed_from_u64(13);
+            let mut by_index = KeyCache::new(policy, 32);
+            let mut by_rank = KeyCache::new(policy, 32);
+            for step in 0..20_000 {
+                let index = zipf.sample_index(&mut rng);
+                let rank = index as u64 + 1;
+                assert_eq!(
+                    by_index.access(u64::from(index)),
+                    by_rank.access(rank),
+                    "{policy:?} diverged at step {step} (index {index})"
+                );
+            }
+            assert_eq!(by_index.hits(), by_rank.hits());
+            assert!(by_index.hits() > 0 && by_index.misses() > 0);
         }
     }
 

@@ -44,7 +44,9 @@ fn instrumented_run() -> Obs {
         .with_obs(&obs)
         .simulate(&chaos(), &mut StdRng::seed_from_u64(SEED));
     assert!(report.it_energy.as_joules() > 0.0);
-    let log = FlApp::fl1().simulate_with_obs(&mut StdRng::seed_from_u64(SEED), &obs);
+    let log = sustainai::obs::with_task_handle(&obs, || {
+        FlApp::fl1().simulate(&mut StdRng::seed_from_u64(SEED))
+    });
     assert!(!log.is_empty());
     obs
 }
@@ -70,7 +72,9 @@ fn instrumentation_does_not_perturb_results() {
     let without = sim().simulate(&chaos(), &mut StdRng::seed_from_u64(SEED));
     assert_eq!(format!("{with:?}"), format!("{without:?}"));
 
-    let traced = FlApp::fl2().simulate_with_obs(&mut StdRng::seed_from_u64(SEED), &obs);
+    let traced = sustainai::obs::with_task_handle(&obs, || {
+        FlApp::fl2().simulate(&mut StdRng::seed_from_u64(SEED))
+    });
     let plain = FlApp::fl2().simulate(&mut StdRng::seed_from_u64(SEED));
     assert_eq!(traced, plain);
 }
